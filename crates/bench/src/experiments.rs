@@ -204,6 +204,7 @@ pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
         "MIS (s)",
         "assign (s)",
         "intermed (s)",
+        "repair (s)",
         "condense (s)",
         "score (s)",
     ]);
@@ -235,6 +236,7 @@ pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
             format!("{:.3}", point.mis_seconds),
             format!("{:.3}", result.stats.assign_time.as_secs_f64()),
             format!("{:.3}", result.stats.intermediate_time.as_secs_f64()),
+            format!("{:.3}", result.stats.repair_time.as_secs_f64()),
             format!("{:.3}", result.stats.condense_time.as_secs_f64()),
             format!("{:.3}", result.stats.score_time.as_secs_f64()),
         ]);

@@ -21,6 +21,7 @@
 
 use crate::input::Instance;
 use crate::itemset::ItemId;
+use crate::packed::CsrIndex;
 use crate::similarity::{SimilarityKind, EPS};
 use crate::tree::{CatId, CategoryTree};
 use crate::util::{ceil_tolerant, FxHashMap};
@@ -84,6 +85,8 @@ struct AssignState<'a> {
     instance: &'a Instance,
     tree: &'a mut CategoryTree,
     targets: Vec<(u32, CatId)>,
+    /// item → input sets containing it, built once per run.
+    index: CsrIndex,
     target_of_cat: FxHashMap<CatId, u32>,
     cat_of_set: FxHashMap<u32, CatId>,
     /// `|C|` per category (full, deduplicated).
@@ -109,6 +112,7 @@ impl<'a> AssignState<'a> {
             instance,
             tree,
             targets: targets.to_vec(),
+            index: instance.inverted_index(),
             target_of_cat,
             cat_of_set,
             full_size: vec![0; len],
@@ -133,10 +137,9 @@ impl<'a> AssignState<'a> {
         defer_polluting: bool,
         stats: &mut AssignStats,
     ) -> FxHashMap<ItemId, u8> {
-        let index = self.instance.inverted_index();
         let mut duplicates: FxHashMap<ItemId, u8> = FxHashMap::default();
         for item in 0..self.instance.num_items {
-            let cats: Vec<CatId> = index[item as usize]
+            let cats: Vec<CatId> = self.index[item as usize]
                 .iter()
                 .filter_map(|s| self.cat_of_set.get(s).copied())
                 .collect();
@@ -254,45 +257,58 @@ impl<'a> AssignState<'a> {
 
     /// Of `dup_list` (the duplicates of one target set), those still
     /// assignable to `cat`'s branch.
-    fn available_from(
-        &self,
-        dup_list: &[ItemId],
+    fn available_from<'l>(
+        &'l self,
+        dup_list: &'l [ItemId],
         cat: CatId,
-        duplicates: &FxHashMap<ItemId, u8>,
-    ) -> Vec<ItemId> {
+        duplicates: &'l FxHashMap<ItemId, u8>,
+    ) -> impl Iterator<Item = ItemId> + 'l {
         dup_list
             .iter()
             .copied()
             .filter(|i| duplicates.get(i).is_some_and(|&rem| rem > 0))
-            .filter(|&i| self.placement_legal(i, cat))
-            .collect()
+            .filter(move |&i| self.placement_legal(i, cat))
     }
 
     /// Stage 2: iteratively complete covers (Algorithm 2 lines 3–9).
+    ///
+    /// A target's availability (how many of its duplicates its branch can
+    /// still take) changes only when one of those duplicates is placed, so
+    /// it is cached per target and cleared, on each placement, for the
+    /// targets whose sets contain the placed item.
     fn cover_loop(&mut self, duplicates: &mut FxHashMap<ItemId, u8>, stats: &mut AssignStats) {
-        // Per-target duplicate lists, computed once (membership is static;
-        // only remaining bounds and legality change between rounds).
-        let dup_lists: FxHashMap<u32, Vec<ItemId>> = self
+        // Per-target duplicate lists and per-duplicate target postings (in
+        // `targets` order), computed once: membership is static; only
+        // remaining bounds and legality change between rounds.
+        let mut postings: FxHashMap<ItemId, Vec<usize>> = FxHashMap::default();
+        let dup_lists: Vec<Vec<ItemId>> = self
             .targets
             .iter()
-            .map(|&(s, _)| {
+            .enumerate()
+            .map(|(t, &(s, _))| {
                 let list: Vec<ItemId> = self.instance.sets[s as usize]
                     .items
                     .iter()
                     .filter(|i| duplicates.contains_key(i))
                     .collect();
-                (s, list)
+                for &item in &list {
+                    postings.entry(item).or_default().push(t);
+                }
+                list
             })
             .collect();
+        let mut available: Vec<Option<usize>> = vec![None; self.targets.len()];
         loop {
             // Candidates: uncovered targets whose gap can be filled now.
-            let mut best: Option<(f64, u32, CatId, usize)> = None;
-            for &(s, c) in &self.targets {
+            let mut best: Option<(f64, u32, usize, usize)> = None;
+            for (t, &(s, c)) in self.targets.iter().enumerate() {
                 let Some(gap) = self.cover_gap(s, c) else {
                     continue;
                 };
-                let avail = self.available_from(&dup_lists[&s], c, duplicates);
-                if avail.len() < gap {
+                let avail = *available[t].get_or_insert_with(|| {
+                    self.available_from(&dup_lists[t], c, duplicates).count()
+                });
+                if avail < gap {
                     continue;
                 }
                 let gain = self.instance.sets[s as usize].weight / gap as f64;
@@ -301,24 +317,25 @@ impl<'a> AssignState<'a> {
                     Some((bg, bs, _, _)) => gain > bg + EPS || ((gain - bg).abs() <= EPS && s < bs),
                 };
                 if better {
-                    best = Some((gain, s, c, gap));
+                    best = Some((gain, s, t, gap));
                 }
             }
-            let Some((_, s, c, gap)) = best else {
+            let Some((_, _, t, gap)) = best else {
                 return;
             };
-            let mut candidates = self.available_from(&dup_lists[&s], c, duplicates);
+            let c = self.targets[t].1;
             // Branch gain: descend from C(q̂) to the best chain per item.
             // Ties prefer items with the least demand from *other* branches,
             // so contested duplicates stay available for their own covers.
-            let mut scored: Vec<(f64, f64, ItemId, CatId)> = candidates
-                .drain(..)
+            let mut scored: Vec<(f64, f64, ItemId, CatId)> = self
+                .available_from(&dup_lists[t], c, duplicates)
                 .map(|item| {
                     let (gain, node) = self.best_chain(item, c);
-                    let outside = (self.total_gain(item) - gain).max(0.0);
+                    let outside = (self.total_gain(&postings[&item], item) - gain).max(0.0);
                     (gain, outside, item, node)
                 })
                 .collect();
+            debug_assert_eq!(available[t], Some(scored.len()), "stale availability");
             scored.sort_by(|a, b| {
                 b.0.total_cmp(&a.0)
                     .then(a.1.total_cmp(&b.1))
@@ -329,6 +346,9 @@ impl<'a> AssignState<'a> {
                 let rem = duplicates.get_mut(&item).expect("candidate is a duplicate");
                 *rem -= 1;
                 stats.duplicates_assigned += 1;
+                for &u in &postings[&item] {
+                    available[u] = None;
+                }
             }
         }
     }
@@ -367,12 +387,14 @@ impl<'a> AssignState<'a> {
         (own + best_gain, deepest)
     }
 
-    /// Sum of gain factors of *all* uncovered targets containing `item`.
-    fn total_gain(&self, item: ItemId) -> f64 {
-        self.targets
+    /// Sum of gain factors of *all* uncovered targets containing `item`,
+    /// given the positions in `targets` of the targets whose sets contain
+    /// it (ascending, so the terms add up in `targets` order).
+    fn total_gain(&self, postings: &[usize], item: ItemId) -> f64 {
+        postings
             .iter()
-            .map(|&(_, c)| self.node_gain(item, c))
-            .sum()
+            .map(|&t| self.node_gain(item, self.targets[t].1))
+            .fold(0.0, |sum, gain| sum + gain)
     }
 
     /// Gain factor contributed by `node`'s target for `item` (0 when the
@@ -401,13 +423,12 @@ impl<'a> AssignState<'a> {
             .collect();
         items.sort_unstable();
         // Only the targets whose sets contain the item are candidates.
-        let index = self.instance.inverted_index();
         for item in items {
             if self.assignments.get(&item).is_some_and(|v| !v.is_empty()) {
                 continue; // partially used duplicate: already on some branch
             }
             let mut best: Option<(f64, CatId)> = None;
-            for &s in &index[item as usize] {
+            for &s in &self.index[item as usize] {
                 let Some(&c) = self.cat_of_set.get(&s) else {
                     continue;
                 };
@@ -601,6 +622,31 @@ mod tests {
         let score = score_tree(&instance, &tree);
         assert!(score.per_set[0].covered, "heavy set covered");
         assert!(!score.per_set[1].covered, "light set sacrificed");
+    }
+
+    #[test]
+    fn placed_duplicate_refreshes_other_targets_availability() {
+        // δ = 1. Round 1: A (gain 10) takes shared duplicate 0. B = {0,3,5}
+        // still needs both 0 and 3, so it can no longer be filled, and C
+        // (gain 0.1) takes 3 in round 2. A stale availability count for B
+        // (two duplicates) would let B (gain 0.5) claim 3 instead.
+        let sets = vec![
+            InputSet::new(ItemSet::new(vec![0, 1]), 10.0),
+            InputSet::new(ItemSet::new(vec![0, 3, 5]), 1.0),
+            InputSet::new(ItemSet::new(vec![3, 6]), 0.1),
+        ];
+        let instance = Instance::new(7, sets, Similarity::jaccard_threshold(1.0));
+        let mut tree = CategoryTree::new();
+        let a = tree.add_category(ROOT);
+        let b = tree.add_category(ROOT);
+        let c = tree.add_category(ROOT);
+        let stats = assign_items(&instance, &mut tree, &[(0, a), (1, b), (2, c)], true);
+        assert_eq!(stats.duplicates_assigned, 2);
+        let full = tree.materialize();
+        assert_eq!(full[a as usize], ItemSet::new(vec![0, 1]));
+        assert_eq!(full[b as usize], ItemSet::new(vec![5]));
+        assert_eq!(full[c as usize], ItemSet::new(vec![3, 6]));
+        assert_eq!(stats.covered_targets, 2);
     }
 
     #[test]

@@ -109,6 +109,8 @@ pub struct CtcrStats {
     pub assign_time: Duration,
     /// Wall-clock spent adding intermediate categories.
     pub intermediate_time: Duration,
+    /// Wall-clock spent in cover repair (zero when `repair` is off).
+    pub repair_time: Duration,
     /// Wall-clock spent condensing.
     pub condense_time: Duration,
     /// Wall-clock spent in the final scoring pass.
@@ -329,6 +331,7 @@ fn run_attempt(instance: &Instance, config: &CtcrConfig, banned: &FxHashSet<u32>
         mis_time,
         assign_time: stages.assign_time,
         intermediate_time: stages.intermediate_time,
+        repair_time: stages.repair_time,
         condense_time: stages.condense_time,
         score_time: stages.score_time,
         total_time: run_span.elapsed(),
@@ -376,6 +379,8 @@ pub(crate) struct StagesOutput {
     pub assign_time: Duration,
     /// See `assign_time`.
     pub intermediate_time: Duration,
+    /// See `assign_time`; zero when repair is off.
+    pub repair_time: Duration,
     /// See `assign_time`.
     pub condense_time: Duration,
     /// See `assign_time`.
@@ -448,10 +453,13 @@ pub(crate) fn build_from_selection(
     drop(stage);
 
     // Extension: slack-aware cover repair (see `crate::repair`).
-    if config.repair {
-        let _stage = parent_span.child("repair");
+    let repair_time = if config.repair {
+        let stage = parent_span.child("repair");
         crate::repair::repair(instance, &mut tree);
-    }
+        stage.elapsed()
+    } else {
+        Duration::ZERO
+    };
 
     // Stage 7: condensing (lines 24-25).
     let stage = parent_span.child("condense");
@@ -488,6 +496,7 @@ pub(crate) fn build_from_selection(
         score,
         assign_time,
         intermediate_time,
+        repair_time,
         condense_time,
         score_time,
     }

@@ -10,16 +10,24 @@
 //!
 //! This stage closes those gaps without ever breaking an existing cover:
 //! for each uncovered set (heaviest first) it finds the best candidate
-//! category and greedily
-//! 1. **adds** still-unassigned items of the set to the candidate, and
-//! 2. **removes** foreign items from the candidate's subtree when every
+//! category and greedily plans
+//! 1. **adds** of still-unassigned items of the set to the candidate, and
+//! 2. **removals** of foreign items from the candidate's subtree when every
 //!    covered set counting on them retains its threshold (slack-aware
 //!    trimming; removed items return to the unassigned pool → `C_misc`),
 //!
-//! committing only when the threshold is actually reached.
+//! going ahead only when the planned moves would reach the threshold.
+//! Commits are per move, not per plan: each move's safety is rechecked when
+//! it is applied, a move that became unsafe is skipped, and the moves
+//! already applied for the set stay committed even when the set ends below
+//! its threshold. The tree stays valid and no protected cover breaks.
+//!
+//! The candidate search is one pass per set: each item of the set walks its
+//! locations up the parent chain, counting every category it reaches once,
+//! so only categories that share an item with the set are ever scored.
 
 use crate::input::Instance;
-use crate::itemset::ItemId;
+use crate::itemset::{ItemId, ItemSet};
 use crate::score::score_tree;
 
 use crate::tree::{CatId, CategoryTree, ROOT};
@@ -53,6 +61,17 @@ struct RepairState<'a> {
     /// Protections indexed by category.
     protections: Vec<Protection>,
     by_cat: FxHashMap<CatId, Vec<usize>>,
+    /// Candidate-search scratch, indexed by category: the q-item that last
+    /// reached the category (as a running stamp) and the number of q-items
+    /// in its subtree. `hits` is all zero between searches.
+    stamp: Vec<u32>,
+    hits: Vec<usize>,
+    epoch: u32,
+}
+
+/// `cat` followed by its ancestors up to the root.
+fn chain(tree: &CategoryTree, cat: CatId) -> impl Iterator<Item = CatId> + '_ {
+    std::iter::successors(Some(cat), |&c| tree.parent(c))
 }
 
 impl RepairState<'_> {
@@ -73,95 +92,53 @@ impl RepairState<'_> {
         )
     }
 
-    /// Chain of `cat` and its ancestors.
-    fn chain(&self, cat: CatId) -> Vec<CatId> {
-        let mut chain = vec![cat];
-        chain.extend(self.tree.ancestors(cat));
-        chain
+    /// Whether adding (`sign` = +1) or removing (−1) `item`'s direct
+    /// assignment at `node` keeps every protection on `node`'s chain
+    /// covered. An added item must be globally unassigned, so it is in no
+    /// affected full set yet.
+    fn is_safe(&self, item: ItemId, node: CatId, sign: i64) -> bool {
+        chain(self.tree, node).all(|a| {
+            self.by_cat.get(&a).is_none_or(|ids| {
+                ids.iter().all(|&pi| {
+                    let p = &self.protections[pi];
+                    let in_q = self.instance.sets[p.set as usize].items.contains(item);
+                    self.still_covers(p, sign, sign * i64::from(in_q))
+                })
+            })
+        })
     }
 
-    /// Whether adding `item` at `node` keeps every affected protection
-    /// covered. The item must not already be in any affected full set
-    /// (caller guarantees it is globally unassigned).
-    fn add_is_safe(&self, item: ItemId, node: CatId) -> bool {
-        for a in self.chain(node) {
-            let Some(ids) = self.by_cat.get(&a) else {
-                continue;
-            };
-            for &pi in ids {
-                let p = &self.protections[pi];
-                let in_q = self.instance.sets[p.set as usize].items.contains(item);
-                if !self.still_covers(p, 1, i64::from(in_q)) {
-                    return false;
+    /// Applies the size and protection-intersection changes of moving
+    /// `item` in (`sign` = +1) or out (−1) below `node`.
+    fn shift_counts(&mut self, item: ItemId, node: CatId, sign: isize) {
+        let shift = |count: usize| count.checked_add_signed(sign).expect("count stays ≥ 0");
+        for a in chain(self.tree, node) {
+            self.node_size[a as usize] = shift(self.node_size[a as usize]);
+            for &pi in self.by_cat.get(&a).map_or(&[][..], Vec::as_slice) {
+                let p = &mut self.protections[pi];
+                if self.instance.sets[p.set as usize].items.contains(item) {
+                    p.inter = shift(p.inter);
                 }
             }
         }
-        true
     }
 
     /// Commits an addition.
     fn apply_add(&mut self, item: ItemId, node: CatId) {
-        for a in self.chain(node) {
-            self.node_size[a as usize] += 1;
-            if let Some(ids) = self.by_cat.get(&a) {
-                for &pi in ids.clone().iter() {
-                    if self.instance.sets[self.protections[pi].set as usize]
-                        .items
-                        .contains(item)
-                    {
-                        self.protections[pi].inter += 1;
-                    }
-                }
-            }
-        }
+        self.shift_counts(item, node, 1);
         self.tree.assign_item(node, item);
         self.locations.entry(item).or_default().push(node);
     }
 
-    /// Whether removing `item`'s direct assignment at `node` keeps every
-    /// affected protection covered.
-    fn remove_is_safe(&self, item: ItemId, node: CatId) -> bool {
-        for a in self.chain(node) {
-            let Some(ids) = self.by_cat.get(&a) else {
-                continue;
-            };
-            for &pi in ids {
-                let p = &self.protections[pi];
-                let in_q = self.instance.sets[p.set as usize].items.contains(item);
-                if !self.still_covers(p, -1, -i64::from(in_q)) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Commits a removal; the item returns to the unassigned pool.
     fn apply_remove(&mut self, item: ItemId, node: CatId) {
-        for a in self.chain(node) {
-            self.node_size[a as usize] -= 1;
-            if let Some(ids) = self.by_cat.get(&a) {
-                for &pi in ids.clone().iter() {
-                    if self.instance.sets[self.protections[pi].set as usize]
-                        .items
-                        .contains(item)
-                    {
-                        self.protections[pi].inter -= 1;
-                    }
-                }
-            }
-        }
+        self.shift_counts(item, node, -1);
         // Detach from the tree and the location map.
-        let direct: Vec<ItemId> = self
-            .tree
-            .direct_items(node)
-            .iter()
-            .copied()
-            .filter(|&i| i != item)
-            .collect();
-        let removed_count = self.tree.direct_items(node).len() - direct.len();
-        debug_assert_eq!(removed_count, 1, "exactly one occurrence per node");
-        self.set_direct(node, direct);
+        let mut direct = self.tree.direct_items(node).to_vec();
+        let pos = direct.iter().position(|&i| i == item);
+        direct.remove(pos.expect("removed item is direct at node"));
+        debug_assert!(!direct.contains(&item), "one occurrence per node");
+        self.tree.replace_direct_items(node, direct);
         if let Some(locs) = self.locations.get_mut(&item) {
             if let Some(pos) = locs.iter().position(|&n| n == node) {
                 locs.swap_remove(pos);
@@ -169,24 +146,45 @@ impl RepairState<'_> {
         }
     }
 
-    fn set_direct(&mut self, node: CatId, items: Vec<ItemId>) {
-        // CategoryTree has no direct setter; rebuild via remove+assign.
-        let current = self.tree.direct_items(node).len();
-        let _ = current;
-        self.tree.replace_direct_items(node, items);
-    }
-
-    /// `inter(q, full(cat))` computed from direct locations: an item counts
-    /// when one of its locations lies in `cat`'s subtree.
-    fn inter_with(&self, q: &crate::itemset::ItemSet, cat: CatId) -> usize {
-        q.iter()
-            .filter(|i| {
-                self.locations.get(i).is_some_and(|locs| {
-                    locs.iter()
-                        .any(|&n| n == cat || self.tree.is_ancestor(cat, n))
-                })
-            })
-            .count()
+    /// The non-root category with the highest `J(q, full(cat))` and its
+    /// intersection size; ties go to the lowest `CatId`. `inter(q, cat)`
+    /// counts the q-items with a location in `cat`'s subtree, so each
+    /// q-item walks its locations up the parent chain and stamps what it
+    /// reaches: an item placed in two branches counts once at their common
+    /// ancestors. Cost: the q-items' chain lengths, not `|live| × |q|`.
+    fn best_candidate(&mut self, q: &ItemSet) -> Option<(CatId, usize)> {
+        let mut touched: Vec<CatId> = Vec::new();
+        for item in q.iter() {
+            let Some(locs) = self.locations.get(&item) else {
+                continue;
+            };
+            self.epoch += 1;
+            for &loc in locs {
+                // Stop at the root or where an earlier location of this
+                // item already stamped the rest of the chain.
+                for cat in chain(self.tree, loc) {
+                    if cat == ROOT || self.stamp[cat as usize] == self.epoch {
+                        break;
+                    }
+                    self.stamp[cat as usize] = self.epoch;
+                    if self.hits[cat as usize] == 0 {
+                        touched.push(cat);
+                    }
+                    self.hits[cat as usize] += 1;
+                }
+            }
+        }
+        touched.sort_unstable();
+        let mut best: Option<(f64, CatId, usize)> = None;
+        for cat in touched {
+            let inter = std::mem::take(&mut self.hits[cat as usize]);
+            let union = q.len() + self.node_size[cat as usize] - inter;
+            let j = inter as f64 / union as f64;
+            if best.is_none_or(|(bj, _, _)| j > bj) {
+                best = Some((j, cat, inter));
+            }
+        }
+        best.map(|(_, cat, inter)| (cat, inter))
     }
 }
 
@@ -226,6 +224,9 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
     }
     let mut state = RepairState {
         instance,
+        stamp: vec![0; tree.len()],
+        hits: vec![0; tree.len()],
+        epoch: 0,
         tree,
         node_size,
         locations,
@@ -253,23 +254,7 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
             continue;
         }
         let delta = instance.threshold_of(s as usize);
-        // Best candidate category by current J (excluding the root).
-        let mut best: Option<(f64, CatId, usize)> = None;
-        for cat in state.tree.live_categories() {
-            if cat == ROOT {
-                continue;
-            }
-            let inter = state.inter_with(q, cat);
-            if inter == 0 {
-                continue;
-            }
-            let union = q.len() + state.node_size[cat as usize] - inter;
-            let j = inter as f64 / union as f64;
-            if best.is_none_or(|(bj, _, _)| j > bj) {
-                best = Some((j, cat, inter));
-            }
-        }
-        let Some((_, cat, mut inter)) = best else {
+        let Some((cat, mut inter)) = state.best_candidate(q) else {
             continue;
         };
 
@@ -278,13 +263,13 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
         let adds: Vec<ItemId> = q
             .iter()
             .filter(|i| state.locations.get(i).is_none_or(Vec::is_empty))
-            .filter(|&i| state.add_is_safe(i, cat))
+            .filter(|&i| state.is_safe(i, cat, 1))
             .collect();
         // Foreign candidates: direct items in the subtree not in q.
         let mut removals: Vec<(ItemId, CatId)> = Vec::new();
         for node in state.tree.subtree(cat) {
             for &i in state.tree.direct_items(node) {
-                if !q.contains(i) && state.remove_is_safe(i, node) {
+                if !q.contains(i) && state.is_safe(i, node, -1) {
                     removals.push((i, node));
                 }
             }
@@ -315,19 +300,21 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
         if !reaches(a, r, inter) {
             continue; // cannot close the gap safely
         }
-        // Commit (safety is rechecked per move because earlier commits may
-        // consume slack; abort the set if a move became unsafe).
+        // Commit move by move. Safety is rechecked per move because earlier
+        // commits may consume slack; a move that became unsafe is skipped
+        // and the set's other moves still go in, so a set can end up
+        // partially repaired and still uncovered.
         let mut committed_adds = 0;
         let mut committed_removes = 0;
         for &item in adds.iter().take(a) {
-            if state.add_is_safe(item, cat) {
+            if state.is_safe(item, cat, 1) {
                 state.apply_add(item, cat);
                 committed_adds += 1;
                 inter += 1;
             }
         }
         for &(item, node) in removals.iter().take(r) {
-            if state.remove_is_safe(item, node) {
+            if state.is_safe(item, node, -1) {
                 state.apply_remove(item, node);
                 committed_removes += 1;
             }
@@ -335,12 +322,11 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
         stats.items_added += committed_adds;
         stats.items_removed += committed_removes;
         // Verify the cover landed; protect it so later repairs keep it.
-        let new_inter = inter;
         if instance.similarity.covers_with(
             delta,
             q.len(),
             state.node_size[cat as usize],
-            new_inter.min(q.len()),
+            inter.min(q.len()),
         ) {
             stats.newly_covered += 1;
             state
@@ -348,11 +334,7 @@ pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
                 .entry(cat)
                 .or_default()
                 .push(state.protections.len());
-            state.protections.push(Protection {
-                set: s,
-                cat,
-                inter: new_inter,
-            });
+            state.protections.push(Protection { set: s, cat, inter });
         }
     }
     stats
@@ -427,6 +409,92 @@ mod tests {
         tree.assign_items(c, [0, 1]);
         let stats = repair(&instance, &mut tree);
         assert_eq!(stats, RepairStats::default());
+    }
+
+    #[test]
+    fn equal_similarity_goes_to_lowest_category_id() {
+        // q = {0..4}: c1 = {0,1} and c2 = {2,3} both give J = 2/5. The tie
+        // goes to c1 (the lower id): unassigned item 4 tops it up to 3/5.
+        let sets = vec![InputSet::new(ItemSet::new(vec![0, 1, 2, 3, 4]), 1.0)];
+        let instance = Instance::new(20, sets, Similarity::jaccard_threshold(0.6));
+        let mut tree = CategoryTree::new();
+        let c1 = tree.add_category(ROOT);
+        let c2 = tree.add_category(ROOT);
+        let junk = tree.add_category(ROOT);
+        tree.assign_items(c1, [0, 1]);
+        tree.assign_items(c2, [2, 3]);
+        tree.assign_items(junk, 10..20u32);
+        let stats = repair(&instance, &mut tree);
+        assert_eq!(stats.newly_covered, 1);
+        assert_eq!(tree.direct_items(c1), &[0, 1, 4]);
+        assert_eq!(tree.direct_items(c2), &[2, 3]);
+    }
+
+    #[test]
+    fn item_in_sibling_branches_counts_once_at_common_ancestor() {
+        // Item 0 (bound 2) sits in both children of p, so p's full set is
+        // {0, 5} and inter(q, p) = 1, not 2: J(q, p) = 1/3 < J(q, a) = 1/2.
+        // Counting it twice would make p (J = 1) the candidate.
+        let sets = vec![InputSet::new(ItemSet::new(vec![0, 1]), 1.0)];
+        let instance = Instance::new(6, sets, Similarity::jaccard_threshold(0.9))
+            .with_item_bounds(vec![2, 1, 1, 1, 1, 1]);
+        let mut tree = CategoryTree::new();
+        let p = tree.add_category(ROOT);
+        let a = tree.add_category(p);
+        let b = tree.add_category(p);
+        tree.assign_items(a, [0]);
+        tree.assign_items(b, [0, 5]);
+        let stats = repair(&instance, &mut tree);
+        assert_eq!(
+            stats,
+            RepairStats {
+                newly_covered: 1,
+                items_added: 1,
+                items_removed: 0,
+            }
+        );
+        assert_eq!(tree.direct_items(a), &[0, 1]);
+        assert_eq!(tree.direct_items(b), &[0, 5]);
+        assert!(tree.direct_items(p).is_empty());
+        assert!(tree.validate(&instance).is_ok());
+    }
+
+    #[test]
+    fn refused_move_keeps_earlier_moves_of_the_set() {
+        // P = {20..23} is covered at x = {0,1,20,21,22,23} (J = 4/6) with
+        // slack for losing one of its items, not two. q = {0..3} is best
+        // at c = {0,1,20,21} (J = 1/3) and the plan trims 20 and 21 to
+        // reach 2/4. Trimming 20 commits; trimming 21 is then refused, so
+        // q stays uncovered at 2/5 with the first trim still in place.
+        let sets = vec![
+            InputSet::new(ItemSet::new(vec![20, 21, 22, 23]), 10.0),
+            InputSet::new(ItemSet::new(vec![0, 1, 2, 3]), 1.0),
+        ];
+        let instance = Instance::new(40, sets, Similarity::jaccard_threshold(0.5));
+        let mut tree = CategoryTree::new();
+        let x = tree.add_category(ROOT);
+        let c = tree.add_category(x);
+        let y = tree.add_category(ROOT);
+        tree.assign_items(x, [22, 23]);
+        tree.assign_items(c, [0, 1, 20, 21]);
+        tree.assign_items(y, [2, 3].into_iter().chain(30..38u32));
+        let before = score_tree(&instance, &tree);
+        assert_eq!(before.per_set[0].best_category, Some(x));
+        assert!(before.per_set[0].covered && !before.per_set[1].covered);
+        let stats = repair(&instance, &mut tree);
+        assert_eq!(
+            stats,
+            RepairStats {
+                newly_covered: 0,
+                items_added: 0,
+                items_removed: 1,
+            }
+        );
+        assert_eq!(tree.direct_items(c), &[0, 1, 21]);
+        let after = score_tree(&instance, &tree);
+        assert!(after.per_set[0].covered, "protected cover must survive");
+        assert!(!after.per_set[1].covered, "partial repair stays uncovered");
+        assert!(tree.validate(&instance).is_ok());
     }
 
     #[test]
