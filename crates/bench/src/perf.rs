@@ -1179,7 +1179,9 @@ fn ann_suite(
         record
             .detail
             .insert("queries".to_owned(), queries.len() as f64);
-        report.benchmarks.insert(format!("ann/search/ef{ef}"), record);
+        report
+            .benchmarks
+            .insert(format!("ann/search/ef{ef}"), record);
     }
 
     // Candidate generation: large queries (the union of WINDOW consecutive
@@ -1245,8 +1247,7 @@ fn ann_suite(
         if ann.candidates_for(q, POOL, ef).contains(&winner) {
             pool_hits += 1;
             assert_eq!(
-                nr.best_category,
-                ex.best_category,
+                nr.best_category, ex.best_category,
                 "narrow-then-rerank must agree with the exhaustive scan \
                  whenever the winner makes the candidate pool"
             );

@@ -1505,7 +1505,10 @@ mod tests {
             parse(&argv("navigate --items 1,2 --addr a:1 --tree t")).is_err(),
             "both targets"
         );
-        assert!(parse(&argv("navigate --addr a:1")).is_err(), "missing --items");
+        assert!(
+            parse(&argv("navigate --addr a:1")).is_err(),
+            "missing --items"
+        );
         assert!(
             parse(&argv("navigate --items 1,x --addr a:1")).is_err(),
             "bad item id"

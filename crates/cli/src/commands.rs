@@ -751,7 +751,8 @@ fn navigate(
     let pool = k.max(NAVIGATE_POOL_FLOOR);
     let ef = ef.unwrap_or(oct_core::vector::DEFAULT_EF_SEARCH).max(pool);
     let candidates = ann.candidates_for(items, pool, ef);
-    let (ranked, _) = point.top_covers_among(items, &candidates, k, &similarity, &Budget::unlimited());
+    let (ranked, _) =
+        point.top_covers_among(items, &candidates, k, &similarity, &Budget::unlimited());
     if ranked.is_empty() {
         out!("no category scores above zero for these items");
         return Ok(());
@@ -764,7 +765,12 @@ fn navigate(
                 cover.similarity,
                 cover.precision
             ),
-            None => out!("{}\t{:.6}\t{:.4}", cover.cat, cover.similarity, cover.precision),
+            None => out!(
+                "{}\t{:.6}\t{:.4}",
+                cover.cat,
+                cover.similarity,
+                cover.precision
+            ),
         }
     }
     Ok(())

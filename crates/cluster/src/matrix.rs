@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use oct_obs::Metrics;
-use oct_resilience::{faults, run_isolated};
+use oct_resilience::run_isolated;
 
 use crate::error::ClusterError;
 
@@ -74,21 +74,15 @@ impl CondensedMatrix {
         let fill = |out: &mut [f32], lo: usize, hi: usize| {
             let mut k = 0;
             for i in lo..hi {
-                if faults::fire("matrix/worker-panic") {
-                    panic!("injected fault: matrix/worker-panic");
-                }
                 let a = &flat[i * d..(i + 1) * d];
                 for j in (i + 1)..n {
-                    out[k] = if faults::fire("cluster/nan-distance") {
-                        f32::NAN
-                    } else {
-                        let b = &flat[j * d..(j + 1) * d];
-                        a.iter()
-                            .zip(b)
-                            .map(|(x, y)| (x - y) * (x - y))
-                            .sum::<f32>()
-                            .sqrt()
-                    };
+                    let b = &flat[j * d..(j + 1) * d];
+                    out[k] = a
+                        .iter()
+                        .zip(b)
+                        .map(|(x, y)| (x - y) * (x - y))
+                        .sum::<f32>()
+                        .sqrt();
                     k += 1;
                 }
             }
@@ -149,12 +143,9 @@ impl CondensedMatrix {
         let mut postings: Vec<(u32, Vec<(u32, f32)>)> = index.into_iter().collect();
         postings.sort_unstable_by_key(|&(c, _)| c);
 
-        let dot_chunk = |lo: usize, hi: usize| -> HashMap<(u32, u32), f64> {
-            let mut dots: HashMap<(u32, u32), f64> = HashMap::new();
+        let dot = |lo: usize, hi: usize| {
+            let mut dots = Dots::new();
             for (_, posting) in &postings[lo..hi] {
-                if faults::fire("matrix/worker-panic") {
-                    panic!("injected fault: matrix/worker-panic");
-                }
                 for (a, &(i, vi)) in posting.iter().enumerate() {
                     for &(j, vj) in &posting[a + 1..] {
                         *dots.entry((i, j)).or_insert(0.0) += (vi as f64) * (vj as f64);
@@ -163,37 +154,17 @@ impl CondensedMatrix {
             }
             dots
         };
-        let dots = if threads <= 1 || postings.len() < 2 {
-            run_isolated("matrix dot workers", || dot_chunk(0, postings.len()))?
-        } else {
-            let chunk = postings.len().div_ceil(threads);
-            let partials = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .filter_map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(postings.len());
-                        (lo < hi).then(|| {
-                            scope.spawn(move || {
-                                run_isolated("matrix dot workers", || dot_chunk(lo, hi))
-                            })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                    .collect::<Result<Vec<_>, _>>()
-            })?;
-            // Contiguous chunks merged in order: per-key addition order
-            // matches the serial pass exactly.
-            let mut merged: HashMap<(u32, u32), f64> = HashMap::new();
-            for partial in partials {
+        // Contiguous chunks merged in order: per-key addition order matches
+        // the serial pass (a single partial) exactly.
+        let dots = dot_chunks(postings.len(), threads, &dot)?
+            .into_iter()
+            .reduce(|mut merged, partial| {
                 for (key, dot) in partial {
                     *merged.entry(key).or_insert(0.0) += dot;
                 }
-            }
-            merged
-        };
+                merged
+            })
+            .unwrap_or_default();
         metrics.add("matrix/dot_pairs", dots.len() as u64);
 
         let mut m = Self::zeros(n);
@@ -322,6 +293,42 @@ fn row_chunks(n: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// Sparse dot products keyed by `(i, j)` row pairs with `i < j`.
+type Dots = HashMap<(u32, u32), f64>;
+
+/// Runs `dot(lo, hi)` over contiguous chunks of the `len` coordinate-sorted
+/// postings, in parallel when `threads > 1`, and returns the partial sums
+/// in chunk order (one partial on the serial path).
+///
+/// Like [`fill_row_chunks`], every call — the serial one included — runs
+/// under `catch_unwind`, so a panicking worker surfaces as
+/// [`ClusterError::WorkerPanicked`].
+fn dot_chunks<F>(len: usize, threads: usize, dot: &F) -> Result<Vec<Dots>, ClusterError>
+where
+    F: Fn(usize, usize) -> Dots + Sync,
+{
+    if threads <= 1 || len < 2 {
+        return Ok(vec![run_isolated("matrix dot workers", || dot(0, len))?]);
+    }
+    let chunk = len.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .filter_map(|t| {
+                let lo = t * chunk;
+                let hi = ((t + 1) * chunk).min(len);
+                (lo < hi).then(|| {
+                    scope.spawn(move || run_isolated("matrix dot workers", || dot(lo, hi)))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect::<Result<Vec<_>, _>>()
+    })
+    .map_err(ClusterError::from)
+}
+
 /// Runs `fill(chunk_storage, lo, hi)` over disjoint row chunks of the
 /// condensed storage, in parallel when more than one chunk is requested.
 /// Each worker owns the exact `&mut [f32]` range its rows map to, so no
@@ -370,6 +377,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oct_resilience::ExecutionError;
 
     #[test]
     fn zeros_and_symmetry() {
@@ -537,47 +545,77 @@ mod tests {
         }
     }
 
+    /// Asserts `result` is a contained panic from the `context` workers.
+    fn assert_worker_panicked<T: std::fmt::Debug>(
+        result: Result<T, ClusterError>,
+        context: &str,
+        threads: usize,
+    ) {
+        match result {
+            Err(ClusterError::WorkerPanicked(ExecutionError::WorkerPanicked {
+                context: got,
+                message,
+            })) => {
+                assert_eq!(got, context, "threads = {threads}");
+                assert_eq!(message, "last chunk", "threads = {threads}");
+            }
+            other => panic!("threads = {threads}: expected a contained panic, got {other:?}"),
+        }
+    }
+
+    /// No input makes the per-entry arithmetic panic, so the isolation
+    /// helper shared by the dense and the sparse fill is handed a closure
+    /// that panics in the chunk holding the last row. At four threads only
+    /// that one worker panics; the others finish.
     #[test]
     fn injected_worker_panic_becomes_typed_error() {
-        let _guard = faults::serial_guard();
-        let rows = synth_rows(30, 3);
+        let n = 30;
         for threads in [1, 4] {
-            faults::arm("matrix/worker-panic", 1);
-            let err = CondensedMatrix::euclidean_dense_with(&rows, threads, &Metrics::disabled())
-                .expect_err("armed fault must surface");
-            match err {
-                ClusterError::WorkerPanicked(inner) => {
-                    assert!(inner.to_string().contains("matrix/worker-panic"));
+            let mut data = vec![0.0f32; n * (n - 1) / 2];
+            let fill = |_: &mut [f32], _: usize, hi: usize| {
+                if hi == n {
+                    panic!("last chunk");
                 }
-                other => panic!("wrong error {other:?}"),
-            }
-            faults::reset();
+            };
+            let result = fill_row_chunks(n, &mut data, threads, &fill);
+            assert_worker_panicked(result, "matrix fill workers", threads);
         }
-        // Sparse builder: both the dot workers and the fill workers are
-        // isolated.
-        let sparse: Vec<Vec<(u32, f32)>> = (0..20)
-            .map(|i| vec![(i % 7, 1.0), (7 + i % 5, 2.0)])
-            .collect();
-        faults::arm("matrix/worker-panic", 1);
-        assert!(matches!(
-            CondensedMatrix::euclidean_sparse_with(&sparse, 4, &Metrics::disabled()),
-            Err(ClusterError::WorkerPanicked(_))
-        ));
-        faults::reset();
+    }
+
+    /// The sparse builder's dot-product phase, isolated the same way.
+    #[test]
+    fn panicking_dot_worker_becomes_typed_error() {
+        let len = 20;
+        for threads in [1, 4] {
+            let dot = |_: usize, hi: usize| -> Dots {
+                if hi == len {
+                    panic!("last chunk");
+                }
+                Dots::new()
+            };
+            assert_worker_panicked(
+                dot_chunks(len, threads, &dot),
+                "matrix dot workers",
+                threads,
+            );
+        }
     }
 
     #[test]
-    fn injected_nan_is_rejected_by_clustering() {
-        let _guard = faults::serial_guard();
-        faults::arm("cluster/nan-distance", 3);
-        let rows = synth_rows(10, 2);
-        let m = CondensedMatrix::euclidean_dense_with(&rows, 1, &Metrics::disabled())
-            .expect("NaN injection is not a worker panic");
-        faults::reset();
-        assert!(matches!(
-            crate::cluster(m, crate::Linkage::Average),
-            Err(ClusterError::NonFiniteDistance { .. })
-        ));
+    fn nan_input_row_is_rejected_by_clustering() {
+        let mut rows = synth_rows(10, 2);
+        rows[3][1] = f32::NAN;
+        for threads in [1, 4] {
+            let m = CondensedMatrix::euclidean_dense_with(&rows, threads, &Metrics::disabled())
+                .expect("a NaN coordinate is not a worker panic");
+            assert!(
+                matches!(
+                    crate::cluster(m, crate::Linkage::Average),
+                    Err(ClusterError::NonFiniteDistance { i: 0, j: 3, .. })
+                ),
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -68,7 +68,10 @@ impl std::fmt::Display for BaselineError {
                 row,
                 expected,
                 found,
-            } => write!(f, "embedding row {row} has dimension {found}, expected {expected}"),
+            } => write!(
+                f,
+                "embedding row {row} has dimension {found}, expected {expected}"
+            ),
             BaselineError::NonFiniteEmbedding { row } => {
                 write!(f, "embedding row {row} has a non-finite coordinate")
             }

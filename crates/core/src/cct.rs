@@ -164,8 +164,8 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
             // `k ≥ n` exactly equal to the full pairwise matrix.
             let want = (k + 1).min(n);
             let ef = (k + 1).max(crate::vector::DEFAULT_EF_SEARCH);
-            for i in 0..n {
-                for (id, _) in index.search(&embeds[i], want, ef) {
+            for (i, embed) in embeds.iter().enumerate() {
+                for (id, _) in index.search(embed, want, ef) {
                     let j = id as usize;
                     if j == i {
                         continue;

@@ -956,8 +956,7 @@ mod tests {
     fn empty_vector_index_roundtrips() {
         let index = VectorIndex::build(Vec::new(), Vec::new(), &VectorConfig::default())
             .expect("empty build");
-        let decoded =
-            decode_vector_index(encode_vector_index(&index)).expect("empty roundtrip");
+        let decoded = decode_vector_index(encode_vector_index(&index)).expect("empty roundtrip");
         assert!(decoded.is_empty());
     }
 
@@ -973,8 +972,8 @@ mod tests {
         for pos in 4..encoded.len() {
             let mut corrupt = encoded.to_vec();
             corrupt[pos] ^= 0x04;
-            let err = decode_vector_index(Bytes::from(corrupt))
-                .expect_err("corruption must be caught");
+            let err =
+                decode_vector_index(Bytes::from(corrupt)).expect_err("corruption must be caught");
             assert!(
                 matches!(
                     err,

@@ -29,7 +29,7 @@
 //! principle differ, which the EPS tie-band makes non-transitive).
 
 use oct_obs::{Counter, Metrics};
-use oct_resilience::{faults, run_isolated, Budget, ExecutionError};
+use oct_resilience::{run_isolated, Budget, ExecutionError};
 
 use crate::input::Instance;
 use crate::packed::CsrIndex;
@@ -372,9 +372,6 @@ pub fn try_score_tree_with(
             let mut pending: FxHashMap<CatId, Agg> = FxHashMap::default();
             let mut expired = false;
             for (seen, cat) in tree.post_order().into_iter().enumerate() {
-                if faults::fire("score/worker-panic") {
-                    panic!("injected fault: score/worker-panic");
-                }
                 let agg = aggregate_node(tree, cat, &mut pending, &index);
                 expired = expired
                     || (budget.is_limited() && budget.check_every(seen as u64, DEADLINE_STRIDE));
@@ -572,9 +569,6 @@ fn score_parallel(
                             let mut order = tree.subtree(f);
                             order.reverse(); // children before parents
                             for cat in order {
-                                if faults::fire("score/worker-panic") {
-                                    panic!("injected fault: score/worker-panic");
-                                }
                                 let agg = aggregate_node(tree, cat, &mut pending, index);
                                 expired = expired
                                     || (limited && budget.check_every(seen, DEADLINE_STRIDE));
@@ -796,22 +790,24 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_becomes_typed_error() {
-        let _guard = faults::serial_guard();
+    fn out_of_universe_item_panic_becomes_typed_error() {
         let inst = figure2_instance(Similarity::perfect_recall(0.8));
+        // Item 9 is past the instance's nine items, so the inverted-index
+        // lookup panics inside a scoring worker. It sits in a leaf, which
+        // a worker aggregates at every thread count.
+        let mut tree = figure2_t1();
+        let leaf = tree.children(tree.children(ROOT)[0])[0];
+        tree.assign_items(leaf, [9]);
         for threads in [1, 4] {
-            faults::arm("score/worker-panic", 2);
-            let err =
-                try_score_tree_with(&inst, &figure2_t1(), &ScoreOptions::with_threads(threads))
-                    .expect_err("armed fault must surface as an error");
+            let err = try_score_tree_with(&inst, &tree, &ScoreOptions::with_threads(threads))
+                .expect_err("an out-of-universe item must surface as an error");
             let ExecutionError::WorkerPanicked { context, message } = err;
-            assert_eq!(context, "score workers");
-            assert!(message.contains("score/worker-panic"), "{message}");
+            assert_eq!(context, "score workers", "threads = {threads}");
+            assert!(message.contains("out of bounds"), "{message}");
         }
-        faults::reset();
-        // With the fault disarmed the same call succeeds.
+        // The well-formed tree scores as usual.
         let score = try_score_tree_with(&inst, &figure2_t1(), &ScoreOptions::serial())
-            .expect("no fault armed");
+            .expect("every item is in the universe");
         assert!((score.total - 4.0).abs() < 1e-9);
     }
 

@@ -335,7 +335,7 @@ impl VectorIndex {
         // Each level is kept with probability 1/m: consume ⌈log2 m⌉-ish
         // bits per trial via modulo on a remixed word.
         while level < MAX_LEVEL {
-            if (h % self.config.m as u64) != 0 {
+            if !h.is_multiple_of(self.config.m as u64) {
                 break;
             }
             level += 1;
@@ -447,11 +447,7 @@ impl VectorIndex {
         for layer in (0..=node_level.min(top)).rev() {
             let found = self.search_layer(&query, &entries, ef, layer);
             let cap = self.layer_cap(layer);
-            let chosen: Vec<u32> = found
-                .iter()
-                .take(self.config.m)
-                .map(|s| s.slot)
-                .collect();
+            let chosen: Vec<u32> = found.iter().take(self.config.m).map(|s| s.slot).collect();
             self.neighbors[layer][slot as usize] = chosen.clone();
             for &peer in &chosen {
                 let list = &mut self.neighbors[layer][peer as usize];
@@ -535,7 +531,11 @@ impl VectorIndex {
     /// reranker ([`crate::point::PointIndex::best_cover_among`]) expects.
     pub fn candidates_for(&self, items: &[u32], k: usize, ef: usize) -> Vec<u32> {
         let query = embed_items(items, self.config.dim);
-        let mut ids: Vec<u32> = self.search(&query, k, ef).into_iter().map(|(id, _)| id).collect();
+        let mut ids: Vec<u32> = self
+            .search(&query, k, ef)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
         ids.sort_unstable();
         ids
     }
@@ -643,7 +643,9 @@ mod tests {
         let index = VectorIndex::build(Vec::new(), Vec::new(), &VectorConfig::default())
             .expect("empty build");
         assert!(index.is_empty());
-        assert!(index.search(&embed_items(&[1], DEFAULT_DIM), 5, 64).is_empty());
+        assert!(index
+            .search(&embed_items(&[1], DEFAULT_DIM), 5, 64)
+            .is_empty());
         assert!(index.candidates_for(&[1, 2], 5, 64).is_empty());
     }
 
@@ -664,9 +666,8 @@ mod tests {
         let a = embed_items(&(0..100).collect::<Vec<_>>(), dim);
         let b = embed_items(&(0..95).collect::<Vec<_>>(), dim); // 95% overlap
         let c = embed_items(&(1000..1100).collect::<Vec<_>>(), dim); // disjoint
-        let dist = |x: &[f32], y: &[f32]| -> f32 {
-            x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum()
-        };
+        let dist =
+            |x: &[f32], y: &[f32]| -> f32 { x.iter().zip(y).map(|(p, q)| (p - q) * (p - q)).sum() };
         assert!(dist(&a, &b) < dist(&a, &c), "overlap must beat disjoint");
     }
 

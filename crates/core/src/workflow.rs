@@ -27,7 +27,6 @@ use crate::persist::{self, Checkpoint, DecodeError, TraceEntry};
 use crate::score::{score_tree_with, ScoreOptions};
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::FxHashSet;
-use oct_resilience::faults;
 
 /// Errors from the workflow helpers: bad tuning parameters, out-of-range
 /// references, and checkpoint I/O failures.
@@ -262,11 +261,7 @@ pub(crate) fn clean_stray_temps(path: &Path) {
 
 /// Writes a checkpoint atomically via [`atomic_write`].
 fn write_checkpoint(path: &Path, cp: &Checkpoint) -> Result<(), WorkflowError> {
-    let mut encoded = persist::encode_checkpoint(cp).to_vec();
-    // Fail point: a torn write that persists only half the checkpoint.
-    if faults::fire("checkpoint/truncate") {
-        encoded.truncate(encoded.len() / 2);
-    }
+    let encoded = persist::encode_checkpoint(cp);
     atomic_write(path, &encoded).map_err(|e| WorkflowError::Io(format!("{}: {e}", path.display())))
 }
 
@@ -345,10 +340,6 @@ pub fn iterate_with_checkpoints(
 
     if !finished {
         for round in start_round..rounds.max(1) {
-            // Fail point: the deadline lands exactly at this round.
-            if faults::fire("workflow/deadline-at-round") {
-                config.budget.token().cancel();
-            }
             let result = ctcr::run(&current, config);
             let covered: Vec<bool> = result.score.per_set.iter().map(|c| c.covered).collect();
             let covered_count = covered.iter().filter(|&&c| c).count();
@@ -651,9 +642,6 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_to_bit_identical_tree() {
-        // Guarded: armed fail points elsewhere must not see our checkpoint
-        // writes (fire() counts hits globally per name).
-        let _guard = faults::serial_guard();
         let instance = crossing_instance();
         let config = CtcrConfig::default();
 
@@ -691,7 +679,6 @@ mod tests {
 
     #[test]
     fn corrupt_checkpoint_restarts_cleanly() {
-        let _guard = faults::serial_guard();
         let instance = crossing_instance();
         let config = CtcrConfig {
             metrics: oct_obs::Metrics::enabled(),
@@ -716,7 +703,6 @@ mod tests {
 
     #[test]
     fn missing_checkpoint_with_resume_is_a_clean_start() {
-        let _guard = faults::serial_guard();
         let instance = crossing_instance();
         let path = scratch_path("missing");
         let _ = std::fs::remove_file(&path);
@@ -729,24 +715,27 @@ mod tests {
     }
 
     #[test]
-    fn torn_checkpoint_write_falls_back_to_clean_restart() {
-        let _guard = faults::serial_guard();
+    fn truncated_checkpoint_file_falls_back_to_clean_restart() {
         let instance = crossing_instance();
         let path = scratch_path("torn");
         let _ = std::fs::remove_file(&path);
-        // The first round's checkpoint write persists only half the bytes.
-        faults::arm("checkpoint/truncate", 1);
-        let partial = iterate_with_checkpoints(
+        iterate_with_checkpoints(
             &instance,
             &CtcrConfig::default(),
             1,
             0.5,
             Some(&path),
             false,
-        );
-        faults::reset();
-        partial.expect("a torn checkpoint write must not fail the run");
-        assert!(path.exists());
+        )
+        .expect("first round checkpoints");
+        // A torn write: only the first half of the checkpoint reached disk.
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
 
         // Resuming from the torn file restarts cleanly and still converges
         // to the reference tree.
@@ -774,7 +763,6 @@ mod tests {
         // a checkpoint dir write/rename over each other's temp file,
         // leaving a torn checkpoint behind. With unique names every
         // concurrent writer lands a complete, decodable checkpoint.
-        let _guard = faults::serial_guard();
         let dir = std::env::temp_dir().join(format!("oct-ckpt-conc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let instance = crossing_instance();
@@ -818,7 +806,6 @@ mod tests {
         // `<path>.tmp` forever. Startup now sweeps anything matching
         // `<file>.*.tmp` — both the legacy fixed name and unique names
         // from dead pids — while leaving unrelated files alone.
-        let _guard = faults::serial_guard();
         let dir = std::env::temp_dir().join(format!("oct-ckpt-stray-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("build.ckpt");
@@ -850,17 +837,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_landing_at_a_round_returns_best_so_far() {
-        let _guard = faults::serial_guard();
+    fn cancelled_budget_stops_after_one_round_with_best_so_far() {
         let instance = crossing_instance();
         let config = CtcrConfig {
             metrics: oct_obs::Metrics::enabled(),
             ..CtcrConfig::default()
         };
-        faults::arm("workflow/deadline-at-round", 1);
-        let outcome = iterate_with_checkpoints(&instance, &config, 4, 0.5, None, false);
-        faults::reset();
-        let outcome = outcome.expect("an expired budget must not fail the run");
+        config.budget.token().cancel();
+        let outcome = iterate_with_checkpoints(&instance, &config, 4, 0.5, None, false)
+            .expect("an expired budget must not fail the run");
         assert_eq!(
             outcome.trace.len(),
             1,

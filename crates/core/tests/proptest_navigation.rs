@@ -28,14 +28,18 @@ fn arb_similarity() -> impl Strategy<Value = Similarity> {
 
 fn arb_instance() -> impl Strategy<Value = Instance> {
     let set = prop::collection::vec(0..UNIVERSE, 2..30);
-    (prop::collection::vec((set, 1u32..10), 2..24), arb_similarity()).prop_map(|(raw, sim)| {
-        let sets: Vec<InputSet> = raw
-            .into_iter()
-            .map(|(items, w)| InputSet::new(ItemSet::new(items), w as f64))
-            .filter(|s| !s.items.is_empty())
-            .collect();
-        Instance::new(UNIVERSE, sets, sim)
-    })
+    (
+        prop::collection::vec((set, 1u32..10), 2..24),
+        arb_similarity(),
+    )
+        .prop_map(|(raw, sim)| {
+            let sets: Vec<InputSet> = raw
+                .into_iter()
+                .map(|(items, w)| InputSet::new(ItemSet::new(items), w as f64))
+                .filter(|s| !s.items.is_empty())
+                .collect();
+            Instance::new(UNIVERSE, sets, sim)
+        })
 }
 
 /// A wide tree: partition the universe into `k` contiguous chunks, one

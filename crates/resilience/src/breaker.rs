@@ -22,12 +22,10 @@
 //! The breaker is thread-safe and cheap: one small mutex-protected record,
 //! no allocation, no background timer (the Open→HalfOpen transition happens
 //! lazily inside `try_acquire`). Tests drive it deterministically with a
-//! zero cooldown plus the `breaker/hold-open` fault point.
+//! zero cooldown.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::faults;
 
 /// Tuning knobs for a [`CircuitBreaker`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,17 +120,13 @@ impl CircuitBreaker {
     /// moves the breaker to `HalfOpen` and admits exactly one probe;
     /// further calls are rejected until the probe reports via
     /// [`record_success`](Self::record_success) /
-    /// [`record_failure`](Self::record_failure). The `breaker/hold-open`
-    /// fault point pins an open breaker shut for deterministic tests.
+    /// [`record_failure`](Self::record_failure).
     pub fn try_acquire(&self) -> bool {
         let mut inner = self.lock();
         match inner.state {
             BreakerState::Closed => true,
             BreakerState::HalfOpen => false, // probe already in flight
             BreakerState::Open => {
-                if faults::fire("breaker/hold-open") {
-                    return false;
-                }
                 let elapsed = inner
                     .opened_at
                     .map(|at| at.elapsed() >= self.config.cooldown)
@@ -295,21 +289,5 @@ mod tests {
             b.record_success();
             assert_eq!(b.state(), BreakerState::Closed);
         }
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn hold_open_fault_pins_the_breaker_shut() {
-        let _guard = faults::serial_guard();
-        let b = instant_cooldown(1);
-        b.record_failure();
-        faults::arm("breaker/hold-open", 1);
-        assert!(!b.try_acquire(), "fault holds the breaker open");
-        assert_eq!(b.state(), BreakerState::Open);
-        faults::reset();
-        assert!(
-            b.try_acquire(),
-            "disarmed: cooldown elapsed, probe admitted"
-        );
     }
 }

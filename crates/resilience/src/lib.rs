@@ -14,15 +14,18 @@
 //!   inside a scoped thread becomes a value instead of a process abort.
 //! - [`run_isolated`] — the `catch_unwind` wrapper every scoped worker
 //!   closure runs under.
-//! - [`faults`] — a deterministic fail-point registry (behind the
-//!   `fault-injection` feature, on only under `cargo test`) so every
-//!   degradation path has a test that actually exercises it.
 //! - [`retry`] — a jittered-exponential-backoff [`RetryPolicy`] for
-//!   transient failures (worker panics, checkpoint reload races), budget-
-//!   and cancellation-aware so retries never outlive their deadline.
+//!   transient failures (the shard router's failover sweeps), budget- and
+//!   cancellation-aware so retries never outlive their deadline.
 //! - [`breaker`] — a [`CircuitBreaker`] that trips after consecutive
-//!   failures and half-opens on a timer, shared by the serving daemon and
-//!   reusable by batch paths.
+//!   failures and half-opens on a timer, one per replica in the shard
+//!   router.
+//!
+//! Every degradation path is tested through its real trigger (a NaN input
+//! row, a truncated checkpoint file, a cancelled budget, an out-of-universe
+//! item) or, where no input can reach it, by handing the isolation helper a
+//! panicking closure. Nothing here is process-global, so tests never
+//! interfere with each other.
 //! - [`hedge`] — a quantile-tracked [`HedgeTrigger`] plus [`run_hedged`]
 //!   first-success-wins execution for tail-latency hedging and failover.
 //! - [`health`] — a per-replica [`HealthMachine`]
@@ -37,7 +40,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub mod breaker;
-pub mod faults;
 pub mod health;
 pub mod hedge;
 pub mod retry;

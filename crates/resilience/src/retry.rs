@@ -1,8 +1,10 @@
 //! Jittered-exponential-backoff retries for transient failures.
 //!
 //! A [`RetryPolicy`] describes how often and how patiently an operation is
-//! reattempted: worker panics contained by [`run_isolated`](crate::run_isolated),
-//! checkpoint reload races, transient I/O. Delays grow exponentially from
+//! reattempted: the shard router's failover sweeps, transient I/O. It is
+//! not for deterministic compute — a worker panic contained by
+//! [`run_isolated`](crate::run_isolated) would recur on every attempt.
+//! Delays grow exponentially from
 //! [`base_delay`](RetryPolicy::base_delay) up to
 //! [`max_delay`](RetryPolicy::max_delay), each scaled by a *deterministic*
 //! jitter factor derived from a caller-supplied seed — no clocks, no OS

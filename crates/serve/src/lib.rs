@@ -14,12 +14,12 @@
 //!   [`Budget`](oct_resilience::Budget) cut from the server-wide deadline
 //!   policy; slow scans degrade to a pessimistic partial cover
 //!   (`degraded=1` on the wire) instead of blowing the latency budget.
-//! * **Retries & circuit breaking** — transient failures (worker panics
-//!   contained by [`run_isolated`](oct_resilience::run_isolated)) are
-//!   retried with deterministic jittered exponential backoff
-//!   ([`RetryPolicy`](oct_resilience::RetryPolicy)); persistent failure
-//!   trips a [`CircuitBreaker`](oct_resilience::CircuitBreaker) that sheds
-//!   the compute path until a half-open probe succeeds.
+//! * **Panic containment** — each cover runs under
+//!   [`run_isolated`](oct_resilience::run_isolated). A cover is a pure
+//!   function of (tree, request), so a retry would hit the same panic: it
+//!   is answered with `ERR internal` and the connection keeps serving.
+//!   Retries and circuit breakers live in `oct-router`, where failures are
+//!   transient.
 //! * **Graceful drain** ([`server`]) — SIGTERM/SIGINT/`SHUTDOWN` stop
 //!   admission, let in-flight work finish (cancelling stragglers through a
 //!   shared [`CancelToken`](oct_resilience::CancelToken) after a grace

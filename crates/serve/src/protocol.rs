@@ -2,7 +2,7 @@
 //! out, UTF-8, newline-terminated.
 //!
 //! The protocol is deliberately primitive — the robustness machinery around
-//! it (admission control, shedding, breakers, hot swap) is the point of the
+//! it (admission control, shedding, deadlines, hot swap) is the point of the
 //! daemon, and a line protocol keeps clients trivial (`nc` works). Shapes:
 //!
 //! ```text
@@ -17,7 +17,8 @@
 //! →  SWAP /path/to/new.oct
 //! ←  OK SWAPPED epoch=4 categories=433
 //! ←  OVERLOADED queue=64            (typed shed — request was never admitted)
-//! ←  ERR unavailable: circuit open  (breaker rejecting while a dependency heals)
+//! ←  ERR unavailable: draining      (shutdown in progress — try another replica)
+//! ←  ERR internal: worker panicked in serve request: …  (contained bug)
 //! ```
 //!
 //! Router fan-out adds two optional markers. Sub-queries carry a shard
@@ -88,9 +89,11 @@ pub enum Request {
 pub enum ErrorCode {
     /// The request line could not be parsed or referenced a bad id/path.
     BadRequest,
-    /// The server is refusing work: circuit open or draining.
+    /// The server is refusing work: draining, or (from the router) no
+    /// replica could answer.
     Unavailable,
-    /// The handler failed after retries.
+    /// A contained panic in the computation, or a routed swap that
+    /// published on only some replicas.
     Internal,
 }
 
@@ -794,7 +797,7 @@ mod tests {
             Response::Overloaded { queue_depth: 64 },
             Response::Error {
                 code: ErrorCode::Unavailable,
-                message: "circuit open".to_owned(),
+                message: "draining".to_owned(),
             },
         ];
         for resp in cases {

@@ -11,11 +11,15 @@
 //!              │ per request line:
 //!              │   snapshot = TreeHandle::load()     (hot-swap safe)
 //!              │   budget   = deadline ∧ drain token (slow ⇒ degraded cover)
-//!              │   breaker.try_acquire()? ── no ─▶ ERR unavailable
-//!              │   retry { run_isolated { execute } }  (panic ⇒ backoff ⇒ retry)
+//!              │   run_isolated { execute }  (panic ⇒ ERR internal)
 //!              ▼
-//!           response line; latency histogram; breaker bookkeeping
+//!           response line; latency histogram
 //! ```
+//!
+//! A cover is a pure function of (snapshot, request), so a contained panic
+//! would recur on a retry: it is answered with `ERR internal` at once, and
+//! the connection goes on to its next request. Retries and circuit
+//! breakers live in the shard router, where failures are transient.
 //!
 //! # Drain
 //!
@@ -31,15 +35,14 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use oct_core::{persist, Similarity};
 use oct_obs::{Metrics, PipelineReport};
-use oct_resilience::{faults, run_isolated, Budget, CancelToken};
-use oct_resilience::{BreakerConfig, CircuitBreaker, RetryPolicy};
+use oct_resilience::{run_isolated, Budget, CancelToken};
 
 use crate::protocol::{ErrorCode, Request, Response};
 use crate::queue::{BoundedQueue, Push};
@@ -70,10 +73,6 @@ pub struct ServeConfig {
     pub deadline_ms: Option<u64>,
     /// Similarity variant queries are scored under.
     pub similarity: Similarity,
-    /// Retry policy for transient request failures (contained panics).
-    pub retry: RetryPolicy,
-    /// Circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
     /// How long drain waits for in-flight work before cancelling it.
     pub drain_grace: Duration,
     /// Slowloris guard: cap on the *cumulative* time a connection may
@@ -101,8 +100,6 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             deadline_ms: Some(250),
             similarity: Similarity::jaccard_cutoff(0.5),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             drain_grace: Duration::from_secs(5),
             idle_timeout: Duration::from_secs(30),
             max_requests: 10_000,
@@ -117,7 +114,6 @@ struct Shared {
     config: ServeConfig,
     trees: TreeHandle,
     queue: BoundedQueue<TcpStream>,
-    breaker: CircuitBreaker,
     metrics: Metrics,
     /// Per-server drain flag (the process-global signal flag is OR'd in so
     /// several test servers in one process don't drain each other).
@@ -127,8 +123,6 @@ struct Shared {
     drain_token: CancelToken,
     /// Connections currently being served by workers.
     in_flight: AtomicUsize,
-    /// Seed source for deterministic-but-decorrelated retry jitter.
-    next_seed: AtomicU64,
     /// Sticky: latched the first time any answer is served degraded, and
     /// reported in `STATS` so health probes can spot a limping replica.
     served_degraded: AtomicBool,
@@ -172,13 +166,11 @@ impl Server {
         let similarity = config.similarity;
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
-            breaker: CircuitBreaker::new(config.breaker.clone()),
             metrics: config.metrics.clone(),
             trees: TreeHandle::new(initial, similarity),
             shutdown: AtomicBool::new(false),
             drain_token: CancelToken::new(),
             in_flight: AtomicUsize::new(0),
-            next_seed: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
             served_degraded: AtomicBool::new(false),
             config,
         });
@@ -288,7 +280,7 @@ fn worker_loop(shared: &Shared) {
         match shared.queue.pop_timeout(POP_INTERVAL) {
             Some(conn) => {
                 shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let _ = serve_connection(shared, conn);
+                let _ = serve_connection(shared, conn, handle_request);
                 shared.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
             None if shared.queue.is_closed() => return,
@@ -298,9 +290,14 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// Serves request lines on one connection until EOF, a `SHUTDOWN`, drain,
-/// or an I/O error. One malformed line yields `ERR bad-request`, not a
-/// dropped connection.
-fn serve_connection(shared: &Shared, mut conn: TcpStream) -> io::Result<()> {
+/// or an I/O error, answering each parsed request with `handle` (always
+/// [`handle_request`] outside tests). One malformed line yields
+/// `ERR bad-request`, not a dropped connection.
+fn serve_connection(
+    shared: &Shared,
+    mut conn: TcpStream,
+    handle: impl Fn(&Shared, Request) -> Response,
+) -> io::Result<()> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(READ_INTERVAL))?;
     let mut reader = LineReader::new();
@@ -326,7 +323,7 @@ fn serve_connection(shared: &Shared, mut conn: TcpStream) -> io::Result<()> {
             Ok(request) => {
                 let started = Instant::now();
                 shared.metrics.incr("serve/requests");
-                let resp = handle_request(shared, request);
+                let resp = handle(shared, request);
                 shared.metrics.observe("serve/latency", started.elapsed());
                 resp
             }
@@ -412,78 +409,41 @@ fn count_scoped(shared: &Shared, shard: Option<u32>) {
     }
 }
 
-/// The guarded compute path: breaker → retry → isolated cover scan.
+/// The cover scan, isolated by [`answer_isolated`].
 fn cover(shared: &Shared, snapshot: &ServingTree, items: &[u32], with_label: bool) -> Response {
-    if !shared.breaker.try_acquire() {
-        shared.metrics.incr("serve/breaker_rejected");
-        return Response::Error {
-            code: ErrorCode::Unavailable,
-            message: format!("circuit {}", shared.breaker.state().name()),
-        };
-    }
     let budget = request_budget(shared);
-    let seed = shared.next_seed.fetch_add(1, Ordering::Relaxed);
-    let result = shared.config.retry.run(seed, &budget, |attempt| {
-        if attempt > 1 {
-            // Counted per attempt so *recovered* requests show up too.
-            shared.metrics.incr("serve/retries");
+    answer_isolated(shared, "serve request", || {
+        let point = snapshot
+            .index
+            .best_cover(items, &shared.trees.similarity, &budget);
+        note_degraded(shared, point.degraded);
+        let label = if with_label {
+            point
+                .best_category
+                .and_then(|cat| snapshot.tree.label(cat))
+                .map(str::to_owned)
+        } else {
+            None
+        };
+        Response::Cover {
+            epoch: snapshot.epoch,
+            cat: point.best_category,
+            similarity: point.similarity,
+            precision: point.precision,
+            covered: point.covered,
+            degraded: point.degraded,
+            missing: Vec::new(),
+            label,
         }
-        run_isolated("serve request", || {
-            if faults::fire("serve/request-panic") {
-                panic!("injected serve fault (attempt {attempt})");
-            }
-            snapshot
-                .index
-                .best_cover(items, &shared.trees.similarity, &budget)
-        })
-    });
-    match result {
-        Ok(point) => {
-            shared.breaker.record_success();
-            if point.degraded {
-                shared.metrics.incr("serve/degraded");
-                shared.served_degraded.store(true, Ordering::Relaxed);
-            }
-            let label = if with_label {
-                point
-                    .best_category
-                    .and_then(|cat| snapshot.tree.label(cat))
-                    .map(str::to_owned)
-            } else {
-                None
-            };
-            Response::Cover {
-                epoch: snapshot.epoch,
-                cat: point.best_category,
-                similarity: point.similarity,
-                precision: point.precision,
-                covered: point.covered,
-                degraded: point.degraded,
-                missing: Vec::new(),
-                label,
-            }
-        }
-        Err(outcome) => {
-            shared.breaker.record_failure();
-            shared.metrics.incr("serve/failures");
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: format!(
-                    "request failed after {} attempt(s): {}",
-                    outcome.attempts(),
-                    outcome.into_error()
-                ),
-            }
-        }
-    }
+    })
 }
 
 /// Candidate pool floor for top-k NAVIGATE: reranking a few extra
 /// candidates is cheap and buys recall headroom when k is small.
 const TOPK_POOL_FLOOR: usize = 32;
 
-/// The top-k NAVIGATE path: same breaker → retry → isolation contract as
-/// [`cover`], but narrowing with the ANN index before the exact rerank.
+/// The top-k NAVIGATE path: same isolation as [`cover`], but narrowing
+/// with the ANN index before the exact rerank.
 fn navigate_topk(
     shared: &Shared,
     snapshot: &ServingTree,
@@ -491,58 +451,51 @@ fn navigate_topk(
     items: &[u32],
     ef: Option<usize>,
 ) -> Response {
-    if !shared.breaker.try_acquire() {
-        shared.metrics.incr("serve/breaker_rejected");
-        return Response::Error {
-            code: ErrorCode::Unavailable,
-            message: format!("circuit {}", shared.breaker.state().name()),
-        };
-    }
     let pool = k.max(TOPK_POOL_FLOOR);
     let ef = ef.unwrap_or(oct_core::vector::DEFAULT_EF_SEARCH).max(pool);
     let budget = request_budget(shared);
-    let seed = shared.next_seed.fetch_add(1, Ordering::Relaxed);
-    let result = shared.config.retry.run(seed, &budget, |attempt| {
-        if attempt > 1 {
-            shared.metrics.incr("serve/retries");
+    answer_isolated(shared, "serve topk", || {
+        let candidates = snapshot.ann.candidates_for(items, pool, ef);
+        let (ranked, degraded) = snapshot.index.top_covers_among(
+            items,
+            &candidates,
+            k,
+            &shared.trees.similarity,
+            &budget,
+        );
+        note_degraded(shared, degraded);
+        Response::TopK {
+            epoch: snapshot.epoch,
+            k,
+            ef,
+            degraded,
+            results: ranked.iter().map(|r| (r.cat, r.similarity)).collect(),
         }
-        run_isolated("serve topk", || {
-            if faults::fire("serve/request-panic") {
-                panic!("injected serve fault (attempt {attempt})");
-            }
-            let candidates = snapshot.ann.candidates_for(items, pool, ef);
-            snapshot
-                .index
-                .top_covers_among(items, &candidates, k, &shared.trees.similarity, &budget)
-        })
-    });
-    match result {
-        Ok((ranked, degraded)) => {
-            shared.breaker.record_success();
-            if degraded {
-                shared.metrics.incr("serve/degraded");
-                shared.served_degraded.store(true, Ordering::Relaxed);
-            }
-            Response::TopK {
-                epoch: snapshot.epoch,
-                k,
-                ef,
-                degraded,
-                results: ranked.iter().map(|r| (r.cat, r.similarity)).collect(),
-            }
+    })
+}
+
+/// Runs one request's computation under [`run_isolated`]. A contained
+/// panic is answered with `ERR internal` and counted under
+/// `serve/failures`; the worker and its connection keep serving.
+fn answer_isolated(
+    shared: &Shared,
+    context: &'static str,
+    compute: impl FnOnce() -> Response,
+) -> Response {
+    run_isolated(context, compute).unwrap_or_else(|e| {
+        shared.metrics.incr("serve/failures");
+        Response::Error {
+            code: ErrorCode::Internal,
+            message: e.to_string(),
         }
-        Err(outcome) => {
-            shared.breaker.record_failure();
-            shared.metrics.incr("serve/failures");
-            Response::Error {
-                code: ErrorCode::Internal,
-                message: format!(
-                    "request failed after {} attempt(s): {}",
-                    outcome.attempts(),
-                    outcome.into_error()
-                ),
-            }
-        }
+    })
+}
+
+/// Counts a degraded answer and latches the sticky `STATS` flag.
+fn note_degraded(shared: &Shared, degraded: bool) {
+    if degraded {
+        shared.metrics.incr("serve/degraded");
+        shared.served_degraded.store(true, Ordering::Relaxed);
     }
 }
 
@@ -688,4 +641,73 @@ pub enum NextLine {
     Closed,
     /// The deadline elapsed before a complete line arrived.
     TimedOut,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use oct_core::{CategoryTree, ROOT};
+
+    /// No request makes the cover computation panic, so the test handler
+    /// runs a panicking closure through [`answer_isolated`] for `SCORE`
+    /// and serves everything else through [`handle_request`].
+    #[test]
+    fn panicking_computation_answers_err_internal_and_the_connection_keeps_serving() {
+        let mut tree = CategoryTree::new();
+        let cat = tree.add_category(ROOT);
+        tree.assign_items(cat, [0, 1, 2]);
+        let config = ServeConfig {
+            metrics: Metrics::enabled(),
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(config, ServingTree::build(tree, 8, 0, "test")).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let serving = thread::spawn(move || {
+            server
+                .listener
+                .set_nonblocking(false)
+                .expect("blocking accept");
+            let (conn, _) = server.listener.accept().expect("accept");
+            serve_connection(&server.shared, conn, |shared, request| match request {
+                Request::Score { .. } => {
+                    answer_isolated(shared, "serve request", || panic!("cover bug"))
+                }
+                other => handle_request(shared, other),
+            })
+        });
+
+        let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");
+        let items = vec![0, 1];
+        let score = Request::Score {
+            items: items.clone(),
+            shard: None,
+        };
+        match client.request(&score).expect("io ok") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Internal);
+                assert_eq!(message, "worker panicked in serve request: cover bug");
+            }
+            other => panic!("expected ERR internal, got {other:?}"),
+        }
+        // Same connection, next request: served for real.
+        match client
+            .request(&Request::Categorize { items, shard: None })
+            .expect("connection still open")
+        {
+            Response::Cover {
+                cat: got, covered, ..
+            } => {
+                assert_eq!(got, Some(cat));
+                assert!(covered);
+            }
+            other => panic!("expected a cover, got {other:?}"),
+        }
+        drop(client);
+        serving.join().expect("no unwind").expect("clean EOF");
+        let report = shared.metrics.report();
+        assert_eq!(report.counter("serve/failures"), Some(1));
+        assert_eq!(report.counter("serve/requests"), Some(2));
+    }
 }
