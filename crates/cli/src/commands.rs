@@ -13,7 +13,7 @@ use oct_core::similarity::Similarity;
 use oct_core::tree::{CategoryTree, ROOT};
 use oct_core::workflow;
 use oct_datagen::loader;
-use oct_datagen::preprocess::{self, relevance_threshold};
+use oct_datagen::preprocess::{merge_similar, relevance_threshold};
 use oct_datagen::queries::QueryLog;
 use oct_datagen::{generate, DatasetName};
 use oct_obs::Metrics;
@@ -842,16 +842,17 @@ fn instance_from_log(
         if q.daily_frequency < min_frequency {
             continue;
         }
-        let kept: Vec<u32> = q
-            .results
-            .iter()
-            .filter(|&&(_, rel)| rel >= relevance)
-            .map(|&(item, _)| item)
-            .collect();
+        let kept = ItemSet::new(
+            q.results
+                .iter()
+                .filter(|&&(_, rel)| rel >= relevance)
+                .map(|&(item, _)| item)
+                .collect(),
+        );
         if kept.len() < 2 {
             continue;
         }
-        if let Some(&max) = kept.iter().max() {
+        if let Some(&max) = kept.as_slice().last() {
             if max >= items {
                 return Err(format!(
                     "query {:?} references item {max} but --items is {items}",
@@ -859,45 +860,15 @@ fn instance_from_log(
                 ));
             }
         }
-        sets.push(
-            InputSet::new(ItemSet::new(kept), q.daily_frequency.max(1e-9))
-                .with_label(q.text.clone()),
-        );
+        sets.push(InputSet::new(kept, q.daily_frequency.max(1e-9)).with_label(q.text.clone()));
     }
     if sets.is_empty() {
         return Err("no usable queries after filtering".to_owned());
     }
-    let instance = Instance::new(items, sets, similarity);
-    if no_merge {
-        return Ok(instance);
+    if !no_merge {
+        sets = merge_similar(sets, similarity).0;
     }
-    // Reuse the preprocessing pipeline's merge by round-tripping through it
-    // with cleaning disabled (empty existing tree, no frequency floor).
-    let synthetic_log = QueryLog {
-        queries: instance
-            .sets
-            .iter()
-            .map(|s| oct_datagen::queries::RawQuery {
-                predicates: Vec::new(),
-                text: s.label.clone().unwrap_or_default(),
-                daily_frequency: s.weight,
-                results: s.items.iter().map(|i| (i, 1.0)).collect(),
-            })
-            .collect(),
-    };
-    let (merged, _) = preprocess::build_instance(
-        items,
-        &synthetic_log,
-        &CategoryTree::new(),
-        similarity,
-        &preprocess::PreprocessConfig {
-            min_daily_frequency: 0.0,
-            max_branches: usize::MAX,
-            merge_similar: true,
-            uniform_weights: false,
-        },
-    );
-    Ok(merged)
+    Ok(Instance::new(items, sets, similarity))
 }
 
 /// Everything `build` needs, bundled so the resilience knobs don't balloon
@@ -1334,5 +1305,20 @@ mod tests {
             .expect("builds");
         assert_eq!(merged.num_sets(), 1, "identical result sets merge");
         assert!((merged.total_weight() - 15.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn repeated_result_item_counts_once_with_or_without_merge() {
+        // "echo" lists item 5 twice: one distinct item, so it is no set in
+        // either mode; the other two queries are far apart and never merge.
+        let log = loader::parse_query_log(
+            "a\t10\t0:0.95,1:0.9,2:0.92\necho\t7\t5:0.95,5:0.9\nb\t3\t3:0.95,4:0.9\n",
+        )
+        .expect("valid");
+        let sim = Similarity::jaccard_threshold(0.8);
+        let unmerged = instance_from_log(&log, 6, sim, true, 0.0).expect("builds");
+        let merged = instance_from_log(&log, 6, sim, false, 0.0).expect("builds");
+        assert_eq!(unmerged.num_sets(), 2);
+        assert_eq!(merged.num_sets(), unmerged.num_sets());
     }
 }

@@ -681,11 +681,7 @@ pub fn condense(instance: &Instance, tree: &mut CategoryTree) {
             }
         }
     }
-    for item in tree.assigned_items() {
-        if in_any_set[item as usize] && !in_covered[item as usize] {
-            tree.remove_item_everywhere(item);
-        }
-    }
+    tree.retain_items(|item| in_covered[item as usize] || !in_any_set[item as usize]);
 
     // Keep only best coverers (plus the root).
     let score = score_tree(instance, tree);

@@ -142,10 +142,11 @@ impl CategoryTree {
         self.nodes[cat as usize].direct_items = items;
     }
 
-    /// Removes an item from the direct items of every category.
-    pub fn remove_item_everywhere(&mut self, item: ItemId) {
+    /// Keeps, in every category, only the direct items for which `keep`
+    /// holds.
+    pub fn retain_items(&mut self, mut keep: impl FnMut(ItemId) -> bool) {
         for node in &mut self.nodes {
-            node.direct_items.retain(|&i| i != item);
+            node.direct_items.retain(|&i| keep(i));
         }
     }
 
