@@ -248,8 +248,8 @@ pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
 /// Per-stage telemetry breakdown: runs CTCR and CCT on dataset C
 /// (threshold Jaccard δ = 0.8) with metrics enabled and tabulates every
 /// span (total time, entry count) and counter the pipeline recorded. The
-/// returned [`oct_obs::PipelineReport`] serializes to the JSON schema used
-/// by `--metrics` / `BENCH_*.json` files.
+/// returned [`oct_obs::PipelineReport`] serializes to the JSON schema of
+/// `--metrics` files.
 pub fn stages(scale: f64) -> (oct_obs::PipelineReport, Table) {
     stages_with(scale, &StagesOptions::default()).expect("unlimited stages run cannot fail")
 }

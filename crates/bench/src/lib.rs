@@ -12,17 +12,16 @@
 //! repro table1
 //! ```
 //!
-//! Each experiment is also exposed as a library function so the Criterion
-//! benches and integration tests can drive the same code.
+//! Each experiment is also exposed as a library function so tests can
+//! drive the same code. Performance is recorded by `perfbench/` at the
+//! repository root, not here.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod measure;
-pub mod perf;
 pub mod runner;
 pub mod table;
 
 pub use measure::{measure, MeasureSpec, Sample};
-pub use perf::{run_perf, BenchReport, PerfConfig};
 pub use runner::{run_all_algorithms, AlgoScores, RunnerConfig};

@@ -1,12 +1,11 @@
 //! Deterministic measurement primitives for benchmarks.
 //!
-//! Every timed hot path in the repo goes through [`measure`]: a fixed number
+//! Every timed `repro` experiment goes through [`measure`]: a fixed number
 //! of discarded warmup runs followed by `reps` timed repetitions, summarised
 //! as **median** + **MAD** (median absolute deviation). Medians are robust to
 //! the one-off stalls (page faults, scheduler preemption) that make
 //! single-shot `Instant::now()` timings unrepeatable, and the MAD gives a
-//! scale-free noise estimate that the regression gate in [`crate::perf`] uses
-//! to tell signal from jitter.
+//! scale-free noise estimate to report next to each median.
 
 use std::time::Instant;
 

@@ -92,27 +92,6 @@ pub fn score_with_baselines(
     }
 }
 
-/// Runs CTCR and CCT with telemetry enabled, returning both results plus
-/// the collected per-stage [`oct_obs::PipelineReport`] (spans, counters,
-/// gauges for every pipeline layer).
-pub fn instrumented_run(
-    instance: &Instance,
-    config: &RunnerConfig,
-) -> (ctcr::CtcrResult, cct::CctResult, oct_obs::PipelineReport) {
-    let metrics = oct_obs::Metrics::enabled();
-    let ctcr_config = CtcrConfig {
-        metrics: metrics.clone(),
-        ..config.ctcr.clone()
-    };
-    let cct_config = CctConfig {
-        metrics: metrics.clone(),
-        ..config.cct.clone()
-    };
-    let ctcr_result = ctcr::run(instance, &ctcr_config);
-    let cct_result = cct::run(instance, &cct_config);
-    (ctcr_result, cct_result, metrics.report())
-}
-
 /// One-shot convenience: build baselines and score everything once.
 pub fn run_all_algorithms(
     dataset: &GeneratedDataset,
@@ -154,22 +133,6 @@ mod tests {
         assert!(scores.ctcr >= scores.ic_s, "{scores:?}");
         assert!(scores.ctcr >= scores.ic_q, "{scores:?}");
         assert!(scores.ctcr >= scores.et, "{scores:?}");
-    }
-
-    #[test]
-    fn instrumented_run_reports_both_pipelines() {
-        let ds = generate(DatasetName::A, 0.01, Similarity::jaccard_threshold(0.7));
-        let (ctcr_result, cct_result, report) =
-            instrumented_run(&ds.instance, &RunnerConfig::default());
-        assert!(ctcr_result.score.normalized >= 0.0);
-        assert!(cct_result.score.normalized >= 0.0);
-        assert!(report.span("ctcr").is_some());
-        assert!(report.span("cct").is_some());
-        assert!(report.counter("conflict/intersecting_pairs").is_some());
-        assert!(report.counter("cluster/merges").is_some());
-        // Round-trips through the JSON schema used by BENCH_*.json files.
-        let parsed = oct_obs::PipelineReport::from_json(&report.to_json()).expect("round-trip");
-        assert_eq!(parsed, report);
     }
 
     #[test]

@@ -321,7 +321,7 @@ impl FaultPlan {
     }
 
     /// Compact, stable fingerprint of the whole schedule — every knob the
-    /// plan depends on, suitable for a BENCH env entry. Two runs with
+    /// plan depends on, suitable for a log line or a report. Two runs with
     /// equal fingerprints injected identical fault sequences.
     pub fn fingerprint(&self) -> String {
         let c = &self.config;

@@ -35,8 +35,6 @@ usage:
                  [--recent-days R] [--min-weight W] [--out FILE]
                  [--addr HOST:PORT] [--checkpoint FILE] [--resume]
                  [--metrics FILE] [--threads T]
-  octree bench   [--scale S] [--threads T1,T2,...] [--reps R] [--warmup W]
-                 [--out FILE] [--baseline FILE] [--gate PCT]
 
 variants: threshold-jaccard (default) | cutoff-jaccard | threshold-f1 |
           cutoff-f1 | perfect-recall | exact
@@ -73,12 +71,7 @@ watch:    replays the log as a windowed delta stream through the incremental
           engine; every applied batch rewrites --out and, with --addr, SWAPs
           it into a running daemon; with --checkpoint, kill -9 mid-stream
           resumes bit-identically via --resume (same flags regenerate the
-          same feed)
-bench:    runs the deterministic perf suites (warmup + reps, median + MAD)
-          and writes BENCH_<git-rev>.json (override with --out); with
-          --baseline it prints a delta table against a previous BENCH file
-          and, when --gate PCT is set, exits non-zero on any median
-          regressing more than PCT% beyond the MAD noise margin";
+          same feed)";
 
 /// A parsed command.
 #[derive(Debug, Clone, PartialEq)]
@@ -301,23 +294,6 @@ pub enum Command {
         metrics: Option<String>,
         /// Worker threads (0 = auto).
         threads: usize,
-    },
-    /// Run the deterministic perf suites and write a BENCH file.
-    Bench {
-        /// Dataset scale in (0, 1].
-        scale: f64,
-        /// Thread counts to sweep in the parallel suites.
-        threads: Vec<usize>,
-        /// Timed repetitions per benchmark.
-        reps: usize,
-        /// Discarded warmup runs per benchmark.
-        warmup: usize,
-        /// Output path (`None`: `BENCH_<git-rev>.json` in the cwd).
-        out: Option<String>,
-        /// Previous BENCH file to diff against.
-        baseline: Option<String>,
-        /// Regression gate in percent (`None`: report-only).
-        gate: Option<f64>,
     },
 }
 
@@ -824,62 +800,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 threads: threads(&flags)?,
             })
         }
-        "bench" => Ok(Command::Bench {
-            scale: flags
-                .get("scale")
-                .map(|s| {
-                    s.parse::<f64>()
-                        .ok()
-                        .filter(|&s| s > 0.0 && s <= 1.0)
-                        .ok_or_else(|| format!("bad --scale value {s:?} (need (0, 1])"))
-                })
-                .transpose()?
-                .unwrap_or(0.05),
-            threads: flags
-                .get("threads")
-                .map(|t| {
-                    t.split(',')
-                        .map(|part| {
-                            part.trim()
-                                .parse::<usize>()
-                                .ok()
-                                .filter(|&t| t >= 1)
-                                .ok_or_else(|| format!("bad --threads value {part:?} (need >= 1)"))
-                        })
-                        .collect::<Result<Vec<usize>, String>>()
-                })
-                .transpose()?
-                .unwrap_or_else(|| vec![1, 4]),
-            reps: flags
-                .get("reps")
-                .map(|r| {
-                    r.parse::<usize>()
-                        .ok()
-                        .filter(|&r| r >= 1)
-                        .ok_or_else(|| format!("bad --reps value {r:?} (need >= 1)"))
-                })
-                .transpose()?
-                .unwrap_or(5),
-            warmup: flags
-                .get("warmup")
-                .map(|w| {
-                    w.parse::<usize>()
-                        .map_err(|_| format!("bad --warmup value {w:?}"))
-                })
-                .transpose()?
-                .unwrap_or(1),
-            out: flags.get("out").cloned(),
-            baseline: flags.get("baseline").cloned(),
-            gate: flags
-                .get("gate")
-                .map(|g| {
-                    g.parse::<f64>()
-                        .ok()
-                        .filter(|&g| g >= 0.0)
-                        .ok_or_else(|| format!("bad --gate value {g:?} (need >= 0)"))
-                })
-                .transpose()?,
-        }),
         other => Err(format!("unknown command {other:?}")),
     }
 }
@@ -1281,62 +1201,6 @@ mod tests {
             parse(&argv("chaos --routes a=b --blackhole 1")).is_err(),
             "blackhole index out of range"
         );
-    }
-
-    #[test]
-    fn parses_bench() {
-        let cmd = parse(&argv(
-            "bench --scale 0.1 --threads 1,2,8 --reps 7 --warmup 2 --out B.json \
-             --baseline BENCH_prev.json --gate 15",
-        ))
-        .expect("valid");
-        match cmd {
-            Command::Bench {
-                scale,
-                threads,
-                reps,
-                warmup,
-                out,
-                baseline,
-                gate,
-            } => {
-                assert_eq!(scale, 0.1);
-                assert_eq!(threads, vec![1, 2, 8]);
-                assert_eq!(reps, 7);
-                assert_eq!(warmup, 2);
-                assert_eq!(out.as_deref(), Some("B.json"));
-                assert_eq!(baseline.as_deref(), Some("BENCH_prev.json"));
-                assert_eq!(gate, Some(15.0));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // Defaults: scale 0.05, threads [1, 4], 5 reps, 1 warmup, no
-        // baseline, report-only (gate off).
-        match parse(&argv("bench")).expect("valid") {
-            Command::Bench {
-                scale,
-                threads,
-                reps,
-                warmup,
-                out,
-                baseline,
-                gate,
-            } => {
-                assert_eq!(scale, 0.05);
-                assert_eq!(threads, vec![1, 4]);
-                assert_eq!(reps, 5);
-                assert_eq!(warmup, 1);
-                assert_eq!(out, None);
-                assert_eq!(baseline, None);
-                assert_eq!(gate, None);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        assert!(parse(&argv("bench --scale 0")).is_err());
-        assert!(parse(&argv("bench --scale 2")).is_err());
-        assert!(parse(&argv("bench --threads 1,0")).is_err());
-        assert!(parse(&argv("bench --reps 0")).is_err());
-        assert!(parse(&argv("bench --gate -5")).is_err());
     }
 
     #[test]

@@ -201,112 +201,6 @@ pub fn run(command: Command) -> Result<(), String> {
             metrics_out: metrics.as_deref(),
             threads,
         }),
-        Command::Bench {
-            scale,
-            threads,
-            reps,
-            warmup,
-            out,
-            baseline,
-            gate,
-        } => bench(BenchArgs {
-            scale,
-            threads,
-            reps,
-            warmup,
-            out: out.as_deref(),
-            baseline: baseline.as_deref(),
-            gate,
-        }),
-    }
-}
-
-/// Everything `bench` needs, bundled like [`BuildArgs`].
-struct BenchArgs<'a> {
-    scale: f64,
-    threads: Vec<usize>,
-    reps: usize,
-    warmup: usize,
-    out: Option<&'a str>,
-    baseline: Option<&'a str>,
-    gate: Option<f64>,
-}
-
-fn bench(args: BenchArgs) -> Result<(), String> {
-    let config = oct_bench::perf::PerfConfig {
-        scale: args.scale,
-        threads: args.threads,
-        reps: args.reps,
-        warmup: args.warmup,
-        ..oct_bench::perf::PerfConfig::default()
-    };
-    out!(
-        "running perf suites: scale {}, threads {:?}, {} rep(s) after {} warmup run(s)",
-        config.scale,
-        config.threads,
-        config.reps,
-        config.warmup,
-    );
-    let report = oct_bench::perf::run_perf(&config);
-    let path = args.out.map_or_else(|| report.file_name(), str::to_owned);
-    fs::write(&path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    out!(
-        "wrote {path} ({} benchmarks, suites: {})",
-        report.benchmarks.len(),
-        report.suites().join(" "),
-    );
-    for (name, record) in &report.benchmarks {
-        out!(
-            "  {name:<24} median {:>12} mad {:>12} (reps {}, threads {})",
-            fmt_bench(record.median, &record.unit),
-            fmt_bench(record.mad, &record.unit),
-            record.reps,
-            record.threads,
-        );
-    }
-
-    let Some(baseline_path) = args.baseline else {
-        return Ok(());
-    };
-    let text = fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-    let baseline = oct_bench::perf::BenchReport::from_json(&text)
-        .map_err(|e| format!("baseline {baseline_path}: {e}"))?;
-    let comparison = oct_bench::perf::compare(&baseline, &report, args.gate);
-    out!(
-        "\ncomparing against {baseline_path} (rev {}):",
-        baseline.git_rev
-    );
-    out!("{}", comparison.render().trim_end());
-    if comparison.gated > 0 {
-        // A perf regression is a measurement verdict, not a usage error —
-        // report it and exit non-zero without the usage dump.
-        eprintln!(
-            "error: {} benchmark(s) regressed beyond the {}% gate",
-            comparison.gated,
-            args.gate.unwrap_or(0.0),
-        );
-        std::process::exit(1);
-    }
-    match args.gate {
-        Some(gate) => out!("no regressions beyond the {gate}% gate"),
-        None => out!("report-only mode (no --gate); exit is always 0"),
-    }
-    Ok(())
-}
-
-/// Formats a benchmark value for the summary listing.
-fn fmt_bench(v: f64, unit: &str) -> String {
-    if unit == "s" {
-        if v >= 1.0 {
-            format!("{v:.3} s")
-        } else if v >= 1e-3 {
-            format!("{:.3} ms", v * 1e3)
-        } else {
-            format!("{:.1} µs", v * 1e6)
-        }
-    } else {
-        format!("{v:.1} {unit}")
     }
 }
 

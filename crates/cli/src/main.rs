@@ -13,7 +13,6 @@
 //! octree query   --send 'CATEGORIZE 1,2,3' --addr 127.0.0.1:7171
 //! octree router  --shards '127.0.0.1:7171,127.0.0.1:7172;127.0.0.1:7173'
 //! octree loadgen --items 50000 --addr 127.0.0.1:7272 --rps 400 --zipf 1.1
-//! octree bench   --scale 0.05 --reps 5 [--baseline BENCH_prev.json --gate 20]
 //! ```
 //!
 //! The log format is the TSV of `oct_datagen::loader`:

@@ -39,7 +39,7 @@ use crate::util::{FxHashMap, FxHashSet};
 
 /// Trees below this node count are scored serially under auto threading
 /// (the scoring loop is cheaper than spawning).
-const PARALLEL_MIN_CATEGORIES: usize = 512;
+pub const PARALLEL_MIN_CATEGORIES: usize = 512;
 
 /// Stop expanding the frontier beyond this many subtrees.
 const MAX_FRONTIER: usize = 4096;

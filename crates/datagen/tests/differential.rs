@@ -8,12 +8,25 @@
 //!   matches brute-force scalar pair enumeration exactly, and
 //! * `classify_pair` and `classify_pair_packed` agree on every
 //!   intersecting pair for every similarity variant.
+//!
+//! On the IC-Q tree of dataset A (large enough that neither path below
+//! degenerates to its small-tree shortcut) it also proves
+//!
+//! * narrow-then-rerank (`VectorIndex::candidates_for` +
+//!   `PointIndex::best_cover_among`) returns the exhaustive
+//!   `PointIndex::best_cover` answer whenever that winner is in the pool,
+//! * parallel tree scoring is bit-identical to serial.
 
 use oct_core::baselines::{ic_q, BaselineConfig};
 use oct_core::conflict::{classify_pair, classify_pair_packed, intersecting_pairs};
 use oct_core::input::Instance;
-use oct_core::score::{score_tree, score_tree_reference};
+use oct_core::score::{
+    score_tree, score_tree_reference, score_tree_with, ScoreOptions, PARALLEL_MIN_CATEGORIES,
+};
 use oct_core::similarity::Similarity;
+use oct_core::tree::CategoryTree;
+use oct_core::vector::{VectorConfig, VectorIndex, DEFAULT_EF_SEARCH};
+use oct_core::PointIndex;
 use oct_datagen::{generate, DatasetName};
 
 /// The dataset grid: paper datasets A (Fashion, weighted) and B at small
@@ -114,5 +127,92 @@ fn pair_classification_agrees_across_substrates() {
                 similarity.kind
             );
         }
+    }
+}
+
+/// Dataset A at a small scale and its IC-Q tree, which has 1,400
+/// categories: more than the ANN beam and the parallel-scoring floor.
+fn ic_q_on_a() -> (Instance, CategoryTree) {
+    let ds = generate(DatasetName::A, 0.05, Similarity::jaccard_threshold(0.8));
+    let tree = ic_q(&ds.instance, &BaselineConfig::default())
+        .expect("valid instance")
+        .tree;
+    (ds.instance, tree)
+}
+
+#[test]
+fn narrowed_cover_matches_exhaustive_when_the_winner_is_in_the_pool() {
+    const WINDOW: usize = 8;
+    const POOL: usize = 32;
+    let (instance, tree) = ic_q_on_a();
+    let point = PointIndex::build(&tree, instance.num_items);
+    let ann = VectorIndex::for_tree(&tree, &VectorConfig::default());
+    let ef = POOL.max(DEFAULT_EF_SEARCH);
+    assert!(
+        ann.len() > ef,
+        "{} categories: a beam of {ef} would search them all",
+        ann.len()
+    );
+    // Under the instance's own 0.8 threshold a union of several sets never
+    // clears δ, so score under a permissive cutoff to get real winners.
+    let similarity = Similarity::jaccard_cutoff(0.1);
+    let budget = ScoreOptions::default().budget;
+
+    let mut in_pool = 0;
+    for chunk in instance.sets.chunks(WINDOW) {
+        let mut query: Vec<u32> = chunk
+            .iter()
+            .flat_map(|s| s.items.as_slice().iter().copied())
+            .collect();
+        query.sort_unstable();
+        query.dedup();
+        let exhaustive = point.best_cover(&query, &similarity, &budget);
+        let Some(winner) = exhaustive.best_category else {
+            continue;
+        };
+        let candidates = ann.candidates_for(&query, POOL, ef);
+        if !candidates.contains(&winner) {
+            continue;
+        }
+        in_pool += 1;
+        let narrowed = point.best_cover_among(&query, &candidates, &similarity, &budget);
+        assert_eq!(narrowed.best_category, exhaustive.best_category);
+        assert_eq!(
+            narrowed.similarity.to_bits(),
+            exhaustive.similarity.to_bits()
+        );
+        assert_eq!(narrowed.precision.to_bits(), exhaustive.precision.to_bits());
+        assert_eq!(narrowed.covered, exhaustive.covered);
+    }
+    assert!(in_pool > 0, "no exhaustive winner made the candidate pool");
+}
+
+#[test]
+fn parallel_scoring_matches_serial_on_a_large_tree() {
+    let (instance, tree) = ic_q_on_a();
+    assert!(
+        tree.len() > PARALLEL_MIN_CATEGORIES,
+        "{} categories: too small to exercise the parallel path",
+        tree.len()
+    );
+    let with_threads = |threads| {
+        score_tree_with(
+            &instance,
+            &tree,
+            &ScoreOptions {
+                threads,
+                ..ScoreOptions::default()
+            },
+        )
+    };
+    let serial = with_threads(1);
+    for threads in [2, 4] {
+        let parallel = with_threads(threads);
+        assert_eq!(
+            parallel.total.to_bits(),
+            serial.total.to_bits(),
+            "threads={threads}: total diverges"
+        );
+        assert_eq!(parallel, serial, "threads={threads}: TreeScore diverges");
     }
 }

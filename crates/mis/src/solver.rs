@@ -32,7 +32,7 @@ impl Default for SolveBudget {
 
 impl SolveBudget {
     /// A tiny budget that effectively forces the heuristic path; used by the
-    /// ablation benches comparing exact vs. heuristic conflict resolution.
+    /// `repro ablations` run comparing exact vs. heuristic conflict resolution.
     pub fn heuristic_only() -> Self {
         Self {
             nodes: 0,

@@ -376,8 +376,8 @@ mod tests {
     #[test]
     fn uniform_workload_matches_the_legacy_stream() {
         // The uniform path must stay bit-identical to the original
-        // modulo-draw implementation so existing BENCH baselines remain
-        // comparable.
+        // modulo-draw implementation so load recorded before the skewed
+        // workloads existed stays comparable.
         let config = LoadGenConfig::default();
         let mut state = config
             .seed

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! accept ─▶ admission (BoundedQueue.try_push)
-//!              │ Full ─▶ OVERLOADED queue=N, close   (typed shed, no work done)
+//!              │ Full ─▶ OVERLOADED queue=N, lingering close (typed shed, no work done)
 //!              ▼
 //!           worker pops connection
 //!              │ per request line:
@@ -33,7 +33,7 @@
 //! every admitted request gets *some* response.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -57,6 +57,8 @@ const READ_INTERVAL: Duration = Duration::from_millis(50);
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// Hard cap on one request line (DoS guard).
 const MAX_LINE: usize = 1 << 20;
+/// How long a turned-away connection is drained before it is dropped.
+const REJECT_LINGER: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -205,7 +207,7 @@ impl Server {
 
         // Accept until drain is requested. Shedding happens here, before
         // any work: a connection that cannot be queued gets the typed
-        // OVERLOADED response and is closed immediately.
+        // OVERLOADED response and is closed (see `reject`).
         while !shared.draining() {
             match listener.accept() {
                 Ok((conn, _peer)) => {
@@ -257,20 +259,42 @@ impl Server {
 fn admit(shared: &Shared, conn: TcpStream) {
     match shared.queue.try_push(conn) {
         Push::Ok => {}
-        Push::Full(mut conn, depth) => {
+        Push::Full(conn, depth) => {
             shared.metrics.incr("serve/shed");
-            let line = Response::Overloaded { queue_depth: depth }.encode();
-            let _ = conn.set_nonblocking(false);
-            let _ = writeln!(conn, "{line}");
+            reject(conn, Response::Overloaded { queue_depth: depth });
         }
-        Push::Closed(mut conn) => {
-            let line = Response::Error {
+        Push::Closed(conn) => reject(
+            conn,
+            Response::Error {
                 code: ErrorCode::Unavailable,
                 message: "draining".to_owned(),
-            }
-            .encode();
-            let _ = conn.set_nonblocking(false);
-            let _ = writeln!(conn, "{line}");
+            },
+        ),
+    }
+}
+
+/// Answers a connection that will not be served, then closes it without a
+/// reset. Dropping a socket whose request bytes were never read makes the
+/// kernel send RST, which can destroy the reply before the client reads it
+/// (the client sees `Broken pipe` or `Connection reset`). So the close
+/// lingers: shut down the write half, which sends the reply and then FIN,
+/// read and discard what the client sends until it closes, and drop the
+/// socket after that. The drain stops after [`REJECT_LINGER`], so a slow
+/// client cannot stall the accept loop for longer.
+fn reject(mut conn: TcpStream, response: Response) {
+    let _ = conn.set_nonblocking(false);
+    let _ = writeln!(conn, "{}", response.encode());
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REJECT_LINGER;
+    let mut sink = [0u8; 1024];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match conn.read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => return, // EOF, timeout or error: nothing left to drain
         }
     }
 }

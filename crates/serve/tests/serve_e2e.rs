@@ -179,6 +179,44 @@ fn sheds_excess_connections_with_typed_overloaded() {
 }
 
 #[test]
+fn shed_connection_closes_cleanly_after_an_unread_request() {
+    let config = ServeConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..quick_config()
+    };
+    let (addr, drain, join) = start(config, test_tree());
+    let held1 = Client::connect(addr, Duration::from_secs(5)).expect("held1");
+    thread::sleep(Duration::from_millis(150)); // let the worker pop held1
+    let held2 = Client::connect(addr, Duration::from_secs(5)).expect("held2");
+    thread::sleep(Duration::from_millis(150)); // let held2 take the queue slot
+
+    // Each client sends its request before the server reads anything, as a
+    // one-shot client does. The server never reads that line, yet the
+    // client must get the OVERLOADED reply and then a clean EOF, not a
+    // reset.
+    for i in 0..10 {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        writeln!(conn, "CATEGORIZE 0,1").expect("send request");
+        thread::sleep(Duration::from_millis(20)); // the server sheds meanwhile
+        let mut reader = BufReader::new(conn);
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read reply");
+        let resp = Response::parse(&line).expect("typed response");
+        assert!(resp.is_overloaded(), "client {i}: got {resp:?}");
+        line.clear();
+        let eof = reader.read_line(&mut line).expect("clean close, no reset");
+        assert_eq!(eof, 0, "client {i}: expected EOF, got {line:?}");
+    }
+
+    drop(held1);
+    drop(held2);
+    drain.drain();
+    join.join().expect("no panic").expect("clean run");
+}
+
+#[test]
 fn zero_deadline_serves_fully_degraded_answers() {
     let config = ServeConfig {
         deadline_ms: Some(0),
