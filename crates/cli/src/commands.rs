@@ -615,10 +615,6 @@ fn index(
     Ok(())
 }
 
-/// Offline candidate-pool floor; mirrors the serving daemon's so the local
-/// answer matches what a `NAVIGATE` line against the same tree returns.
-const NAVIGATE_POOL_FLOOR: usize = 32;
-
 fn navigate(
     items: &[u32],
     k: usize,
@@ -642,11 +638,11 @@ fn navigate(
     let tree = read_tree(tree_path)?;
     let point = oct_core::PointIndex::build(&tree, 0);
     let ann = oct_core::VectorIndex::for_tree(&tree, &oct_core::VectorConfig::default());
-    let pool = k.max(NAVIGATE_POOL_FLOOR);
-    let ef = ef.unwrap_or(oct_core::vector::DEFAULT_EF_SEARCH).max(pool);
-    let candidates = ann.candidates_for(items, pool, ef);
-    let (ranked, _) =
-        point.top_covers_among(items, &candidates, k, &similarity, &Budget::unlimited());
+    // The daemon's policy, so the local answer matches what a `NAVIGATE`
+    // line against the same tree returns.
+    let ranked = point
+        .navigate(&ann, items, k, ef, &similarity, &Budget::unlimited())
+        .covers;
     if ranked.is_empty() {
         out!("no category scores above zero for these items");
         return Ok(());

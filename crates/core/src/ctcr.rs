@@ -27,7 +27,7 @@ use crate::assign::{assign_items, AssignStats};
 use crate::conflict::{analyze, analyze_budgeted, ConflictAnalysis};
 use crate::input::Instance;
 use crate::itemset::ItemSet;
-use crate::score::{covering_map, score_tree, score_tree_with, ScoreOptions, TreeScore};
+use crate::score::{score_tree, score_tree_with, ScoreOptions, TreeScore};
 use crate::similarity::SimilarityKind;
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::{FxHashMap, FxHashSet};
@@ -665,18 +665,13 @@ mod ordered {
 pub fn condense(instance: &Instance, tree: &mut CategoryTree) {
     // Items to keep: members of at least one covered set (or of no input
     // set at all — those are untouched catalog items).
-    let covers = covering_map(instance, tree);
-    let mut covered_sets: FxHashSet<u32> = FxHashSet::default();
-    for sets in covers.values() {
-        covered_sets.extend(sets.iter().copied());
-    }
+    let before = score_tree(instance, tree);
     let mut in_any_set = vec![false; instance.num_items as usize];
     let mut in_covered = vec![false; instance.num_items as usize];
-    for (s, set) in instance.sets.iter().enumerate() {
-        let covered = covered_sets.contains(&(s as u32));
+    for (set, cover) in instance.sets.iter().zip(&before.per_set) {
         for item in set.items.iter() {
             in_any_set[item as usize] = true;
-            if covered {
+            if cover.covered {
                 in_covered[item as usize] = true;
             }
         }

@@ -8,11 +8,12 @@
 //! inverted index) and then answers each query in
 //! `O(Σ_{i∈q} #categories(i))` — proportional to the query, not the tree.
 //!
-//! The best-cover tie-break is byte-for-byte the one batch scoring uses
-//! (`(similarity, precision, depth, lowest CatId)` via the shared
-//! [`better`](crate::score) predicate), so a point query over a set returns
-//! exactly the cover [`crate::score::score_tree`] would report for it; a
-//! test pins that equivalence.
+//! Every lookup scores candidates with [`Cover::new`] and folds them
+//! with [`Cover::beats`], the order batch scoring uses, so a point query
+//! over a set returns exactly the cover [`crate::score::score_tree`] would
+//! report for it; tests pin that equivalence. Top-k rankings sort with
+//! [`Cover::exact_cmp`]. Like batch scoring, only categories that share an
+//! item with the query are scored.
 //!
 //! Point lookups are [`Budget`]-aware for serving: on expiry the candidate
 //! scan stops early and the partial best is returned flagged
@@ -21,13 +22,15 @@
 
 use oct_resilience::Budget;
 
-use crate::score::{better, category_depths};
+use crate::score::{category_depths, Cover, SetCover, DEADLINE_STRIDE};
 use crate::similarity::Similarity;
 use crate::tree::{CatId, CategoryTree};
 use crate::util::FxHashMap;
+use crate::vector::{VectorIndex, DEFAULT_EF_SEARCH};
 
-/// How often (in candidate categories) a point lookup reads the clock.
-const DEADLINE_STRIDE: u64 = 64;
+/// Candidate pool floor for top-k navigation: reranking a few extra
+/// candidates is cheap and buys recall headroom when k is small.
+pub const TOPK_POOL_FLOOR: usize = 32;
 
 /// Immutable per-tree index answering single-set cover queries.
 ///
@@ -79,6 +82,17 @@ pub struct PointCover {
     pub evaluated: usize,
     /// `true` when the budget expired mid-scan and candidates were skipped
     /// — the reported cover is then a valid pessimistic lower bound.
+    pub degraded: bool,
+}
+
+/// A top-k navigation answer (see [`PointIndex::navigate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Navigation {
+    /// The ANN beam width the candidates were searched with.
+    pub ef: usize,
+    /// The ranked covers, best first.
+    pub covers: Vec<RankedCover>,
+    /// `true` when the budget expired during the rerank.
     pub degraded: bool,
 }
 
@@ -145,14 +159,10 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
-        let mut query: Vec<u32> = items.to_vec();
-        query.sort_unstable();
-        query.dedup();
-        let q_len = query.len();
-
+        let query = dedup(items);
         // Intersection counts over exactly the categories the query
-        // touches. Unknown items (beyond the inverted index) contribute to
-        // `q_len` above but cannot touch any posting list.
+        // touches. Unknown items (beyond the inverted index) count in the
+        // query size but cannot touch any posting list.
         let mut counts: FxHashMap<CatId, u32> = FxHashMap::default();
         for &item in &query {
             let Some(cats) = self.item_cats.get(item as usize) else {
@@ -166,52 +176,8 @@ impl PointIndex {
         // prefix): ascending category id.
         let mut candidates: Vec<(CatId, u32)> = counts.into_iter().collect();
         candidates.sort_unstable_by_key(|&(cat, _)| cat);
-
-        let limited = budget.is_limited();
-        let mut best_sim = 0.0f64;
-        let mut best_precision = 1.0f64;
-        let mut best_depth = 0u32;
-        let mut best_cat: Option<CatId> = None;
-        let mut evaluated = 0usize;
-        let mut degraded = false;
-        for (seen, &(cat, inter)) in candidates.iter().enumerate() {
-            if limited && budget.check_every(seen as u64, DEADLINE_STRIDE) {
-                degraded = true;
-                break;
-            }
-            let c_len = self.cat_sizes[cat as usize] as usize;
-            let sim = similarity.score(q_len, c_len, inter as usize);
-            let precision = if c_len == 0 {
-                1.0
-            } else {
-                f64::from(inter) / c_len as f64
-            };
-            let depth = self.depths[cat as usize];
-            if better(
-                sim,
-                precision,
-                depth,
-                cat,
-                best_sim,
-                best_precision,
-                best_depth,
-                best_cat,
-            ) {
-                best_sim = sim;
-                best_precision = precision;
-                best_depth = depth;
-                best_cat = Some(cat);
-            }
-            evaluated += 1;
-        }
-        PointCover {
-            best_category: best_cat,
-            similarity: best_sim,
-            precision: best_precision,
-            covered: best_sim > 0.0,
-            evaluated,
-            degraded,
-        }
+        let pairs = candidates.into_iter().map(|(cat, n)| (cat, n as usize));
+        self.best_of(query.len(), pairs, similarity, budget)
     }
 
     /// Best cover of `items` evaluated over `candidates` only — the exact
@@ -233,66 +199,20 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
-        let (q_len, in_query) = self.query_mask(items);
-        let ordered = self.ordered_candidates(candidates);
-        let limited = budget.is_limited();
-        let mut best_sim = 0.0f64;
-        let mut best_precision = 1.0f64;
-        let mut best_depth = 0u32;
-        let mut best_cat: Option<CatId> = None;
-        let mut evaluated = 0usize;
-        let mut degraded = false;
-        for (seen, &cat) in ordered.iter().enumerate() {
-            if limited && budget.check_every(seen as u64, DEADLINE_STRIDE) {
-                degraded = true;
-                break;
-            }
-            let inter = self.intersection_size(cat, &in_query);
-            let c_len = self.cat_sizes[cat as usize] as usize;
-            let sim = similarity.score(q_len, c_len, inter);
-            let precision = if c_len == 0 {
-                1.0
-            } else {
-                inter as f64 / c_len as f64
-            };
-            let depth = self.depths[cat as usize];
-            if better(
-                sim,
-                precision,
-                depth,
-                cat,
-                best_sim,
-                best_precision,
-                best_depth,
-                best_cat,
-            ) {
-                best_sim = sim;
-                best_precision = precision;
-                best_depth = depth;
-                best_cat = Some(cat);
-            }
-            evaluated += 1;
-        }
-        PointCover {
-            best_category: best_cat,
-            similarity: best_sim,
-            precision: best_precision,
-            covered: best_sim > 0.0,
-            evaluated,
-            degraded,
-        }
+        let (q_len, pairs) = self.candidate_pairs(items, candidates);
+        self.best_of(q_len, pairs, similarity, budget)
     }
 
     /// The top `k` covers of `items` among `candidates`, best first, with
     /// exact (reranked) scores — the serving half of `NAVIGATE <k>`.
     ///
-    /// Ranking is the exact total order `(similarity, precision, depth,
-    /// lowest id)` descending — no epsilon banding, so the order is a pure
-    /// function of the inputs and byte-identical across runs and replicas.
-    /// Only positive-similarity categories are returned, so fewer than `k`
-    /// entries means nothing else intersected. On budget expiry the scan
-    /// stops and the partial ranking over the evaluated prefix is returned
-    /// with `degraded = true` — pessimistic, never wrong.
+    /// Ranking is [`Cover::exact_cmp`] — no epsilon banding, so the order
+    /// is a pure function of the inputs and byte-identical across runs and
+    /// replicas. Only positive-similarity categories are returned, so fewer
+    /// than `k` entries means nothing else intersected. Unknown, removed or
+    /// duplicate candidate ids are skipped. On budget expiry the scan stops
+    /// and the partial ranking over the evaluated prefix is returned with
+    /// `degraded = true` — pessimistic, never wrong.
     pub fn top_covers_among(
         &self,
         items: &[u32],
@@ -301,65 +221,121 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> (Vec<RankedCover>, bool) {
-        let (q_len, in_query) = self.query_mask(items);
-        let ordered = self.ordered_candidates(candidates);
-        let limited = budget.is_limited();
-        let mut scored: Vec<(RankedCover, u32)> = Vec::new();
-        let mut degraded = false;
-        for (seen, &cat) in ordered.iter().enumerate() {
-            if limited && budget.check_every(seen as u64, DEADLINE_STRIDE) {
-                degraded = true;
-                break;
+        let (q_len, pairs) = self.candidate_pairs(items, candidates);
+        let mut scored: Vec<Cover> = Vec::new();
+        let (_, degraded) = self.scan(q_len, pairs, similarity, budget, |cover| {
+            if cover.similarity > 0.0 {
+                scored.push(cover);
             }
-            let inter = self.intersection_size(cat, &in_query);
-            let c_len = self.cat_sizes[cat as usize] as usize;
-            let sim = similarity.score(q_len, c_len, inter);
-            if sim <= 0.0 {
+        });
+        scored.sort_unstable_by(Cover::exact_cmp);
+        let ranked = scored.iter().take(k).map(|c| RankedCover {
+            cat: c.cat,
+            similarity: c.similarity,
+            precision: c.precision,
+        });
+        (ranked.collect(), degraded)
+    }
+
+    /// The top-k `NAVIGATE` policy, shared by the serving daemon and the
+    /// offline CLI: `ann` narrows to a pool of `max(k, TOPK_POOL_FLOOR)`
+    /// candidates with beam `ef = max(ef or DEFAULT_EF_SEARCH, pool)`, and
+    /// [`top_covers_among`](Self::top_covers_among) reranks them exactly.
+    pub fn navigate(
+        &self,
+        ann: &VectorIndex,
+        items: &[u32],
+        k: usize,
+        ef: Option<usize>,
+        similarity: &Similarity,
+        budget: &Budget,
+    ) -> Navigation {
+        let pool = k.max(TOPK_POOL_FLOOR);
+        let ef = ef.unwrap_or(DEFAULT_EF_SEARCH).max(pool);
+        let candidates = ann.candidates_for(items, pool, ef);
+        let (covers, degraded) = self.top_covers_among(items, &candidates, k, similarity, budget);
+        Navigation {
+            ef,
+            covers,
+            degraded,
+        }
+    }
+
+    /// The best cover among `(cat, |C ∩ q|)` pairs for a query of `q_len`
+    /// items, folded with [`Cover::beats`].
+    fn best_of(
+        &self,
+        q_len: usize,
+        pairs: impl Iterator<Item = (CatId, usize)>,
+        similarity: &Similarity,
+        budget: &Budget,
+    ) -> PointCover {
+        let mut best: Option<Cover> = None;
+        let (evaluated, degraded) = self.scan(q_len, pairs, similarity, budget, |cover| {
+            if cover.beats(best.as_ref()) {
+                best = Some(cover);
+            }
+        });
+        let cover = SetCover::from(best);
+        PointCover {
+            best_category: cover.best_category,
+            similarity: cover.similarity,
+            precision: cover.precision,
+            covered: cover.covered,
+            evaluated,
+            degraded,
+        }
+    }
+
+    /// Scores every pair with `|C ∩ q| > 0` in order and hands it to
+    /// `visit`, checking `budget` as it goes. Returns the number of covers
+    /// scored and whether the budget cut the scan short.
+    fn scan(
+        &self,
+        q_len: usize,
+        pairs: impl Iterator<Item = (CatId, usize)>,
+        similarity: &Similarity,
+        budget: &Budget,
+        mut visit: impl FnMut(Cover),
+    ) -> (usize, bool) {
+        let limited = budget.is_limited();
+        let mut evaluated = 0;
+        for (seen, (cat, inter)) in pairs.enumerate() {
+            if limited && budget.check_every(seen as u64, DEADLINE_STRIDE) {
+                return (evaluated, true);
+            }
+            // A category sharing no item with the query scores 0 for any
+            // non-empty query; skipping it keeps an empty query from
+            // scoring an empty category's `0/0` as 1.
+            if inter == 0 {
                 continue;
             }
-            let precision = if c_len == 0 {
-                1.0
-            } else {
-                inter as f64 / c_len as f64
-            };
-            scored.push((
-                RankedCover {
-                    cat,
-                    similarity: sim,
-                    precision,
-                },
-                self.depths[cat as usize],
-            ));
+            let (delta, depth) = (similarity.delta, self.depths[cat as usize]);
+            let c_len = self.cat_sizes[cat as usize] as usize;
+            let cover = Cover::new(similarity, delta, q_len, c_len, inter, cat, depth);
+            visit(cover);
+            evaluated += 1;
         }
-        scored.sort_unstable_by(|(a, da), (b, db)| {
-            b.similarity
-                .total_cmp(&a.similarity)
-                .then(b.precision.total_cmp(&a.precision))
-                .then(db.cmp(da))
-                .then(a.cat.cmp(&b.cat))
-        });
-        scored.truncate(k);
-        (scored.into_iter().map(|(c, _)| c).collect(), degraded)
+        (evaluated, false)
     }
 
-    /// Deduplicated query size (unknown items included — see
-    /// [`best_cover`](Self::best_cover)) plus a membership bitmap over the
-    /// indexed item universe.
-    fn query_mask(&self, items: &[u32]) -> (usize, Vec<u64>) {
-        let mut query: Vec<u32> = items.to_vec();
-        query.sort_unstable();
-        query.dedup();
-        let mut mask = vec![0u64; self.item_cats.len().div_ceil(64)];
+    /// The deduplicated query size (unknown items included — see
+    /// [`best_cover`](Self::best_cover)) and lazily computed
+    /// `(cat, |C ∩ q|)` pairs over the valid candidate slots, ascending and
+    /// deduplicated. Each intersection walks the materialized category
+    /// against a query bitmap: `O(|C|)` with no hashing.
+    fn candidate_pairs<'a>(
+        &'a self,
+        items: &[u32],
+        candidates: &[CatId],
+    ) -> (usize, impl Iterator<Item = (CatId, usize)> + 'a) {
+        let query = dedup(items);
+        let mut in_query = vec![0u64; self.item_cats.len().div_ceil(64)];
         for &item in &query {
             if (item as usize) < self.item_cats.len() {
-                mask[item as usize / 64] |= 1u64 << (item % 64);
+                in_query[item as usize / 64] |= 1u64 << (item % 64);
             }
         }
-        (query.len(), mask)
-    }
-
-    /// Valid candidate slots, ascending and deduplicated.
-    fn ordered_candidates(&self, candidates: &[CatId]) -> Vec<CatId> {
         let mut ordered: Vec<CatId> = candidates
             .iter()
             .copied()
@@ -367,17 +343,21 @@ impl PointIndex {
             .collect();
         ordered.sort_unstable();
         ordered.dedup();
-        ordered
+        let pairs = ordered.into_iter().map(move |cat| {
+            let hit = |&&i: &&u32| in_query[i as usize / 64] & (1u64 << (i % 64)) != 0;
+            let inter = self.cat_items[cat as usize].iter().filter(hit).count();
+            (cat, inter)
+        });
+        (query.len(), pairs)
     }
+}
 
-    /// `|query ∩ C|` via the materialized category set and a query bitmap:
-    /// `O(|C|)` with no hashing, independent of posting-list lengths.
-    fn intersection_size(&self, cat: CatId, in_query: &[u64]) -> usize {
-        self.cat_items[cat as usize]
-            .iter()
-            .filter(|&&item| in_query[item as usize / 64] & (1u64 << (item % 64)) != 0)
-            .count()
-    }
+/// `items` as a set: sorted and deduplicated.
+fn dedup(items: &[u32]) -> Vec<u32> {
+    let mut query = items.to_vec();
+    query.sort_unstable();
+    query.dedup();
+    query
 }
 
 #[cfg(test)]
@@ -490,29 +470,44 @@ mod tests {
 
     #[test]
     fn rerank_over_all_live_categories_equals_exhaustive_scan() {
-        let tree = figure2_t1();
-        let index = PointIndex::build(&tree, 9);
-        let all = tree.live_categories();
-        for similarity in [
-            Similarity::jaccard_cutoff(0.3),
-            Similarity::jaccard_threshold(0.6),
-            Similarity::f1_cutoff(0.5),
-            Similarity::perfect_recall(0.8),
-        ] {
-            for query in [
-                vec![0, 1],
-                vec![2, 3, 4],
-                vec![0, 1, 2, 3, 4, 5, 6, 7, 8],
-                vec![5, 6, 700],
-                vec![],
+        // Figure 2 plus one live empty category and one removed slot,
+        // reranked over every slot: an empty query must not score the empty
+        // category's `0/0` as a cover, nor surface the removed slot.
+        let mut sparse = figure2_t1();
+        sparse.add_category(ROOT);
+        let removed = sparse.add_category(ROOT);
+        sparse.remove_category(removed);
+        let all_slots: Vec<CatId> = (0..sparse.len() as CatId).collect();
+        let inputs = [
+            (figure2_t1(), figure2_t1().live_categories()),
+            (sparse, all_slots),
+        ];
+        for (tree, all) in inputs {
+            let index = PointIndex::build(&tree, 9);
+            for similarity in [
+                Similarity::jaccard_cutoff(0.3),
+                Similarity::jaccard_threshold(0.6),
+                Similarity::f1_cutoff(0.5),
+                Similarity::perfect_recall(0.8),
             ] {
-                let exhaustive = index.best_cover(&query, &similarity, &Budget::unlimited());
-                let reranked =
-                    index.best_cover_among(&query, &all, &similarity, &Budget::unlimited());
-                assert_eq!(exhaustive.best_category, reranked.best_category);
-                assert!((exhaustive.similarity - reranked.similarity).abs() < 1e-12);
-                assert!((exhaustive.precision - reranked.precision).abs() < 1e-12);
-                assert_eq!(exhaustive.covered, reranked.covered);
+                for query in [
+                    vec![0, 1],
+                    vec![2, 3, 4],
+                    vec![0, 1, 2, 3, 4, 5, 6, 7, 8],
+                    vec![5, 6, 700],
+                    vec![],
+                ] {
+                    let exhaustive = index.best_cover(&query, &similarity, &Budget::unlimited());
+                    let reranked =
+                        index.best_cover_among(&query, &all, &similarity, &Budget::unlimited());
+                    assert_eq!(exhaustive.best_category, reranked.best_category);
+                    assert!((exhaustive.similarity - reranked.similarity).abs() < 1e-12);
+                    assert!((exhaustive.precision - reranked.precision).abs() < 1e-12);
+                    assert_eq!(exhaustive.covered, reranked.covered);
+                }
+                let (top, _) =
+                    index.top_covers_among(&[], &all, 3, &similarity, &Budget::unlimited());
+                assert!(top.is_empty(), "{similarity:?}: {top:?}");
             }
         }
     }

@@ -21,19 +21,27 @@
 //!
 //! The result is identical to the serial pass: aggregation is exact integer
 //! set arithmetic, per-category similarities are computed by the same
-//! expression on the same integers, and the best cover of a set is the
-//! lexicographic maximum of `(similarity, precision, depth, lowest CatId)`
-//! — a fold whose result does not depend on evaluation order when equal
-//! similarities are bit-equal (always the case for the single-division
-//! Jaccard/F1/recall values; pathological near-`EPS` spacings could in
-//! principle differ, which the EPS tie-band makes non-transitive).
+//! [`Cover::new`] on the same integers, and the best cover of a set is the
+//! maximum under [`Cover::beats`] — a fold whose result does not depend on
+//! evaluation order when equal similarities are bit-equal (always the case
+//! for the single-division Jaccard/F1/recall values; pathological
+//! near-`EPS` spacings could in principle differ, which the EPS tie-band
+//! makes non-transitive).
+//!
+//! # One cover order
+//!
+//! [`Cover`] is the workspace's one score-and-rank kernel: batch scoring,
+//! the reference scorer, [`covering_map`], the point queries of
+//! [`crate::point`] and the router's per-shard merge all evaluate
+//! `S(q, C)` through [`Cover::new`] and pick winners with
+//! [`Cover::beats`]; top-k rankings sort with [`Cover::exact_cmp`].
 
 use oct_obs::{Counter, Metrics};
 use oct_resilience::{run_isolated, Budget, ExecutionError};
 
 use crate::input::Instance;
 use crate::packed::CsrIndex;
-use crate::similarity::EPS;
+use crate::similarity::{Similarity, EPS};
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::{FxHashMap, FxHashSet};
 
@@ -45,7 +53,7 @@ pub const PARALLEL_MIN_CATEGORIES: usize = 512;
 const MAX_FRONTIER: usize = 4096;
 
 /// How often (in categories) scoring loops read the wall clock.
-const DEADLINE_STRIDE: u64 = 64;
+pub(crate) const DEADLINE_STRIDE: u64 = 64;
 
 /// Knobs for [`score_tree_with`].
 #[derive(Debug, Clone)]
@@ -134,6 +142,7 @@ impl TreeScore {
     }
 }
 
+#[derive(Default)]
 struct Agg {
     /// Deduplicated items of the category's subtree.
     items: FxHashSet<u32>,
@@ -142,13 +151,6 @@ struct Agg {
 }
 
 impl Agg {
-    fn new() -> Self {
-        Self {
-            items: FxHashSet::default(),
-            inter: FxHashMap::default(),
-        }
-    }
-
     fn insert_item(&mut self, item: u32, index: &CsrIndex) {
         if self.items.insert(item) {
             for &set in &index[item as usize] {
@@ -166,18 +168,14 @@ fn aggregate_node(
     pending: &mut FxHashMap<CatId, Agg>,
     index: &CsrIndex,
 ) -> Agg {
-    let mut agg = Agg::new();
+    let mut agg = Agg::default();
     for &child in tree.children(cat) {
-        let child_agg = pending.remove(&child).expect("child processed first");
+        let mut child_agg = pending.remove(&child).expect("child processed first");
         if child_agg.items.len() > agg.items.len() {
-            let smaller = std::mem::replace(&mut agg, child_agg);
-            for item in smaller.items {
-                agg.insert_item(item, index);
-            }
-        } else {
-            for item in child_agg.items {
-                agg.insert_item(item, index);
-            }
+            std::mem::swap(&mut agg, &mut child_agg);
+        }
+        for item in child_agg.items {
+            agg.insert_item(item, index);
         }
     }
     for &item in tree.direct_items(cat) {
@@ -186,121 +184,204 @@ fn aggregate_node(
     agg
 }
 
-/// Per-set best-cover state (similarity, category, precision, depth).
-struct Best {
-    sim: Vec<f64>,
-    cat: Vec<Option<CatId>>,
-    precision: Vec<f64>,
-    depth: Vec<u32>,
-}
-
-/// The best-cover ordering: does `(sim, precision, depth, cat)` beat the
-/// incumbent?
+/// One category scored for one set: the value every best-cover decision
+/// compares, in batch scoring, point queries and the router's merge.
 ///
-/// A category is recorded whenever its similarity is positive and beats the
-/// incumbent; `EPS` is used only to band ties, inside which higher
-/// precision, then the deeper category, then the lower `CatId` win. Depth
-/// precedes the id so a fully-tied ancestor (the root materializes the same
-/// items as an only child) cannot displace the more specific category —
-/// the condensing stage keeps exactly the best coverers. (Keeping the
-/// `sim > 0` requirement out of the EPS comparison fixes the old bug where
-/// a best similarity in `(0, EPS]` left `best_category: None`.)
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn better(
-    sim: f64,
-    precision: f64,
-    depth: u32,
-    cat: CatId,
-    best_sim: f64,
-    best_precision: f64,
-    best_depth: u32,
-    best_cat: Option<CatId>,
-) -> bool {
-    if sim <= 0.0 {
-        return false;
-    }
-    let Some(incumbent) = best_cat else {
-        return true;
-    };
-    if sim > best_sim + EPS {
-        return true;
-    }
-    if (sim - best_sim).abs() > EPS {
-        return false;
-    }
-    if precision > best_precision + EPS {
-        return true;
-    }
-    if (precision - best_precision).abs() > EPS {
-        return false;
-    }
-    (depth, std::cmp::Reverse(cat)) > (best_depth, std::cmp::Reverse(incumbent))
+/// Two orders are defined on it. [`beats`](Self::beats) is the EPS-banded
+/// best-cover order that every arg-max fold uses. It is not transitive
+/// inside the band, so it is never a sort key: rankings sort with
+/// [`exact_cmp`](Self::exact_cmp), the same keys compared exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Cover {
+    /// The category.
+    pub cat: CatId,
+    /// `S(q, C)` under the queried variant and threshold.
+    pub similarity: f64,
+    /// `|C ∩ q| / |C|` (1 when `C` is empty).
+    pub precision: f64,
+    /// Depth of the category (root = 0).
+    pub depth: u32,
 }
 
-impl Best {
-    fn new(n: usize) -> Self {
+impl Cover {
+    /// Scores category `cat` (at `depth`) for a set from the cardinalities
+    /// `|q|`, `|C|` and `|C ∩ q|` under `similarity` with threshold `delta`.
+    #[inline]
+    pub fn new(
+        similarity: &Similarity,
+        delta: f64,
+        q_len: usize,
+        c_len: usize,
+        inter: usize,
+        cat: CatId,
+        depth: u32,
+    ) -> Self {
         Self {
-            sim: vec![0.0; n],
-            cat: vec![None; n],
-            precision: vec![1.0; n],
-            depth: vec![0; n],
-        }
-    }
-
-    /// Offers a candidate cover of set `s`.
-    fn consider(&mut self, s: usize, sim: f64, precision: f64, depth: u32, cat: CatId) {
-        if better(
-            sim,
-            precision,
-            depth,
             cat,
-            self.sim[s],
-            self.precision[s],
-            self.depth[s],
-            self.cat[s],
-        ) {
-            self.sim[s] = sim;
-            self.cat[s] = Some(cat);
-            self.precision[s] = precision;
-            self.depth[s] = depth;
+            similarity: similarity.score_with(delta, q_len, c_len, inter),
+            precision: if c_len == 0 {
+                1.0
+            } else {
+                inter as f64 / c_len as f64
+            },
+            depth,
         }
     }
 
-    /// Merges another worker's winners into `self` (chunk order).
-    fn absorb(&mut self, other: &Best) {
-        for s in 0..self.sim.len() {
-            if let Some(cat) = other.cat[s] {
-                self.consider(s, other.sim[s], other.precision[s], other.depth[s], cat);
-            }
+    /// The best-cover order: does `self` beat the incumbent?
+    ///
+    /// A cover wins whenever its similarity is positive and beats the
+    /// incumbent; `EPS` is used only to band ties, inside which higher
+    /// precision, then the deeper category, then the lower `CatId` win.
+    /// Depth precedes the id so a fully-tied ancestor (the root
+    /// materializes the same items as an only child) cannot displace the
+    /// more specific category — the condensing stage keeps exactly the best
+    /// coverers. (Keeping the `similarity > 0` requirement out of the EPS
+    /// comparison fixes the old bug where a best similarity in `(0, EPS]`
+    /// left `best_category: None`.)
+    #[inline]
+    pub fn beats(&self, incumbent: Option<&Cover>) -> bool {
+        if self.similarity <= 0.0 {
+            return false;
+        }
+        let Some(best) = incumbent else {
+            return true;
+        };
+        if self.similarity > best.similarity + EPS {
+            return true;
+        }
+        if (self.similarity - best.similarity).abs() > EPS {
+            return false;
+        }
+        if self.precision > best.precision + EPS {
+            return true;
+        }
+        if (self.precision - best.precision).abs() > EPS {
+            return false;
+        }
+        (self.depth, std::cmp::Reverse(self.cat)) > (best.depth, std::cmp::Reverse(best.cat))
+    }
+
+    /// The exact ranking order, best first: `(similarity, precision, depth)`
+    /// descending, then the lowest `CatId`, with no EPS band — a total
+    /// order, so a sort by it is a pure function of its inputs.
+    pub fn exact_cmp(&self, other: &Cover) -> std::cmp::Ordering {
+        other
+            .similarity
+            .total_cmp(&self.similarity)
+            .then(other.precision.total_cmp(&self.precision))
+            .then(other.depth.cmp(&self.depth))
+            .then(self.cat.cmp(&other.cat))
+    }
+}
+
+impl From<Option<Cover>> for SetCover {
+    /// A set's outcome from its winning cover (`None`: nothing scored
+    /// above zero; [`Cover::beats`] never records a zero similarity).
+    fn from(best: Option<Cover>) -> Self {
+        Self {
+            best_category: best.map(|c| c.cat),
+            similarity: best.map_or(0.0, |c| c.similarity),
+            covered: best.is_some(),
+            precision: best.map_or(1.0, |c| c.precision),
         }
     }
 }
 
-/// Evaluates category `cat` (aggregated in `agg`, at `depth`) against every
-/// set it intersects, updating `best`.
-fn evaluate_category(
+/// Scores category `cat` (at `depth`, `|C| = c_len`) for input set `s`.
+fn set_cover(
     instance: &Instance,
+    s: usize,
+    c_len: usize,
+    inter: usize,
     cat: CatId,
     depth: u32,
-    agg: &Agg,
-    best: &mut Best,
-    candidates: &Counter,
-) {
-    let c_len = agg.items.len();
-    candidates.add(agg.inter.len() as u64);
-    for (&set, &inter) in &agg.inter {
-        let s = set as usize;
-        let q_len = instance.sets[s].items.len();
-        let delta = instance.threshold_of(s);
-        let sim = instance
-            .similarity
-            .score_with(delta, q_len, c_len, inter as usize);
-        let precision = if c_len == 0 {
-            1.0
-        } else {
-            inter as f64 / c_len as f64
-        };
-        best.consider(s, sim, precision, depth, cat);
+) -> Cover {
+    let q_len = instance.sets[s].items.len();
+    let delta = instance.threshold_of(s);
+    Cover::new(&instance.similarity, delta, q_len, c_len, inter, cat, depth)
+}
+
+/// Offers `cover` as the best cover of set `s`.
+fn offer(best: &mut [Option<Cover>], s: usize, cover: Cover) {
+    if cover.beats(best[s].as_ref()) {
+        best[s] = Some(cover);
+    }
+}
+
+/// Reduces per-set winners to the weighted total and per-set breakdown.
+fn tree_score(instance: &Instance, best: &[Option<Cover>]) -> TreeScore {
+    let mut total = 0.0;
+    let mut per_set = Vec::with_capacity(best.len());
+    for (&cover, set) in best.iter().zip(&instance.sets) {
+        let cover = SetCover::from(cover);
+        total += set.weight * cover.similarity;
+        per_set.push(cover);
+    }
+    let denom = instance.total_weight();
+    TreeScore {
+        total,
+        normalized: if denom > 0.0 { total / denom } else { 0.0 },
+        per_set,
+    }
+}
+
+/// What every scoring step reads; workers share it by reference.
+struct Ctx<'a> {
+    instance: &'a Instance,
+    tree: &'a CategoryTree,
+    index: CsrIndex,
+    depths: Vec<u32>,
+    budget: &'a Budget,
+    categories: Counter,
+    candidates: Counter,
+}
+
+/// One aggregation/evaluation pass over categories visited children
+/// first: the serial pass, each parallel worker, and the parallel spine.
+struct Pass<'a> {
+    ctx: &'a Ctx<'a>,
+    /// Best cover so far per input set.
+    best: Vec<Option<Cover>>,
+    /// Aggregates of visited categories whose parent is not visited yet.
+    pending: FxHashMap<CatId, Agg>,
+    seen: u64,
+    expired: bool,
+}
+
+impl<'a> Pass<'a> {
+    fn new(ctx: &'a Ctx<'a>) -> Self {
+        Self {
+            ctx,
+            best: vec![None; ctx.instance.num_sets()],
+            pending: FxHashMap::default(),
+            seen: 0,
+            expired: false,
+        }
+    }
+
+    /// The per-category step: aggregates `cat` from its children, checks
+    /// the budget and, until it expires, evaluates `cat` against every set
+    /// it intersects. After expiry the pass keeps aggregating (ancestors
+    /// need the aggregate) but evaluates nothing more.
+    fn visit(&mut self, cat: CatId) {
+        let ctx = self.ctx;
+        let agg = aggregate_node(ctx.tree, cat, &mut self.pending, &ctx.index);
+        self.expired = self.expired
+            || (ctx.budget.is_limited() && ctx.budget.check_every(self.seen, DEADLINE_STRIDE));
+        self.seen += 1;
+        if !self.expired {
+            let c_len = agg.items.len();
+            let depth = ctx.depths[cat as usize];
+            ctx.candidates.add(agg.inter.len() as u64);
+            for (&set, &inter) in &agg.inter {
+                let s = set as usize;
+                let cover = set_cover(ctx.instance, s, c_len, inter as usize, cat, depth);
+                offer(&mut self.best, s, cover);
+            }
+            ctx.categories.incr();
+        }
+        self.pending.insert(cat, agg);
     }
 }
 
@@ -358,77 +439,37 @@ pub fn try_score_tree_with(
 ) -> Result<TreeScore, ExecutionError> {
     let metrics = &options.metrics;
     let threads = resolve_threads(options.threads, tree.len());
-    let index = instance.inverted_index();
-    let n = instance.num_sets();
-    let categories = metrics.counter("score/categories");
-    let candidates = metrics.counter("score/candidates");
-    let budget = &options.budget;
-
-    let depths = category_depths(tree);
-    let best = if threads <= 1 {
-        let _span = metrics.span("score/aggregate");
-        run_isolated("score workers", || {
-            let mut best = Best::new(n);
-            let mut pending: FxHashMap<CatId, Agg> = FxHashMap::default();
-            let mut expired = false;
-            for (seen, cat) in tree.post_order().into_iter().enumerate() {
-                let agg = aggregate_node(tree, cat, &mut pending, &index);
-                expired = expired
-                    || (budget.is_limited() && budget.check_every(seen as u64, DEADLINE_STRIDE));
-                if !expired {
-                    evaluate_category(
-                        instance,
-                        cat,
-                        depths[cat as usize],
-                        &agg,
-                        &mut best,
-                        &candidates,
-                    );
-                    categories.incr();
-                }
-                pending.insert(cat, agg);
-                if cat == ROOT {
-                    break;
-                }
-            }
-            if expired {
-                metrics.incr("budget/expired");
-            }
-            best
-        })?
-    } else {
-        score_parallel(
-            instance,
-            tree,
-            threads,
-            &index,
-            &depths,
-            metrics,
-            &categories,
-            &candidates,
-            budget,
-        )?
+    let ctx = Ctx {
+        instance,
+        tree,
+        index: instance.inverted_index(),
+        depths: category_depths(tree),
+        budget: &options.budget,
+        categories: metrics.counter("score/categories"),
+        candidates: metrics.counter("score/candidates"),
     };
-
-    let _span = metrics.span("score/evaluate");
-    let mut total = 0.0;
-    let mut per_set = Vec::with_capacity(n);
-    for s in 0..n {
-        let weight = instance.sets[s].weight;
-        total += weight * best.sim[s];
-        per_set.push(SetCover {
-            best_category: best.cat[s],
-            similarity: best.sim[s],
-            covered: best.sim[s] > 0.0,
-            precision: best.precision[s],
-        });
+    let (best, expired) = {
+        let _span = metrics.span("score/aggregate");
+        if threads <= 1 {
+            run_isolated("score workers", || {
+                let mut pass = Pass::new(&ctx);
+                for cat in tree.post_order() {
+                    pass.visit(cat);
+                    if cat == ROOT {
+                        break;
+                    }
+                }
+                (pass.best, pass.expired)
+            })?
+        } else {
+            score_parallel(&ctx, threads)?
+        }
+    };
+    if expired {
+        metrics.incr("budget/expired");
     }
-    let denom = instance.total_weight();
-    Ok(TreeScore {
-        total,
-        normalized: if denom > 0.0 { total / denom } else { 0.0 },
-        per_set,
-    })
+    let _span = metrics.span("score/evaluate");
+    Ok(tree_score(instance, &best))
 }
 
 /// Resolves the thread knob: `0` = auto (all cores, serial below
@@ -519,77 +560,38 @@ fn frontier_chunks(
     out
 }
 
-/// One isolated worker's outcome: its private winners, the aggregates of
-/// its frontier roots, and whether it hit the budget — or a caught panic.
-type ScoreWorkerResult = Result<(Best, Vec<(CatId, Agg)>, bool), ExecutionError>;
-
 /// The parallel aggregation/evaluation pass: frontier subtrees on workers,
 /// spine on the main thread, winners merged in deterministic chunk order.
-/// Every worker runs under `catch_unwind`; a panic in any of them surfaces
-/// as [`ExecutionError::WorkerPanicked`].
-#[allow(clippy::too_many_arguments)]
+/// Returns the per-set winners and whether the budget expired. Every
+/// worker runs under `catch_unwind`; a panic in any of them surfaces as
+/// [`ExecutionError::WorkerPanicked`].
 fn score_parallel(
-    instance: &Instance,
-    tree: &CategoryTree,
+    ctx: &Ctx<'_>,
     threads: usize,
-    index: &CsrIndex,
-    depths: &[u32],
-    metrics: &Metrics,
-    categories: &Counter,
-    candidates: &Counter,
-    budget: &Budget,
-) -> Result<Best, ExecutionError> {
-    let _span = metrics.span("score/aggregate");
-    let n = instance.num_sets();
+) -> Result<(Vec<Option<Cover>>, bool), ExecutionError> {
+    let tree = ctx.tree;
     let sizes = subtree_sizes(tree);
     let (frontier, is_spine) = frontier_and_spine(tree, &sizes, threads * 4);
     let chunks = frontier_chunks(&frontier, |f| sizes[f as usize], threads);
-    let limited = budget.is_limited();
 
-    // Workers aggregate + evaluate whole frontier subtrees; each returns its
-    // private winners and the final aggregate of every frontier root so the
-    // main thread can finish the spine. On budget expiry a worker keeps
-    // aggregating (the spine pass needs every frontier-root aggregate) but
-    // stops evaluating.
-    let results: Vec<ScoreWorkerResult> = std::thread::scope(|scope| {
+    // Each worker passes over whole frontier subtrees. A finished subtree
+    // leaves only its root's aggregate pending, which is what the spine
+    // pass needs.
+    let workers: Vec<Result<Pass<'_>, ExecutionError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .map(|&(lo, hi)| {
                 let chunk = &frontier[lo..hi];
-                let categories = categories.clone();
-                let candidates = candidates.clone();
                 scope.spawn(move || {
                     run_isolated("score workers", || {
-                        let mut best = Best::new(n);
-                        let mut roots = Vec::with_capacity(chunk.len());
-                        let mut pending: FxHashMap<CatId, Agg> = FxHashMap::default();
-                        let mut seen = 0u64;
-                        let mut expired = false;
+                        let mut pass = Pass::new(ctx);
                         for &f in chunk {
-                            let mut order = tree.subtree(f);
-                            order.reverse(); // children before parents
-                            for cat in order {
-                                let agg = aggregate_node(tree, cat, &mut pending, index);
-                                expired = expired
-                                    || (limited && budget.check_every(seen, DEADLINE_STRIDE));
-                                seen += 1;
-                                if !expired {
-                                    evaluate_category(
-                                        instance,
-                                        cat,
-                                        depths[cat as usize],
-                                        &agg,
-                                        &mut best,
-                                        &candidates,
-                                    );
-                                    categories.incr();
-                                }
-                                pending.insert(cat, agg);
+                            // Reversed pre-order: children before parents.
+                            for cat in tree.subtree(f).into_iter().rev() {
+                                pass.visit(cat);
                             }
-                            let agg = pending.remove(&f).expect("frontier root aggregated");
-                            roots.push((f, agg));
                         }
-                        (best, roots, expired)
+                        pass
                     })
                 })
             })
@@ -600,45 +602,28 @@ fn score_parallel(
             .collect()
     });
 
-    let mut best = Best::new(n);
-    let mut pending: FxHashMap<CatId, Agg> = FxHashMap::default();
-    let mut expired = false;
-    for result in results {
-        let (worker_best, roots, worker_expired) = result?;
-        best.absorb(&worker_best);
-        expired = expired || worker_expired;
-        for (cat, agg) in roots {
-            pending.insert(cat, agg);
+    let mut spine = Pass::new(ctx);
+    for worker in workers {
+        let worker = worker?;
+        for (s, cover) in worker.best.into_iter().enumerate() {
+            if let Some(cover) = cover {
+                offer(&mut spine.best, s, cover);
+            }
         }
+        spine.expired |= worker.expired;
+        spine.pending.extend(worker.pending);
     }
     // Finish the spine bottom-up: every spine child is spine or frontier,
-    // so its aggregate is already in `pending`.
-    for (seen, cat) in tree.post_order().into_iter().enumerate() {
-        if !is_spine[cat as usize] {
-            continue;
+    // so its aggregate is already pending.
+    for cat in tree.post_order() {
+        if is_spine[cat as usize] {
+            spine.visit(cat);
         }
-        let agg = aggregate_node(tree, cat, &mut pending, index);
-        expired = expired || (limited && budget.check_every(seen as u64, DEADLINE_STRIDE));
-        if !expired {
-            evaluate_category(
-                instance,
-                cat,
-                depths[cat as usize],
-                &agg,
-                &mut best,
-                candidates,
-            );
-            categories.incr();
-        }
-        pending.insert(cat, agg);
         if cat == ROOT {
             break;
         }
     }
-    if expired {
-        metrics.incr("budget/expired");
-    }
-    Ok(best)
+    Ok((spine.best, spine.expired))
 }
 
 /// A deliberately naive reference scorer over plain [`ItemSet`]s: per
@@ -646,16 +631,15 @@ fn score_parallel(
 /// and computes every `|C ∩ q|` with [`ItemSet::intersection_size`] — no
 /// inverted index, no hash-map aggregation, no threads.
 ///
-/// Similarities come from the same `score_with` call on the same integers
-/// and winners from the same [`better`] fold, so the result is bit-identical
-/// to [`score_tree`]; the scalar-vs-packed differential suite pins the
+/// Similarities and winners come from the same [`Cover::new`] and
+/// [`Cover::beats`] on the same integers, so the result is bit-identical to
+/// [`score_tree`]; the scalar-vs-packed differential suite pins the
 /// production path (CSR index + hashed aggregation) against this. Quadratic
 /// in practice — test-sized inputs only.
 pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeScore {
     use crate::itemset::ItemSet;
-    let n = instance.num_sets();
     let depths = category_depths(tree);
-    let mut best = Best::new(n);
+    let mut best = vec![None; instance.num_sets()];
     let mut pending: FxHashMap<CatId, ItemSet> = FxHashMap::default();
     for cat in tree.post_order() {
         let mut items = ItemSet::new(tree.direct_items(cat).to_vec());
@@ -672,43 +656,19 @@ pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeSco
                 // and disjoint sets cannot diverge.
                 continue;
             }
-            let q_len = set.items.len();
-            let delta = instance.threshold_of(s);
-            let sim = instance.similarity.score_with(delta, q_len, c_len, inter);
-            let precision = if c_len == 0 {
-                1.0
-            } else {
-                inter as f64 / c_len as f64
-            };
-            best.consider(s, sim, precision, depths[cat as usize], cat);
+            let cover = set_cover(instance, s, c_len, inter, cat, depths[cat as usize]);
+            offer(&mut best, s, cover);
         }
         pending.insert(cat, items);
         if cat == ROOT {
             break;
         }
     }
-    let mut total = 0.0;
-    let mut per_set = Vec::with_capacity(n);
-    for s in 0..n {
-        total += instance.sets[s].weight * best.sim[s];
-        per_set.push(SetCover {
-            best_category: best.cat[s],
-            similarity: best.sim[s],
-            covered: best.sim[s] > 0.0,
-            precision: best.precision[s],
-        });
-    }
-    let denom = instance.total_weight();
-    TreeScore {
-        total,
-        normalized: if denom > 0.0 { total / denom } else { 0.0 },
-        per_set,
-    }
+    tree_score(instance, &best)
 }
 
 /// Computes, per live category, which input sets it covers (similarity
-/// passes the set's threshold). Used by the condensing stage and by
-/// category labeling.
+/// passes the set's threshold). Used by category labeling and rendering.
 pub fn covering_map(instance: &Instance, tree: &CategoryTree) -> FxHashMap<CatId, Vec<u32>> {
     let index = instance.inverted_index();
     let mut covers: FxHashMap<CatId, Vec<u32>> = FxHashMap::default();
@@ -716,17 +676,12 @@ pub fn covering_map(instance: &Instance, tree: &CategoryTree) -> FxHashMap<CatId
     for cat in tree.post_order() {
         let agg = aggregate_node(tree, cat, &mut pending, &index);
         let c_len = agg.items.len();
+        // Depth only breaks ties, so it plays no part in this test.
         let mut covered: Vec<u32> = agg
             .inter
             .iter()
             .filter(|&(&set, &inter)| {
-                let s = set as usize;
-                instance.similarity.covers_with(
-                    instance.threshold_of(s),
-                    instance.sets[s].items.len(),
-                    c_len,
-                    inter as usize,
-                )
+                set_cover(instance, set as usize, c_len, inter as usize, cat, 0).similarity > 0.0
             })
             .map(|(&set, _)| set)
             .collect();
@@ -937,15 +892,26 @@ mod tests {
         // public builders (it needs a union of ~1e9 items), so the predicate
         // is exercised directly.
         let eps_sim = EPS / 2.0;
-        assert!(better(eps_sim, 1.0, 1, 3, 0.0, 1.0, 0, None));
+        let cover = |cat, depth| Cover {
+            cat,
+            similarity: eps_sim,
+            precision: 1.0,
+            depth,
+        };
+        assert!(cover(3, 1).beats(None));
         // And it must not be *lost* to the EPS band once recorded: an
         // exactly-equal competitor with equal precision and depth only wins
         // by the lower id.
-        assert!(!better(eps_sim, 1.0, 1, 5, eps_sim, 1.0, 1, Some(3)));
-        assert!(better(eps_sim, 1.0, 1, 2, eps_sim, 1.0, 1, Some(3)));
+        let incumbent = cover(3, 1);
+        assert!(!cover(5, 1).beats(Some(&incumbent)));
+        assert!(cover(2, 1).beats(Some(&incumbent)));
         // Deeper beats the id on full ties; zero similarity never wins.
-        assert!(better(eps_sim, 1.0, 2, 5, eps_sim, 1.0, 1, Some(3)));
-        assert!(!better(0.0, 1.0, 1, 1, 0.0, 1.0, 0, None));
+        assert!(cover(5, 2).beats(Some(&incumbent)));
+        let zero = Cover {
+            similarity: 0.0,
+            ..cover(1, 1)
+        };
+        assert!(!zero.beats(None));
     }
 
     #[test]

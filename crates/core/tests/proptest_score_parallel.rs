@@ -4,10 +4,13 @@
 //! subtrees and merges per-worker results; this test checks that the merge
 //! (including every tie-break) reproduces the serial `TreeScore` exactly —
 //! same totals, same per-set best categories, same similarities — on random
-//! instances and random tree shapes at 1, 2, and 4 threads.
+//! instances and random tree shapes at 1, 2, and 4 threads. The point
+//! queries (`PointIndex::best_cover` and `best_cover_among` over every
+//! slot) must report the same cover per set, bit for bit.
 
 use oct_core::prelude::*;
 use oct_core::score::{score_tree_with, ScoreOptions};
+use oct_resilience::Budget;
 use proptest::prelude::*;
 
 /// Builds a random tree the same way the model proptests do: each op either
@@ -54,6 +57,21 @@ proptest! {
                 &serial, &parallel,
                 "threads={} diverged from serial", threads
             );
+        }
+        let point = PointIndex::build(&tree, 100);
+        let all_slots: Vec<CatId> = (0..tree.len() as CatId).collect();
+        let budget = Budget::unlimited();
+        for (s, set) in instance.sets.iter().enumerate() {
+            let items = set.items.as_slice();
+            let exhaustive = point.best_cover(items, &instance.similarity, &budget);
+            let reranked = point.best_cover_among(items, &all_slots, &instance.similarity, &budget);
+            let batch = &serial.per_set[s];
+            for cover in [exhaustive, reranked] {
+                prop_assert_eq!(cover.best_category, batch.best_category, "set {}", s);
+                prop_assert_eq!(cover.similarity.to_bits(), batch.similarity.to_bits());
+                prop_assert_eq!(cover.precision.to_bits(), batch.precision.to_bits());
+                prop_assert_eq!(cover.covered, batch.covered);
+            }
         }
         // Structural invariants of the result itself.
         prop_assert!(serial.normalized >= 0.0 && serial.normalized <= 1.0 + 1e-12);

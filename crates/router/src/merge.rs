@@ -1,12 +1,11 @@
 //! Deterministic merge of per-shard cover answers.
 //!
 //! Each shard answers the best cover *for its slice of the queried items*;
-//! the router keeps whichever sub-answer wins under the same tie-break
-//! order the batch scorer (`oct-core::score`) and the point index use:
-//! highest similarity, then highest precision (both inside the shared
-//! `EPS` tie band), then the lowest category id. Depth — the scorer's
-//! third key — is not on the wire, so the merge goes straight to the id;
-//! this is documented in DESIGN.md §17 and is itself deterministic.
+//! the router keeps whichever sub-answer wins under
+//! [`Cover::beats`](oct_core::score::Cover::beats), the one best-cover order
+//! the batch scorer and the point index use. Depth is not on the wire, so
+//! every sub-answer ranks at depth 0 and equal `(similarity, precision)`
+//! fall through to the lowest category id (DESIGN.md §17).
 //!
 //! Determinism contract: for a fixed set of answering shards, the merged
 //! response is a pure function of the sub-responses, which are themselves
@@ -14,7 +13,7 @@
 //! order, so repeated runs against the same live fleet produce
 //! byte-identical lines.
 
-use oct_core::similarity::EPS;
+use oct_core::score::Cover;
 use oct_core::CatId;
 use oct_serve::Response;
 
@@ -67,37 +66,6 @@ impl SubCover {
     }
 }
 
-/// The scorer's tie-break, minus depth (not on the wire): is `(sim, prec,
-/// cat)` strictly better than the incumbent?
-fn better(
-    sim: f64,
-    precision: f64,
-    cat: CatId,
-    best_sim: f64,
-    best_precision: f64,
-    best_cat: Option<CatId>,
-) -> bool {
-    if sim <= 0.0 {
-        return false;
-    }
-    let Some(incumbent) = best_cat else {
-        return true;
-    };
-    if sim > best_sim + EPS {
-        return true;
-    }
-    if (sim - best_sim).abs() > EPS {
-        return false;
-    }
-    if precision > best_precision + EPS {
-        return true;
-    }
-    if (precision - best_precision).abs() > EPS {
-        return false;
-    }
-    cat < incumbent
-}
-
 /// Merges the surviving shards' answers into one router response.
 ///
 /// `subs` must be in ascending shard order (the fan-out plan's order);
@@ -109,23 +77,25 @@ pub fn merge_covers(subs: &[SubCover], mut missing: Vec<u32>) -> Response {
     debug_assert!(subs.windows(2).all(|w| w[0].shard < w[1].shard));
     missing.sort_unstable();
     missing.dedup();
-    let mut best: Option<&SubCover> = None;
+    let mut best: Option<(Cover, &SubCover)> = None;
     let mut any_degraded = false;
     for sub in subs {
         any_degraded |= sub.degraded;
         let Some(cat) = sub.cat else { continue };
-        let (bs, bp, bc) = match best {
-            Some(b) => (b.similarity, b.precision, b.cat),
-            None => (0.0, 0.0, None),
+        let cover = Cover {
+            cat,
+            similarity: sub.similarity,
+            precision: sub.precision,
+            depth: 0,
         };
-        if better(sub.similarity, sub.precision, cat, bs, bp, bc) {
-            best = Some(sub);
+        if cover.beats(best.as_ref().map(|(incumbent, _)| incumbent)) {
+            best = Some((cover, sub));
         }
     }
     let epoch = subs.iter().map(|s| s.epoch).min().unwrap_or(0);
     let degraded = any_degraded || !missing.is_empty();
     match best {
-        Some(win) => Response::Cover {
+        Some((_, win)) => Response::Cover {
             epoch,
             cat: win.cat,
             similarity: win.similarity,

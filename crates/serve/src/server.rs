@@ -462,12 +462,8 @@ fn cover(shared: &Shared, snapshot: &ServingTree, items: &[u32], with_label: boo
     })
 }
 
-/// Candidate pool floor for top-k NAVIGATE: reranking a few extra
-/// candidates is cheap and buys recall headroom when k is small.
-const TOPK_POOL_FLOOR: usize = 32;
-
-/// The top-k NAVIGATE path: same isolation as [`cover`], but narrowing
-/// with the ANN index before the exact rerank.
+/// The top-k NAVIGATE path: same isolation as [`cover`], with the shared
+/// narrow-then-rerank policy of [`oct_core::PointIndex::navigate`].
 fn navigate_topk(
     shared: &Shared,
     snapshot: &ServingTree,
@@ -475,25 +471,27 @@ fn navigate_topk(
     items: &[u32],
     ef: Option<usize>,
 ) -> Response {
-    let pool = k.max(TOPK_POOL_FLOOR);
-    let ef = ef.unwrap_or(oct_core::vector::DEFAULT_EF_SEARCH).max(pool);
     let budget = request_budget(shared);
     answer_isolated(shared, "serve topk", || {
-        let candidates = snapshot.ann.candidates_for(items, pool, ef);
-        let (ranked, degraded) = snapshot.index.top_covers_among(
+        let answer = snapshot.index.navigate(
+            &snapshot.ann,
             items,
-            &candidates,
             k,
+            ef,
             &shared.trees.similarity,
             &budget,
         );
-        note_degraded(shared, degraded);
+        note_degraded(shared, answer.degraded);
         Response::TopK {
             epoch: snapshot.epoch,
             k,
-            ef,
-            degraded,
-            results: ranked.iter().map(|r| (r.cat, r.similarity)).collect(),
+            ef: answer.ef,
+            degraded: answer.degraded,
+            results: answer
+                .covers
+                .iter()
+                .map(|r| (r.cat, r.similarity))
+                .collect(),
         }
     })
 }
