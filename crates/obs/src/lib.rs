@@ -219,7 +219,9 @@ impl Metrics {
     /// A view of this sink that prefixes every metric name with
     /// `prefix + "/"`. Made for per-entity families — a router tracking
     /// `router/replica/<addr>/{ok,fail,hedge_wins}` builds one scope per
-    /// replica instead of formatting names on every update. Scopes share
+    /// replica. Its `incr`/`add`/`gauge`/`observe` still format the full
+    /// name on every call; hot paths take [`ScopedMetrics::counter`] /
+    /// [`ScopedMetrics::histogram`] handles once instead. Scopes share
     /// the underlying sink (and its degraded flag); a scope of a disabled
     /// handle is a no-op like its parent.
     pub fn scoped(&self, prefix: &str) -> ScopedMetrics {
@@ -305,6 +307,11 @@ impl ScopedMetrics {
     /// A lock-free [`Counter`] handle for `<prefix>/<name>`.
     pub fn counter(&self, name: &str) -> Counter {
         self.metrics.counter(&format!("{}{name}", self.prefix))
+    }
+
+    /// A lock-free [`Histogram`] handle for `<prefix>/<name>`.
+    pub fn histogram(&self, name: &str) -> Histogram {
+        self.metrics.histogram(&format!("{}{name}", self.prefix))
     }
 
     /// Sets the gauge `<prefix>/<name>`.
@@ -424,6 +431,7 @@ mod tests {
         scope.incr("ok");
         scope.add("ok", 2);
         scope.counter("fail").incr();
+        scope.histogram("wait").observe(Duration::from_micros(5));
         scope.gauge("depth", 3.0);
         scope.observe("latency", Duration::from_micros(10));
         let report = m.report();
@@ -438,6 +446,9 @@ mod tests {
         );
         assert!(report
             .histogram("router/replica/127.0.0.1:7171/latency")
+            .is_some());
+        assert!(report
+            .histogram("router/replica/127.0.0.1:7171/wait")
             .is_some());
         // A scope over a disabled sink is a no-op, like its parent.
         let off = Metrics::disabled().scoped("x");

@@ -12,7 +12,7 @@ use std::io;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use oct_obs::{Metrics, ScopedMetrics};
+use oct_obs::{Counter, Histogram, Metrics, ScopedMetrics};
 use oct_resilience::{
     BreakerConfig, CircuitBreaker, HealthConfig, HealthMachine, HedgeConfig, HedgeTrigger,
 };
@@ -33,7 +33,19 @@ pub struct Replica {
     /// Latency-quantile tracker driving this replica's hedge delay.
     pub trigger: HedgeTrigger,
     pool: Mutex<Vec<Client>>,
+    /// `router/replica/<addr>/...`; the probe loop records through it.
     scope: ScopedMetrics,
+    attempts: AttemptMetrics,
+}
+
+/// The per-replica metrics every sub-request attempt updates, looked up
+/// once so an attempt takes no metrics lock and formats no name.
+struct AttemptMetrics {
+    latency: Histogram,
+    ok: Counter,
+    rejected: Counter,
+    fail: Counter,
+    pool_stale: Counter,
 }
 
 impl Replica {
@@ -46,12 +58,20 @@ impl Replica {
         metrics: &Metrics,
     ) -> Self {
         let scope = metrics.scoped(&format!("router/replica/{addr}"));
+        let attempts = AttemptMetrics {
+            latency: scope.histogram("latency"),
+            ok: scope.counter("ok"),
+            rejected: scope.counter("rejected"),
+            fail: scope.counter("fail"),
+            pool_stale: scope.counter("pool_stale"),
+        };
         Self {
             breaker: CircuitBreaker::new(breaker),
             health: HealthMachine::new(health),
             trigger: HedgeTrigger::new(hedge),
             pool: Mutex::new(Vec::new()),
             scope,
+            attempts,
             addr,
         }
     }
@@ -86,7 +106,7 @@ impl Replica {
                     return Ok(resp);
                 }
                 Err(e) if stale_pool_error(&e) => {
-                    self.scope.incr("pool_stale");
+                    self.attempts.pool_stale.incr();
                 }
                 Err(e) => return Err(e),
             }
@@ -117,21 +137,21 @@ impl Replica {
                 Verdict::Answer(epoch) => {
                     let elapsed = started.elapsed();
                     self.trigger.observe(elapsed);
-                    self.scope.observe("latency", elapsed);
-                    self.scope.incr("ok");
+                    self.attempts.latency.observe(elapsed);
+                    self.attempts.ok.incr();
                     self.health
                         .on_success(epoch.unwrap_or_else(|| self.health.epoch()));
                     self.breaker.record_success();
                     Ok(resp)
                 }
                 Verdict::Rejected(why) => {
-                    self.scope.incr("rejected");
+                    self.attempts.rejected.incr();
                     self.breaker.record_failure();
                     Err(format!("{}: {why}", self.addr))
                 }
             },
             Err(e) => {
-                self.scope.incr("fail");
+                self.attempts.fail.incr();
                 self.health.on_failure();
                 self.breaker.record_failure();
                 Err(format!("{}: {e}", self.addr))

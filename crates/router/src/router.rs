@@ -6,7 +6,8 @@
 //! ```text
 //! accept ─▶ admission (BoundedQueue, typed OVERLOADED shed — same as oct-serve)
 //!              ▼
-//!           worker pops connection; per request line:
+//!           worker pops connection ─▶ oct-serve's serve_connection
+//!           (answers buffered per read chunk); per request line:
 //!              CATEGORIZE/SCORE ─▶ partition items by shard (consistent hash)
 //!                 │  per owning shard, in parallel:
 //!                 │    candidates = replicas in rendezvous order,
@@ -35,7 +36,7 @@
 //! replicas; probes also observe tree epochs, so after a partial `SWAP`
 //! the router prefers replicas serving the newest epoch a shard has.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,7 +48,7 @@ use oct_obs::{Metrics, PipelineReport};
 use oct_resilience::{run_hedged, Budget, CancelToken, HedgeReason, HedgeWinner, RetryPolicy};
 use oct_resilience::{BreakerConfig, HealthConfig, HedgeConfig};
 use oct_serve::queue::{BoundedQueue, Push};
-use oct_serve::server::{LineReader, NextLine};
+use oct_serve::server::{reject, serve_connection, ConnectionPolicy};
 use oct_serve::{ErrorCode, Request, Response};
 
 use crate::merge::{merge_covers, SubCover};
@@ -56,8 +57,6 @@ use crate::shard::{rendezvous_order, request_key, ShardMap};
 
 /// Worker queue-pop poll interval (drain responsiveness).
 const POP_INTERVAL: Duration = Duration::from_millis(25);
-/// Socket read timeout — idle connections notice drain at this cadence.
-const READ_INTERVAL: Duration = Duration::from_millis(50);
 /// Accept-loop poll interval when no connection is pending.
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// `SWAP` fan-out allows this many attempt-timeouts per replica (a swap
@@ -167,6 +166,7 @@ struct Shared {
     topology: Topology,
     queue: BoundedQueue<TcpStream>,
     metrics: Metrics,
+    connections: ConnectionPolicy,
     shutdown: AtomicBool,
     drain_token: CancelToken,
     in_flight: AtomicUsize,
@@ -259,6 +259,12 @@ impl Router {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: config.metrics.clone(),
+            connections: ConnectionPolicy::new(
+                &config.metrics,
+                "router",
+                config.idle_timeout,
+                config.max_requests,
+            ),
             topology,
             shutdown: AtomicBool::new(false),
             drain_token: CancelToken::new(),
@@ -357,89 +363,38 @@ fn probe_loop(shared: &Shared) {
 fn admit(shared: &Shared, conn: TcpStream) {
     match shared.queue.try_push(conn) {
         Push::Ok => {}
-        Push::Full(mut conn, depth) => {
+        Push::Full(conn, depth) => {
             shared.metrics.incr("router/shed");
-            let line = Response::Overloaded { queue_depth: depth }.encode();
-            let _ = conn.set_nonblocking(false);
-            let _ = writeln!(conn, "{line}");
+            reject(conn, Response::Overloaded { queue_depth: depth });
         }
-        Push::Closed(mut conn) => {
-            let line = Response::Error {
+        Push::Closed(conn) => reject(
+            conn,
+            Response::Error {
                 code: ErrorCode::Unavailable,
                 message: "draining".to_owned(),
-            }
-            .encode();
-            let _ = conn.set_nonblocking(false);
-            let _ = writeln!(conn, "{line}");
-        }
+            },
+        ),
     }
 }
 
+/// Serves each popped connection through the backend's own loop
+/// (`oct_serve::server::serve_connection`): same framing, 1 MiB line cap,
+/// pipelined replies, idle budget, request cap and drain close.
 fn worker_loop(shared: &Shared) {
     loop {
         match shared.queue.pop_timeout(POP_INTERVAL) {
             Some(conn) => {
                 shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let _ = serve_connection(shared, conn);
+                let _ = serve_connection(
+                    conn,
+                    &shared.connections,
+                    || shared.draining(),
+                    |request| handle_request(shared, request),
+                );
                 shared.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
             None if shared.queue.is_closed() => return,
             None => {}
-        }
-    }
-}
-
-/// Serves request lines on one connection — the same framing (and 1 MiB
-/// line cap) as the backend, so one malformed line yields a typed error,
-/// never a dropped connection.
-fn serve_connection(shared: &Shared, mut conn: TcpStream) -> io::Result<()> {
-    conn.set_nonblocking(false)?;
-    conn.set_read_timeout(Some(READ_INTERVAL))?;
-    let mut reader = LineReader::new();
-    let mut served = 0usize;
-    loop {
-        // Slowloris guard, same shape as the backend: the deadline caps
-        // the cumulative wait for a complete line, which dribbled bytes
-        // reset the socket timeout against but not this.
-        let deadline = Instant::now() + shared.config.idle_timeout;
-        let line = match reader.next_line_within(&mut conn, || shared.draining(), Some(deadline)) {
-            Ok(NextLine::Line(line)) => line,
-            Ok(NextLine::Closed) => return Ok(()),
-            Ok(NextLine::TimedOut) => {
-                shared.metrics.incr("router/idle_closed");
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match Request::parse(&line) {
-            Ok(request) => {
-                let started = Instant::now();
-                shared.metrics.incr("router/requests");
-                let resp = handle_request(shared, request);
-                shared.metrics.observe("router/latency", started.elapsed());
-                resp
-            }
-            Err(message) => Response::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            },
-        };
-        let done = matches!(response, Response::Draining);
-        writeln!(conn, "{}", response.encode())?;
-        // Same contract as the backend: drain closes busy connections
-        // after the response in hand, so pipelining clients cannot pin a
-        // worker past drain.
-        if done || shared.draining() {
-            return Ok(());
-        }
-        served += 1;
-        let cap = shared.config.max_requests;
-        if cap > 0 && served >= cap {
-            shared.metrics.incr("router/conn_retired");
-            return Ok(());
         }
     }
 }

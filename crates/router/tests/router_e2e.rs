@@ -63,6 +63,14 @@ fn kill(backend: Backend) {
 /// plus a router fronting them. Health/probe knobs are tightened so
 /// failure detection and recovery land within test timescales.
 fn start_fleet(per_shard: &[usize]) -> (Vec<Vec<Backend>>, Router) {
+    start_fleet_with(per_shard, |_| {})
+}
+
+/// [`start_fleet`] with the router's config adjusted by `tweak`.
+fn start_fleet_with(
+    per_shard: &[usize],
+    tweak: impl FnOnce(&mut RouterConfig),
+) -> (Vec<Vec<Backend>>, Router) {
     let fleet: Vec<Vec<Backend>> = per_shard
         .iter()
         .map(|&n| (0..n).map(|_| start_backend("127.0.0.1:0")).collect())
@@ -71,7 +79,7 @@ fn start_fleet(per_shard: &[usize]) -> (Vec<Vec<Backend>>, Router) {
         .iter()
         .map(|replicas| replicas.iter().map(|b| b.addr.to_string()).collect())
         .collect();
-    let config = RouterConfig {
+    let mut config = RouterConfig {
         workers: 2,
         attempt_timeout: Duration::from_millis(500),
         deadline_ms: Some(3000),
@@ -88,6 +96,7 @@ fn start_fleet(per_shard: &[usize]) -> (Vec<Vec<Backend>>, Router) {
         shards,
         ..RouterConfig::default()
     };
+    tweak(&mut config);
     let router = Router::bind(config).expect("bind router");
     (fleet, router)
 }
@@ -424,4 +433,151 @@ fn navigate_topk_is_byte_identical_across_runs_and_replicas() {
     for b in survivors {
         kill(b);
     }
+}
+
+fn kill_fleet(fleet: Vec<Vec<Backend>>) {
+    for replicas in fleet {
+        for b in replicas {
+            kill(b);
+        }
+    }
+}
+
+/// A mixed pipelined burst through the router: a spanning labelled cover,
+/// a label-free cover, a top-k navigation, a malformed line and `STATS`.
+const MIXED_BURST: [&str; 5] = [
+    "CATEGORIZE 0,1,2,3,4,5,6,7",
+    "SCORE 8,9,10,11",
+    "NAVIGATE 2 items=0,1,9",
+    "FROBNICATE 1,2",
+    "STATS",
+];
+
+/// Each line sent only after the previous one is answered.
+fn answers_one_at_a_time(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
+    let mut c = RawClient::connect(addr);
+    lines.iter().map(|line| c.roundtrip(line) + "\n").collect()
+}
+
+/// Sends every line in one write; the answers are read from the result.
+fn send_burst(addr: SocketAddr, lines: &[&str]) -> BufReader<TcpStream> {
+    let c = RawClient::connect(addr);
+    let burst: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    (&c.conn).write_all(burst.as_bytes()).expect("send burst");
+    c.reader
+}
+
+/// Reads one answer line, newline included; panics on EOF.
+fn read_answer(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.ends_with('\n'), "truncated answer: {line:?}");
+    line
+}
+
+/// Asserts the router closed the connection cleanly (EOF, not a reset).
+fn assert_eof(reader: &mut BufReader<TcpStream>) {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("clean close, no reset");
+    assert_eq!(n, 0, "expected EOF, got {line:?}");
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_like_lines_sent_one_at_a_time() {
+    let (fleet, router) = start_fleet(&[1, 1]);
+    let (addr, drain, join) = spawn_router(router);
+    let want = answers_one_at_a_time(addr, &MIXED_BURST);
+    assert!(want[3].starts_with("ERR bad-request"), "{want:?}");
+    assert!(want[4].contains("degraded=0"), "healthy fleet: {want:?}");
+
+    let mut reader = send_burst(addr, &MIXED_BURST);
+    let got: Vec<String> = MIXED_BURST
+        .iter()
+        .map(|_| read_answer(&mut reader))
+        .collect();
+    assert_eq!(got, want, "same bytes, same order");
+
+    drain.drain();
+    join.join().expect("router exits");
+    kill_fleet(fleet);
+}
+
+#[test]
+fn a_pipelined_burst_crossing_the_request_cap_gets_cap_answers_then_eof() {
+    let metrics = Metrics::new(true);
+    let (fleet, router) = start_fleet_with(&[1, 1], |config| {
+        config.max_requests = 3;
+        config.metrics = metrics.clone();
+    });
+    let (addr, drain, join) = spawn_router(router);
+    let want = answers_one_at_a_time(addr, &MIXED_BURST[..3]);
+
+    // Past the cap, > 4 KiB of pipelined requests stay unread in the
+    // socket: the close must still be an EOF, not a reset.
+    let long = format!("SCORE {}", ["0"; 500].join(","));
+    let mut lines = MIXED_BURST.to_vec();
+    lines.extend([long.as_str(); 8]);
+    let mut reader = send_burst(addr, &lines);
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(&read_answer(&mut reader), want, "answer {i}");
+    }
+    assert_eof(&mut reader);
+    // Both connections hit the cap: the one-at-a-time one and the burst.
+    assert_eq!(metrics.report().counter("router/conn_retired"), Some(2));
+
+    drain.drain();
+    join.join().expect("router exits");
+    kill_fleet(fleet);
+}
+
+#[test]
+fn a_pipelined_burst_through_shutdown_is_answered_up_to_draining_then_eof() {
+    let (fleet, router) = start_fleet(&[1, 1]);
+    let (addr, drain, join) = spawn_router(router);
+    let mut want = answers_one_at_a_time(addr, &MIXED_BURST[..2]);
+    want.push("OK DRAINING\n".to_owned());
+
+    let lines = [MIXED_BURST[0], MIXED_BURST[1], "SHUTDOWN", "PING", "STATS"];
+    let mut reader = send_burst(addr, &lines);
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(&read_answer(&mut reader), want, "answer {i}");
+    }
+    assert_eof(&mut reader);
+    join.join().expect("router exits");
+    drop(drain);
+    kill_fleet(fleet);
+}
+
+#[test]
+fn router_shed_connection_closes_cleanly_after_an_unread_request() {
+    let (fleet, router) = start_fleet_with(&[1], |config| {
+        config.workers = 1;
+        config.queue_capacity = 1;
+    });
+    let (addr, drain, join) = spawn_router(router);
+    let held1 = RawClient::connect(addr);
+    thread::sleep(Duration::from_millis(150)); // let the worker pop held1
+    let held2 = RawClient::connect(addr);
+    thread::sleep(Duration::from_millis(150)); // let held2 take the queue slot
+
+    // Each client sends its request before the router reads anything, as a
+    // one-shot client does. The router never reads that line, yet the
+    // client must get the OVERLOADED reply and then a clean EOF, not a
+    // reset.
+    for i in 0..10 {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        writeln!(conn, "CATEGORIZE 0,1").expect("send request");
+        thread::sleep(Duration::from_millis(20)); // the router sheds meanwhile
+        let mut reader = BufReader::new(conn);
+        let resp = Response::parse(&read_answer(&mut reader)).expect("typed response");
+        assert!(resp.is_overloaded(), "client {i}: got {resp:?}");
+        assert_eof(&mut reader);
+    }
+
+    drop(held1);
+    drop(held2);
+    drain.drain();
+    join.join().expect("router exits");
+    kill_fleet(fleet);
 }

@@ -26,9 +26,9 @@ impl Client {
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address resolved"))?;
         let stream = TcpStream::connect_timeout(&addr, timeout)?;
         stream.set_read_timeout(Some(timeout))?;
-        // One request is several small writes (line, newline); without
-        // TCP_NODELAY, Nagle holds the tail until the delayed ACK of the
-        // head — tens of milliseconds of artificial latency per request.
+        // One request is one small write; without TCP_NODELAY, Nagle holds
+        // it back while the previous request is still unacknowledged, and
+        // the server's delayed ACK adds tens of milliseconds to it.
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
@@ -44,8 +44,9 @@ impl Client {
     /// means the conversation itself broke (connection reset, timeout,
     /// unparseable line).
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
-        writeln!(self.writer, "{}", request.encode())?;
-        self.writer.flush()?;
+        let mut sent = request.encode().into_bytes();
+        sent.push(b'\n');
+        self.writer.write_all(&sent)?;
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {

@@ -60,7 +60,7 @@ pub use client::Client;
 pub use loadgen::{Arrival, KeyDist, LoadGenConfig, LoadGenOutcome};
 pub use protocol::{ErrorCode, Request, Response};
 pub use queue::{BoundedQueue, Push};
-pub use server::{DrainHandle, LineReader, NextLine, ServeConfig, Server};
+pub use server::{DrainHandle, ServeConfig, Server};
 pub use swap::{ServingTree, TreeHandle};
 
 /// Convenient glob-import surface.

@@ -46,8 +46,9 @@ pub enum Request {
         /// Shard scope tag (router fan-out): marks this request as the
         /// sub-query for one shard's slice of a larger item set. Backends
         /// treat it as routing metadata — the cover computation is
-        /// unchanged — but count scoped traffic separately so per-shard
-        /// load is attributable.
+        /// unchanged — and count scoped traffic under one `serve/scoped`
+        /// counter, whatever the id (a client picks it, so a per-id
+        /// counter would let it grow the metric set without bound).
         shard: Option<u32>,
     },
     /// Best cover of the item set, label-free.

@@ -7,19 +7,33 @@
 //! accept ─▶ admission (BoundedQueue.try_push)
 //!              │ Full ─▶ OVERLOADED queue=N, lingering close (typed shed, no work done)
 //!              ▼
-//!           worker pops connection
-//!              │ per request line:
+//!           worker pops connection ─▶ serve_connection
+//!              │ read one chunk (≤ 4 KiB) of request bytes
+//!              │ per complete request line in it:
 //!              │   snapshot = TreeHandle::load()     (hot-swap safe)
 //!              │   budget   = deadline ∧ drain token (slow ⇒ degraded cover)
 //!              │   run_isolated { execute }  (panic ⇒ ERR internal)
+//!              │   response line appended to the output buffer
 //!              ▼
-//!           response line; latency histogram
+//!           one write of the buffer, before the next read or the close
 //! ```
 //!
 //! A cover is a pure function of (snapshot, request), so a contained panic
 //! would recur on a retry: it is answered with `ERR internal` at once, and
 //! the connection goes on to its next request. Retries and circuit
 //! breakers live in the shard router, where failures are transient.
+//!
+//! # Pipelined replies
+//!
+//! [`serve_connection`] is the connection loop of both daemons (`oct-router`
+//! passes its own handler). It answers every complete line of a read chunk
+//! into one buffer and writes that buffer with a single `write_all` when no
+//! complete line is left, i.e. just before it would read the socket again,
+//! and before every close (EOF aside: the buffer is already empty then). A
+//! burst of pipelined requests thus costs one write and one packet per read
+//! chunk instead of two per answer. The price: a slow request (a `SWAP`, a
+//! cover that runs to its deadline) also holds back the earlier answers of
+//! its own chunk.
 //!
 //! # Drain
 //!
@@ -41,7 +55,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use oct_core::{persist, Similarity};
-use oct_obs::{Metrics, PipelineReport};
+use oct_obs::{Counter, Histogram, Metrics, PipelineReport};
 use oct_resilience::{run_isolated, Budget, CancelToken};
 
 use crate::protocol::{ErrorCode, Request, Response};
@@ -57,8 +71,8 @@ const READ_INTERVAL: Duration = Duration::from_millis(50);
 const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// Hard cap on one request line (DoS guard).
 const MAX_LINE: usize = 1 << 20;
-/// How long a turned-away connection is drained before it is dropped.
-const REJECT_LINGER: Duration = Duration::from_millis(50);
+/// How long a connection the daemon closes is drained before it is dropped.
+const LINGER: Duration = Duration::from_millis(50);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -117,6 +131,9 @@ struct Shared {
     trees: TreeHandle,
     queue: BoundedQueue<TcpStream>,
     metrics: Metrics,
+    connections: ConnectionPolicy,
+    /// `serve/scoped`: shard-scoped sub-queries (router fan-out).
+    scoped: Counter,
     /// Per-server drain flag (the process-global signal flag is OR'd in so
     /// several test servers in one process don't drain each other).
     shutdown: AtomicBool,
@@ -169,6 +186,13 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: config.metrics.clone(),
+            connections: ConnectionPolicy::new(
+                &config.metrics,
+                "serve",
+                config.idle_timeout,
+                config.max_requests,
+            ),
+            scoped: config.metrics.counter("serve/scoped"),
             trees: TreeHandle::new(initial, similarity),
             shutdown: AtomicBool::new(false),
             drain_token: CancelToken::new(),
@@ -212,9 +236,10 @@ impl Server {
             match listener.accept() {
                 Ok((conn, _peer)) => {
                     shared.metrics.incr("serve/accepted");
-                    // Responses are small multi-part writes; leaving Nagle
-                    // on stacks its delay onto the client's delayed ACK and
-                    // inflates per-request latency by tens of milliseconds.
+                    // Replies go out as one write per request chunk; with
+                    // Nagle on, a write made while the previous one is
+                    // unacknowledged waits for the client's delayed ACK,
+                    // tens of milliseconds per round.
                     let _ = conn.set_nodelay(true);
                     admit(&shared, conn);
                 }
@@ -273,19 +298,27 @@ fn admit(shared: &Shared, conn: TcpStream) {
     }
 }
 
-/// Answers a connection that will not be served, then closes it without a
-/// reset. Dropping a socket whose request bytes were never read makes the
-/// kernel send RST, which can destroy the reply before the client reads it
-/// (the client sees `Broken pipe` or `Connection reset`). So the close
-/// lingers: shut down the write half, which sends the reply and then FIN,
-/// read and discard what the client sends until it closes, and drop the
-/// socket after that. The drain stops after [`REJECT_LINGER`], so a slow
-/// client cannot stall the accept loop for longer.
-fn reject(mut conn: TcpStream, response: Response) {
+/// Answers a connection that will not be served, then closes it with
+/// [`close_lingering`]. Both daemons' accept loops shed through this.
+pub fn reject(mut conn: TcpStream, response: Response) {
     let _ = conn.set_nonblocking(false);
-    let _ = writeln!(conn, "{}", response.encode());
+    let mut line = Vec::new();
+    push_line(&mut line, &response);
+    let _ = conn.write_all(&line);
+    close_lingering(conn);
+}
+
+/// Closes a connection without a reset. Dropping a socket whose request
+/// bytes were never read makes the kernel send RST, which can destroy the
+/// reply before the client reads it (the client sees `Broken pipe` or
+/// `Connection reset`). So the close lingers: shut down the write half,
+/// which sends what was written and then FIN, read and discard what the
+/// client sends until it closes, and drop the socket after that. The drain
+/// stops after [`LINGER`], so a slow client cannot stall the caller for
+/// longer.
+fn close_lingering(mut conn: TcpStream) {
     let _ = conn.shutdown(Shutdown::Write);
-    let deadline = Instant::now() + REJECT_LINGER;
+    let deadline = Instant::now() + LINGER;
     let mut sink = [0u8; 1024];
     loop {
         let left = deadline.saturating_duration_since(Instant::now());
@@ -304,7 +337,12 @@ fn worker_loop(shared: &Shared) {
         match shared.queue.pop_timeout(POP_INTERVAL) {
             Some(conn) => {
                 shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let _ = serve_connection(shared, conn, handle_request);
+                let _ = serve_connection(
+                    conn,
+                    &shared.connections,
+                    || shared.draining(),
+                    |request| handle_request(shared, request),
+                );
                 shared.in_flight.fetch_sub(1, Ordering::Relaxed);
             }
             None if shared.queue.is_closed() => return,
@@ -313,32 +351,86 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Serves request lines on one connection until EOF, a `SHUTDOWN`, drain,
-/// or an I/O error, answering each parsed request with `handle` (always
-/// [`handle_request`] outside tests). One malformed line yields
-/// `ERR bad-request`, not a dropped connection.
-fn serve_connection(
-    shared: &Shared,
+/// Appends one response as it goes on the wire: the encoded line and its
+/// `'\n'`.
+fn push_line(out: &mut Vec<u8>, response: &Response) {
+    out.extend_from_slice(response.encode().as_bytes());
+    out.push(b'\n');
+}
+
+/// A daemon's per-connection limits and the metric handles its
+/// [`serve_connection`] loop updates, looked up once so the per-request
+/// path takes no lock and formats no name.
+pub struct ConnectionPolicy {
+    /// Slowloris guard: cap on the cumulative wait for one complete line.
+    idle_timeout: Duration,
+    /// Requests answered per connection before a courteous close (`0` =
+    /// unlimited).
+    max_requests: usize,
+    requests: Counter,
+    latency: Histogram,
+    idle_closed: Counter,
+    retired: Counter,
+}
+
+impl ConnectionPolicy {
+    /// The policy of one daemon, counting under
+    /// `<prefix>/{requests,latency,idle_closed,conn_retired}`.
+    pub fn new(
+        metrics: &Metrics,
+        prefix: &str,
+        idle_timeout: Duration,
+        max_requests: usize,
+    ) -> Self {
+        Self {
+            idle_timeout,
+            max_requests,
+            requests: metrics.counter(&format!("{prefix}/requests")),
+            latency: metrics.histogram(&format!("{prefix}/latency")),
+            idle_closed: metrics.counter(&format!("{prefix}/idle_closed")),
+            retired: metrics.counter(&format!("{prefix}/conn_retired")),
+        }
+    }
+}
+
+/// Serves request lines on one connection until EOF, a `SHUTDOWN`, drain
+/// (`draining()` turning true), the idle budget or the request cap of
+/// `policy`, or an I/O error, answering each parsed request with `handle`.
+/// One malformed line yields `ERR bad-request`, not a dropped connection.
+///
+/// Answers are buffered and written once per read chunk (see the module
+/// docs); every close writes the buffer first. The closes the daemon
+/// chooses (request cap, `SHUTDOWN`, drain) linger like [`reject`], so
+/// pipelined requests it leaves unread do not turn them into resets.
+pub fn serve_connection(
     mut conn: TcpStream,
-    handle: impl Fn(&Shared, Request) -> Response,
+    policy: &ConnectionPolicy,
+    draining: impl Fn() -> bool,
+    mut handle: impl FnMut(Request) -> Response,
 ) -> io::Result<()> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(READ_INTERVAL))?;
     let mut reader = LineReader::new();
+    let mut out: Vec<u8> = Vec::new();
     let mut served = 0usize;
     loop {
+        // The next line needs a read from the socket: answer everything
+        // so far first, in one write.
+        if !reader.has_line() && !out.is_empty() {
+            conn.write_all(&out)?;
+            out.clear();
+        }
         // The deadline is per *complete line*, so a slowloris dribbling
         // bytes (which resets the socket read timeout every poll) still
         // runs out of road.
-        let deadline = Instant::now() + shared.config.idle_timeout;
-        let line = match reader.next_line_within(&mut conn, || shared.draining(), Some(deadline)) {
-            Ok(NextLine::Line(line)) => line,
-            Ok(NextLine::Closed) => return Ok(()), // EOF or drain while idle
-            Ok(NextLine::TimedOut) => {
-                shared.metrics.incr("serve/idle_closed");
+        let deadline = Instant::now() + policy.idle_timeout;
+        let line = match reader.next_line_within(&mut conn, &draining, deadline)? {
+            NextLine::Line(line) => line,
+            NextLine::Closed => return Ok(()), // EOF or drain while idle
+            NextLine::TimedOut => {
+                policy.idle_closed.incr();
                 return Ok(());
             }
-            Err(e) => return Err(e),
         };
         if line.trim().is_empty() {
             continue;
@@ -346,9 +438,9 @@ fn serve_connection(
         let response = match Request::parse(&line) {
             Ok(request) => {
                 let started = Instant::now();
-                shared.metrics.incr("serve/requests");
-                let resp = handle(shared, request);
-                shared.metrics.observe("serve/latency", started.elapsed());
+                policy.requests.incr();
+                let resp = handle(request);
+                policy.latency.observe(started.elapsed());
                 resp
             }
             Err(message) => Response::Error {
@@ -356,21 +448,24 @@ fn serve_connection(
                 message,
             },
         };
-        let done = matches!(response, Response::Draining);
-        writeln!(conn, "{}", response.encode())?;
-        // Drain closes busy connections too: the request in hand got its
+        push_line(&mut out, &response);
+        served += 1;
+        // Drain closes busy connections too: the request in hand gets its
         // response, but a client pipelining fast enough to never leave a
         // read-timeout gap must not pin this worker past drain.
-        if done || shared.draining() {
-            return Ok(());
-        }
-        served += 1;
-        let cap = shared.config.max_requests;
-        if cap > 0 && served >= cap {
-            // Courteous close: the Nth response is already on the wire,
-            // and a well-behaved client (the router's pool included)
-            // treats the EOF as "reconnect", not as a failure.
-            shared.metrics.incr("serve/conn_retired");
+        let done = matches!(response, Response::Draining) || draining();
+        // Courteous close at the cap: the Nth response goes out first, and
+        // a well-behaved client (the router's pool included) treats the
+        // EOF as "reconnect", not as a failure.
+        let retired = !done && policy.max_requests > 0 && served >= policy.max_requests;
+        if done || retired {
+            if retired {
+                policy.retired.incr();
+            }
+            // Pipelined requests past this one may still sit unread in
+            // the socket: a plain drop would reset the connection.
+            conn.write_all(&out)?;
+            close_lingering(conn);
             return Ok(());
         }
     }
@@ -425,11 +520,12 @@ fn handle_request(shared: &Shared, request: Request) -> Response {
     }
 }
 
-/// Attributes shard-scoped sub-queries (router fan-out) so per-shard load
-/// shows up in the report; the scope tag does not change the computation.
+/// Counts shard-scoped sub-queries (router fan-out) under `serve/scoped`;
+/// the scope tag does not change the computation. One counter for every
+/// shard id, so client-chosen ids cannot grow the metric set.
 fn count_scoped(shared: &Shared, shard: Option<u32>) {
-    if let Some(shard) = shard {
-        shared.metrics.incr(&format!("serve/shard/{shard}"));
+    if shard.is_some() {
+        shared.scoped.incr();
     }
 }
 
@@ -573,52 +669,38 @@ fn swap_tree(shared: &Shared, path: &str) -> Response {
 /// `BufReader::read_line` cannot be used across a timeout error — it may
 /// have consumed a partial line into its private buffer. This reader owns
 /// the buffer, so timeouts are a clean "no progress yet" and the partial
-/// line survives for the next poll. Public so the shard router's front-end
-/// shares the exact same framing (including the 1 MiB DoS cap).
-pub struct LineReader {
+/// line survives for the next poll.
+struct LineReader {
     buf: Vec<u8>,
     chunk: [u8; 4096],
 }
 
-impl Default for LineReader {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl LineReader {
-    /// An empty reader.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             buf: Vec::new(),
             chunk: [0; 4096],
         }
     }
 
-    /// Reads until a full line, EOF (`None`), or `should_stop()` turning
-    /// true while idle between timeouts.
-    pub fn next_line(
-        &mut self,
-        conn: &mut TcpStream,
-        should_stop: impl Fn() -> bool,
-    ) -> io::Result<Option<String>> {
-        match self.next_line_within(conn, should_stop, None)? {
-            NextLine::Line(line) => Ok(Some(line)),
-            NextLine::Closed | NextLine::TimedOut => Ok(None),
-        }
+    /// `true` when a complete line is already buffered, so the next
+    /// [`next_line_within`](Self::next_line_within) returns it without
+    /// touching the socket.
+    fn has_line(&self) -> bool {
+        self.buf.contains(&b'\n')
     }
 
-    /// Like [`next_line`](Self::next_line), but with a hard deadline on
-    /// producing the next complete line. The deadline is checked between
-    /// reads, so it caps *cumulative* wait — a slowloris dribbling one
-    /// byte per socket-timeout window makes progress against the socket
-    /// timeout but not against this deadline. A line already buffered is
-    /// always returned, deadline or not.
-    pub fn next_line_within(
+    /// Reads until a full line, EOF, `should_stop()` turning true while
+    /// idle between timeouts, or `deadline`. The deadline is checked
+    /// between reads, so it caps *cumulative* wait — a slowloris dribbling
+    /// one byte per socket-timeout window makes progress against the
+    /// socket timeout but not against this deadline. A line already
+    /// buffered is always returned, deadline or not.
+    fn next_line_within(
         &mut self,
         conn: &mut TcpStream,
         should_stop: impl Fn() -> bool,
-        deadline: Option<Instant>,
+        deadline: Instant,
     ) -> io::Result<NextLine> {
         loop {
             if let Some(at) = self.buf.iter().position(|&b| b == b'\n') {
@@ -631,10 +713,8 @@ impl LineReader {
                     "request line too long",
                 ));
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    return Ok(NextLine::TimedOut);
-                }
+            if Instant::now() >= deadline {
+                return Ok(NextLine::TimedOut);
             }
             match conn.read(&mut self.chunk) {
                 Ok(0) => return Ok(NextLine::Closed),
@@ -655,9 +735,8 @@ impl LineReader {
 }
 
 /// Outcome of one [`LineReader::next_line_within`] wait.
-#[derive(Debug)]
-pub enum NextLine {
-    /// A complete request line (newline included, like `next_line`).
+enum NextLine {
+    /// A complete request line, newline included.
     Line(String),
     /// Clean EOF, or `should_stop` turned true while idle.
     Closed,
@@ -692,12 +771,18 @@ mod tests {
                 .set_nonblocking(false)
                 .expect("blocking accept");
             let (conn, _) = server.listener.accept().expect("accept");
-            serve_connection(&server.shared, conn, |shared, request| match request {
-                Request::Score { .. } => {
-                    answer_isolated(shared, "serve request", || panic!("cover bug"))
-                }
-                other => handle_request(shared, other),
-            })
+            let shared = &server.shared;
+            serve_connection(
+                conn,
+                &shared.connections,
+                || shared.draining(),
+                |request| match request {
+                    Request::Score { .. } => {
+                        answer_isolated(shared, "serve request", || panic!("cover bug"))
+                    }
+                    other => handle_request(shared, other),
+                },
+            )
         });
 
         let mut client = Client::connect(addr, Duration::from_secs(5)).expect("connect");

@@ -578,3 +578,153 @@ fn navigate_topk_ranks_exactly_and_unknown_items_pin_the_cover() {
     drain.drain();
     let _ = join.join().expect("no panic").expect("clean run");
 }
+
+/// A mixed pipelined burst: a labelled cover, a label-free cover, a top-k
+/// navigation, a malformed line and `STATS`, each answered in order.
+const MIXED_BURST: [&str; 5] = [
+    "CATEGORIZE 0,1",
+    "SCORE 2,3,4,9",
+    "NAVIGATE 2 items=0,1,2",
+    "FROBNICATE 1,2",
+    "STATS",
+];
+
+fn raw_connect(addr: SocketAddr) -> TcpStream {
+    let conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    conn
+}
+
+/// Reads one answer line, newline included; panics on EOF.
+fn read_answer(reader: &mut BufReader<TcpStream>) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    assert!(line.ends_with('\n'), "truncated answer: {line:?}");
+    line
+}
+
+/// Asserts the server closed the connection cleanly (EOF, not a reset).
+fn assert_eof(reader: &mut BufReader<TcpStream>) {
+    let mut line = String::new();
+    let n = reader.read_line(&mut line).expect("clean close, no reset");
+    assert_eq!(n, 0, "expected EOF, got {line:?}");
+}
+
+/// Each line sent only after the previous one is answered.
+fn answers_one_at_a_time(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
+    let conn = raw_connect(addr);
+    let mut reader = BufReader::new(conn.try_clone().expect("clone"));
+    lines
+        .iter()
+        .map(|line| {
+            (&conn)
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send");
+            read_answer(&mut reader)
+        })
+        .collect()
+}
+
+/// Sends every line in one write; the answers are read from the result.
+fn send_burst(addr: SocketAddr, lines: &[&str]) -> BufReader<TcpStream> {
+    let conn = raw_connect(addr);
+    let burst: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    (&conn).write_all(burst.as_bytes()).expect("send burst");
+    BufReader::new(conn)
+}
+
+#[test]
+fn a_pipelined_burst_is_answered_like_lines_sent_one_at_a_time() {
+    let (addr, drain, join) = start(quick_config(), test_tree());
+    let want = answers_one_at_a_time(addr, &MIXED_BURST);
+    assert!(want[3].starts_with("ERR bad-request"), "{want:?}");
+
+    let mut reader = send_burst(addr, &MIXED_BURST);
+    let got: Vec<String> = MIXED_BURST
+        .iter()
+        .map(|_| read_answer(&mut reader))
+        .collect();
+    assert_eq!(got, want, "same bytes, same order");
+
+    drain.drain();
+    join.join().expect("no panic").expect("clean run");
+}
+
+#[test]
+fn a_pipelined_burst_crossing_the_request_cap_gets_cap_answers_then_eof() {
+    let config = ServeConfig {
+        max_requests: 3,
+        ..quick_config()
+    };
+    let (addr, drain, join) = start(config, test_tree());
+    let want = answers_one_at_a_time(addr, &MIXED_BURST[..3]);
+
+    // Past the cap, > 4 KiB of pipelined requests stay unread in the
+    // socket: the close must still be an EOF, not a reset.
+    let long = format!("SCORE {}", ["0"; 500].join(","));
+    let mut lines = MIXED_BURST.to_vec();
+    lines.extend([long.as_str(); 8]);
+    let mut reader = send_burst(addr, &lines);
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(&read_answer(&mut reader), want, "answer {i}");
+    }
+    assert_eof(&mut reader);
+
+    drain.drain();
+    join.join().expect("no panic").expect("clean run");
+}
+
+#[test]
+fn a_pipelined_burst_through_shutdown_is_answered_up_to_draining_then_eof() {
+    let (addr, _drain, join) = start(quick_config(), test_tree());
+    let mut want = answers_one_at_a_time(addr, &MIXED_BURST[..2]);
+    want.push("OK DRAINING\n".to_owned());
+
+    let lines = [MIXED_BURST[0], MIXED_BURST[1], "SHUTDOWN", "PING", "STATS"];
+    let mut reader = send_burst(addr, &lines);
+    for (i, want) in want.iter().enumerate() {
+        assert_eq!(&read_answer(&mut reader), want, "answer {i}");
+    }
+    assert_eof(&mut reader);
+    join.join().expect("no panic").expect("clean run");
+}
+
+#[test]
+fn a_thousand_client_chosen_shard_ids_add_at_most_one_counter() {
+    let config = quick_config();
+    let metrics = config.metrics.clone();
+    let (addr, drain, join) = start(config, test_tree());
+    // One unscoped request first, so every per-request metric exists.
+    let mut reader = send_burst(addr, &["CATEGORIZE 0,1"]);
+    assert!(read_answer(&mut reader).starts_with("OK COVER"));
+    let before = metrics.report().counters.len();
+
+    let lines: Vec<String> = (0..1000u32)
+        .map(|shard| {
+            Request::Categorize {
+                items: vec![0, 1],
+                shard: Some(shard),
+            }
+            .encode()
+        })
+        .collect();
+    for burst in lines.chunks(100) {
+        let burst: Vec<&str> = burst.iter().map(String::as_str).collect();
+        let mut reader = send_burst(addr, &burst);
+        for _ in &burst {
+            assert!(read_answer(&mut reader).starts_with("OK COVER"));
+        }
+    }
+
+    let report = metrics.report();
+    assert!(
+        report.counters.len() <= before + 1,
+        "{} counters before, {:?} after",
+        before,
+        report.counters.keys()
+    );
+    assert_eq!(report.counter("serve/scoped"), Some(1000));
+    drain.drain();
+    join.join().expect("no panic").expect("clean run");
+}
