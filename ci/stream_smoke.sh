@@ -8,6 +8,9 @@
 #   * the resumed run's final tree is byte-identical to an uninterrupted
 #     run with the same flags (the feed is a pure function of them);
 #   * the metrics report records the incr/* spans and counters.
+# VARIANT picks the similarity variant of the seed build and of both watch
+# runs (default threshold-jaccard; `VARIANT=exact` drives the Exact
+# classifier through checkpoint, kill -9 and --resume).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,6 +19,7 @@ SCALE=${SCALE:-0.05}
 # Enough batches that a kill fired right after the first publish always
 # lands mid-stream, never after the final batch.
 BATCHES=${BATCHES:-12}
+VARIANT=${VARIANT:-threshold-jaccard}
 WORK=$(mktemp -d)
 SERVER_PID=""
 WATCH_PID=""
@@ -33,7 +37,8 @@ fi
 # A synthetic log plus a seed tree for the daemon to start from.
 "$OCTREE" export --dataset A --scale "$SCALE" --out "$WORK/q.tsv" > "$WORK/export.txt"
 ITEMS=$(grep -o 'use --items [0-9]*' "$WORK/export.txt" | grep -o '[0-9]*$')
-"$OCTREE" build --log "$WORK/q.tsv" --items "$ITEMS" --out "$WORK/seed.oct" > /dev/null
+"$OCTREE" build --log "$WORK/q.tsv" --items "$ITEMS" --variant "$VARIANT" \
+    --out "$WORK/seed.oct" > /dev/null
 
 "$OCTREE" serve --tree "$WORK/seed.oct" --addr 127.0.0.1:0 --workers 2 --queue 16 \
     > "$WORK/serve.log" 2>&1 &
@@ -49,7 +54,7 @@ done
 
 query() { "$OCTREE" query --addr "$ADDR" --send "$1"; }
 
-watch_flags=(--log "$WORK/q.tsv" --items "$ITEMS" --days 20 --batches "$BATCHES"
+watch_flags=(--log "$WORK/q.tsv" --items "$ITEMS" --variant "$VARIANT" --days 20 --batches "$BATCHES"
     --seed 11 --recent-days 7 --min-weight 0.5 --checkpoint "$WORK/stream.ckpt")
 
 # Reference run (no daemon, no interruption): the ground-truth final tree.
@@ -105,4 +110,4 @@ grep -q 'incr/upserts' "$WORK/watch_metrics.json" \
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || true
 SERVER_PID=""
-echo "stream smoke: publish, kill -9, resume, and bit-identical replay all verified"
+echo "stream smoke ($VARIANT): publish, kill -9, resume, and bit-identical replay all verified"

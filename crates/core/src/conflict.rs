@@ -12,13 +12,15 @@
 //!   pairs end up on a common branch in the constructed tree.
 //!
 //! Disjoint pairs can always be covered separately, so only intersecting
-//! pairs are interesting; they are enumerated through an inverted index and
-//! classified in parallel.
+//! pairs are interesting; they are enumerated through an inverted index,
+//! which counts each pair's intersection, and classified from those counts
+//! and the two set sizes alone. No variant inspects set structure: even the
+//! Exact variant's nesting test is `inter == min(|q_hi|, |q_lo|)`.
 
 use oct_resilience::Budget;
 
 use crate::input::Instance;
-use crate::packed::{CsrIndex, PackedSet};
+use crate::packed::CsrIndex;
 use crate::similarity::{SimilarityKind, EPS};
 use crate::util::{ceil_tolerant, floor_tolerant, FxHashMap, FxHashSet};
 
@@ -55,6 +57,14 @@ impl PairClass {
 /// of shared items whose branch bound is 1 (equal to `inter` without raised
 /// bounds) — items with bound > 1 may live on both branches and relax the
 /// separately check (paper §3.3 *Extensions*).
+///
+/// Every variant is pure arithmetic over `(|q_hi|, |q_lo|, inter,
+/// eff_inter, δ)`; the sets' items are never read. The Exact variant's
+/// nesting test included: one set contains the other exactly when they
+/// share all the items of the smaller one, `inter == min(|q_hi|, |q_lo|)`.
+/// A lower-bound `inter` (a scan cut short by a budget) can only make the
+/// together test fail more often, for every variant: a nested pair reads
+/// as crossing just as the Jaccard/F1 together-slack shrinks.
 pub fn classify_pair(
     instance: &Instance,
     hi: usize,
@@ -62,57 +72,19 @@ pub fn classify_pair(
     inter: usize,
     eff_inter: usize,
 ) -> PairClass {
-    classify_with(instance, hi, lo, inter, eff_inter, || {
-        instance.sets[lo]
-            .items
-            .is_subset_of(&instance.sets[hi].items)
-            || instance.sets[hi]
-                .items
-                .is_subset_of(&instance.sets[lo].items)
-    })
-}
-
-/// [`classify_pair`] with the Exact-variant nesting test run on
-/// [`PackedSet`]s (word-level subset checks) instead of the scalar
-/// `ItemSet`s. `packed` must be `instance.packed_sets()` (or an equal
-/// repacking); every arithmetic branch is shared with [`classify_pair`]
-/// through one core, so the two functions agree bit-for-bit by
-/// construction — pinned by the scalar-vs-packed differential suite.
-pub fn classify_pair_packed(
-    instance: &Instance,
-    hi: usize,
-    lo: usize,
-    inter: usize,
-    eff_inter: usize,
-    packed: &[PackedSet],
-) -> PairClass {
-    classify_with(instance, hi, lo, inter, eff_inter, || {
-        packed[lo].is_subset_of(&packed[hi]) || packed[hi].is_subset_of(&packed[lo])
-    })
-}
-
-/// The shared classification core. Only the Exact variant inspects set
-/// *structure* (mutual nesting) — every other variant is pure arithmetic
-/// over `(|q_hi|, |q_lo|, inter, eff_inter, δ)` — so the substrate enters
-/// solely through the lazily-evaluated `nested` test.
-fn classify_with(
-    instance: &Instance,
-    hi: usize,
-    lo: usize,
-    inter: usize,
-    eff_inter: usize,
-    nested: impl FnOnce() -> bool,
-) -> PairClass {
     debug_assert!(inter > 0, "only intersecting pairs are classified");
     let q1 = instance.sets[hi].items.len();
     let q2 = instance.sets[lo].items.len();
     let d1 = instance.threshold_of(hi);
     let d2 = instance.threshold_of(lo);
     match instance.similarity.kind {
-        SimilarityKind::Exact => PairClass {
-            can_together: nested(),
-            can_separately: eff_inter == 0,
-        },
+        SimilarityKind::Exact => {
+            debug_assert!(inter <= q1.min(q2), "inter exceeds the smaller set");
+            PairClass {
+                can_together: inter == q1.min(q2),
+                can_separately: eff_inter == 0,
+            }
+        }
         SimilarityKind::PerfectRecall => {
             // Together: the higher category holds q_hi ∪ q_lo; its precision
             // w.r.t. q_hi is |q_hi| / |q_hi ∪ q_lo| and must reach δ_hi.
@@ -192,6 +164,12 @@ pub fn intersecting_pairs(instance: &Instance, threads: usize) -> Vec<RankedPair
 /// then a prefix sample (intersection counts for scanned items only), so
 /// downstream conflict detection under-reports and the resulting tree is
 /// degraded but structurally valid.
+///
+/// A truncated `inter` (and `eff_inter`) is a lower bound on the true
+/// count, and [`classify_pair`]'s together test only gets harder on it:
+/// the Jaccard/F1 together-slack shrinks, and under the Exact variant a
+/// nested pair whose shared items were only partly scanned falls short of
+/// `min(|q_hi|, |q_lo|)` and reads as not nested.
 pub fn intersecting_pairs_budgeted(
     instance: &Instance,
     threads: usize,
@@ -381,6 +359,12 @@ pub fn analyze_with_metrics(
 /// stops at the deadline (flagged via `truncated`), and on expiry the
 /// 3-conflict derivation is skipped entirely — the hypergraph solver then
 /// sees only the 2-conflicts already found.
+///
+/// Pairs are classified from the partial counts as they stand (see
+/// [`intersecting_pairs_budgeted`]): under the Exact variant a partly
+/// scanned nested pair is classified as crossing rather than nested, the
+/// same pessimistic reading of the together test that the Jaccard/F1
+/// arithmetic makes.
 pub fn analyze_budgeted(
     instance: &Instance,
     threads: usize,
@@ -394,31 +378,17 @@ pub fn analyze_budgeted(
     }
     let ranks = instance.ranks();
 
-    // Only the Exact variant's nesting test touches set structure; pack the
-    // sets once so its subset checks run word-parallel.
-    let packed =
-        (instance.similarity.kind == SimilarityKind::Exact).then(|| instance.packed_sets());
     let mut conflicts2 = Vec::new();
     let mut must_together = Vec::new();
     let mut nestable = Vec::new();
     for p in &pairs {
-        let class = match &packed {
-            Some(packed) => classify_pair_packed(
-                instance,
-                p.hi as usize,
-                p.lo as usize,
-                p.inter as usize,
-                p.eff_inter as usize,
-                packed,
-            ),
-            None => classify_pair(
-                instance,
-                p.hi as usize,
-                p.lo as usize,
-                p.inter as usize,
-                p.eff_inter as usize,
-            ),
-        };
+        let class = classify_pair(
+            instance,
+            p.hi as usize,
+            p.lo as usize,
+            p.inter as usize,
+            p.eff_inter as usize,
+        );
         if class.is_conflict() {
             conflicts2.push((p.hi, p.lo));
         } else if class.must_together() {
@@ -814,6 +784,36 @@ mod tests {
         );
         assert!(!full.truncated);
         assert_eq!(full.conflicts2, analyze(&i, 1, true).conflicts2);
+    }
+
+    #[test]
+    fn exact_under_an_expired_budget_degrades_to_a_valid_tree() {
+        // Figure 2 under Exact: q2 ⊂ q1 and q2 ⊂ q4 are nested pairs.
+        let i = figure2_instance(Similarity::exact());
+        let analysis = analyze_budgeted(
+            &i,
+            1,
+            false,
+            &oct_obs::Metrics::disabled(),
+            &Budget::expired_now(),
+        );
+        assert!(analysis.truncated);
+        let result = crate::ctcr::run(
+            &i,
+            &crate::ctcr::CtcrConfig {
+                budget: Budget::expired_now(),
+                ..crate::ctcr::CtcrConfig::default()
+            },
+        );
+        assert!(result.stats.degraded);
+        assert!(result.tree.validate(&i).is_ok());
+
+        // A partly scanned nested pair counts fewer shared items than the
+        // smaller set holds, so it reads as crossing: the pessimistic side.
+        let (q1, q2) = (0, 1);
+        assert_eq!(i.sets[q2].items.len(), 2);
+        assert!(classify_pair(&i, q1, q2, 2, 2).can_together);
+        assert!(classify_pair(&i, q1, q2, 1, 1).is_conflict());
     }
 
     #[test]

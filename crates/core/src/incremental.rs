@@ -445,31 +445,42 @@ impl StreamEngine {
 
         // Re-classify pairs between changed sets and their partners. The
         // inverted index makes this local: cost is proportional to the
-        // posting lists of the changed sets' items, not to |Q|².
+        // posting lists of the changed sets' items, not to |Q|². One dense
+        // counter, reset through its touched list, serves every changed set.
         let stage = span.child("classify");
         let index = instance.inverted_index();
-        let mut dirty: FxHashMap<(u32, u32), u32> = FxHashMap::default();
-        for (&id, _) in self.sets.iter().filter(|(id, _)| changed.contains(id)) {
-            let ci = idx_of[&id];
+        let mut is_changed = vec![false; ids.len()];
+        for id in changed {
+            if let Some(&ci) = idx_of.get(id) {
+                is_changed[ci as usize] = true;
+            }
+        }
+        let mut counts = vec![0u32; ids.len()];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut dirty: Vec<(u32, u32, u32)> = Vec::new();
+        for ci in (0..ids.len() as u32).filter(|&ci| is_changed[ci as usize]) {
             for item in instance.sets[ci as usize].items.iter() {
                 for &other in index.sets_of(item) {
-                    if other == ci {
+                    // A changed-changed pair is counted from its lower
+                    // index (index order is id order) only.
+                    if other == ci || (other < ci && is_changed[other as usize]) {
                         continue;
                     }
-                    // A changed-changed pair is counted from its lower id
-                    // only.
-                    let other_id = ids[other as usize];
-                    if changed.contains(&other_id) && other_id < id {
-                        continue;
+                    let count = &mut counts[other as usize];
+                    if *count == 0 {
+                        touched.push(other);
                     }
-                    let key = (ci.min(other), ci.max(other));
-                    *dirty.entry(key).or_insert(0) += 1;
+                    *count += 1;
                 }
+            }
+            for other in touched.drain(..) {
+                let inter = std::mem::take(&mut counts[other as usize]);
+                dirty.push((ci.min(other), ci.max(other), inter));
             }
         }
         let reclassified = dirty.len();
         let cached = self.pairs.len();
-        for (&(a, b), &inter) in dirty.iter() {
+        for (a, b, inter) in dirty {
             let (hi, lo) = pair_orientation(&instance, a, b);
             // The engine never raises item bounds, so eff_inter == inter.
             let class = classify_pair(

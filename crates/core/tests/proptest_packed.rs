@@ -2,17 +2,20 @@
 //! [`PackedSet`] operation must agree with the scalar [`ItemSet`] reference
 //! *and* with a `BTreeSet` oracle on adversarial shapes (empty sets,
 //! singletons, dense contiguous runs, sparse power-law ids, ids at the top
-//! of the `u32` range), and [`classify_pair_packed`] must equal
-//! [`classify_pair`] across all six similarity variants and a δ grid.
+//! of the `u32` range), and [`classify_pair`] must equal a structural
+//! oracle across all six similarity variants and a δ grid.
 
 use std::collections::BTreeSet;
 
-use oct_core::conflict::{classify_pair, classify_pair_packed, intersecting_pairs};
+use oct_core::conflict::{classify_pair, intersecting_pairs};
 use oct_core::input::{InputSet, Instance};
 use oct_core::itemset::ItemSet;
 use oct_core::packed::PackedSet;
 use oct_core::similarity::Similarity;
 use proptest::prelude::*;
+
+mod classify_oracle;
+use classify_oracle::oracle_class;
 
 /// Adversarial item-id vectors: the shapes that stress every container
 /// representation and the sparse↔dense transitions between them. The
@@ -146,8 +149,9 @@ fn variants(delta: f64) -> [Similarity; 6] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `classify_pair_packed` ≡ `classify_pair` on every intersecting pair,
-    /// for all six variants and a δ grid covering loose to strict.
+    /// `classify_pair` on the enumerated counts ≡ the structural oracle on
+    /// every intersecting pair, for all six variants and a δ grid covering
+    /// loose to strict.
     #[test]
     fn classify_packed_equals_scalar_on_all_variants(
         seed_instance in arb_instance(Similarity::exact()),
@@ -165,10 +169,10 @@ proptest! {
             for pair in intersecting_pairs(&instance, 1) {
                 let (hi, lo) = (pair.hi as usize, pair.lo as usize);
                 let (inter, eff) = (pair.inter as usize, pair.eff_inter as usize);
-                let scalar = classify_pair(&instance, hi, lo, inter, eff);
-                let bitset = classify_pair_packed(&instance, hi, lo, inter, eff, &packed);
+                let class = classify_pair(&instance, hi, lo, inter, eff);
                 prop_assert_eq!(
-                    scalar, bitset,
+                    class,
+                    oracle_class(&instance, &packed, hi, lo),
                     "variant {:?} δ={} pair ({hi},{lo})",
                     similarity.kind, delta
                 );

@@ -6,8 +6,10 @@
 //!   bit-identical to the naive scalar `ItemSet`-union reference scorer,
 //! * `intersecting_pairs` (CSR inverted-index co-occurrence counting)
 //!   matches brute-force scalar pair enumeration exactly, and
-//! * `classify_pair` and `classify_pair_packed` agree on every
-//!   intersecting pair for every similarity variant.
+//! * `classify_pair` agrees with a structural oracle (recounted
+//!   intersections, scalar and packed subset tests, exact-integer §3.3
+//!   predicates) on every intersecting pair, for all six similarity
+//!   variants over a δ grid.
 //!
 //! On the IC-Q tree of dataset A (large enough that neither path below
 //! degenerates to its small-tree shortcut) it also proves
@@ -18,7 +20,7 @@
 //! * parallel tree scoring is bit-identical to serial.
 
 use oct_core::baselines::{ic_q, BaselineConfig};
-use oct_core::conflict::{classify_pair, classify_pair_packed, intersecting_pairs};
+use oct_core::conflict::{classify_pair, intersecting_pairs};
 use oct_core::input::Instance;
 use oct_core::score::{
     score_tree, score_tree_reference, score_tree_with, ScoreOptions, PARALLEL_MIN_CATEGORIES,
@@ -28,6 +30,10 @@ use oct_core::tree::CategoryTree;
 use oct_core::vector::{VectorConfig, VectorIndex, DEFAULT_EF_SEARCH};
 use oct_core::PointIndex;
 use oct_datagen::{generate, DatasetName};
+
+#[path = "../../core/tests/classify_oracle/mod.rs"]
+mod classify_oracle;
+use classify_oracle::oracle_class;
 
 /// The dataset grid: paper datasets A (Fashion, weighted) and B at small
 /// scale, under different variants so both arithmetic families are hit.
@@ -113,19 +119,37 @@ fn intersecting_pairs_match_brute_force_enumeration() {
 
 #[test]
 fn pair_classification_agrees_across_substrates() {
-    for (name, scale, similarity) in grid() {
-        let ds = generate(name, scale, similarity);
+    const DELTA_GRID: [f64; 7] = [0.05, 0.25, 0.50, 0.60, 0.75, 0.90, 0.99];
+    for (name, scale) in [(DatasetName::A, 0.05), (DatasetName::B, 0.03)] {
+        let ds = generate(name, scale, Similarity::exact());
         let packed = ds.instance.packed_sets();
-        for pair in intersecting_pairs(&ds.instance, 1) {
-            let (hi, lo) = (pair.hi as usize, pair.lo as usize);
-            let (inter, eff) = (pair.inter as usize, pair.eff_inter as usize);
-            let scalar = classify_pair(&ds.instance, hi, lo, inter, eff);
-            let bitset = classify_pair_packed(&ds.instance, hi, lo, inter, eff, &packed);
-            assert_eq!(
-                scalar, bitset,
-                "{name:?} {:?}: pair ({hi},{lo}) classified differently",
-                similarity.kind
-            );
+        // Ranks (and so the pair list) do not depend on the variant.
+        let pairs = intersecting_pairs(&ds.instance, 1);
+        let variants = DELTA_GRID.iter().flat_map(|&delta| {
+            [
+                Similarity::jaccard_cutoff(delta),
+                Similarity::jaccard_threshold(delta),
+                Similarity::f1_cutoff(delta),
+                Similarity::f1_threshold(delta),
+                Similarity::perfect_recall(delta),
+            ]
+        });
+        for similarity in variants.chain([Similarity::exact()]) {
+            let instance = Instance {
+                similarity,
+                ..ds.instance.clone()
+            };
+            for pair in &pairs {
+                let (hi, lo) = (pair.hi as usize, pair.lo as usize);
+                let (inter, eff) = (pair.inter as usize, pair.eff_inter as usize);
+                assert_eq!(
+                    classify_pair(&instance, hi, lo, inter, eff),
+                    oracle_class(&instance, &packed, hi, lo),
+                    "{name:?} {:?} δ={}: pair ({hi},{lo}) classified differently",
+                    similarity.kind,
+                    similarity.delta
+                );
+            }
         }
     }
 }

@@ -33,7 +33,9 @@
 //! burst of pipelined requests thus costs one write and one packet per read
 //! chunk instead of two per answer. The price: a slow request (a `SWAP`, a
 //! cover that runs to its deadline) also holds back the earlier answers of
-//! its own chunk.
+//! its own chunk. Writes are bounded like reads: a client that pipelines
+//! requests and never reads its answers loses its connection at the idle
+//! deadline or at drain, whichever comes first, rather than pin a worker.
 //!
 //! # Drain
 //!
@@ -399,7 +401,9 @@ impl ConnectionPolicy {
 /// One malformed line yields `ERR bad-request`, not a dropped connection.
 ///
 /// Answers are buffered and written once per read chunk (see the module
-/// docs); every close writes the buffer first. The closes the daemon
+/// docs); every close writes the buffer first. A write waits under the
+/// same `idle_timeout` deadline and drain check as a read, and a write
+/// that cannot progress closes the connection. The closes the daemon
 /// chooses (request cap, `SHUTDOWN`, drain) linger like [`reject`], so
 /// pipelined requests it leaves unread do not turn them into resets.
 pub fn serve_connection(
@@ -410,6 +414,7 @@ pub fn serve_connection(
 ) -> io::Result<()> {
     conn.set_nonblocking(false)?;
     conn.set_read_timeout(Some(READ_INTERVAL))?;
+    conn.set_write_timeout(Some(READ_INTERVAL))?;
     let mut reader = LineReader::new();
     let mut out: Vec<u8> = Vec::new();
     let mut served = 0usize;
@@ -417,7 +422,7 @@ pub fn serve_connection(
         // The next line needs a read from the socket: answer everything
         // so far first, in one write.
         if !reader.has_line() && !out.is_empty() {
-            conn.write_all(&out)?;
+            write_within(&mut conn, &out, &draining, policy.idle_timeout)?;
             out.clear();
         }
         // The deadline is per *complete line*, so a slowloris dribbling
@@ -464,11 +469,46 @@ pub fn serve_connection(
             }
             // Pipelined requests past this one may still sit unread in
             // the socket: a plain drop would reset the connection.
-            conn.write_all(&out)?;
+            write_within(&mut conn, &out, &draining, policy.idle_timeout)?;
             close_lingering(conn);
             return Ok(());
         }
     }
+}
+
+/// Writes all of `out` under the limits a read waits under: the socket's
+/// write timeout is [`READ_INTERVAL`], and when a write makes no progress
+/// for that long the wait ends if `draining()` is true or `idle_timeout`
+/// has passed since the call. A client that pipelines requests and never
+/// reads its answers fills the socket buffers; its connection is then
+/// closed (the error drops the socket) instead of pinning the worker past
+/// drain.
+fn write_within(
+    conn: &mut TcpStream,
+    mut out: &[u8],
+    draining: impl Fn() -> bool,
+    idle_timeout: Duration,
+) -> io::Result<()> {
+    let deadline = Instant::now() + idle_timeout;
+    while !out.is_empty() {
+        match conn.write(out) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => out = &out[n..],
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+            {
+                if draining() || Instant::now() >= deadline {
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        "the client is not reading its answers",
+                    ));
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Dispatches one parsed request against the *current* tree snapshot.

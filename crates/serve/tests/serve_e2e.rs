@@ -5,8 +5,10 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use oct_core::{persist, CategoryTree, Similarity, ROOT};
 use oct_obs::{Metrics, PipelineReport};
@@ -727,4 +729,62 @@ fn a_thousand_client_chosen_shard_ids_add_at_most_one_counter() {
     assert_eq!(report.counter("serve/scoped"), Some(1000));
     drain.drain();
     join.join().expect("no panic").expect("clean run");
+}
+
+#[test]
+fn a_client_that_never_reads_its_answers_cannot_hold_drain_past_its_grace() {
+    // One worker, no request cap: pipelined PINGs whose answers are never
+    // read fill the socket buffers, and the worker's write stalls.
+    let config = ServeConfig {
+        workers: 1,
+        max_requests: 0,
+        ..quick_config()
+    };
+    let grace = config.drain_grace;
+    let (addr, drain, join) = start(config, test_tree());
+
+    let conn = TcpStream::connect(addr).expect("connect");
+    let sent = Arc::new(AtomicUsize::new(0));
+    let writer = {
+        let sent = Arc::clone(&sent);
+        thread::spawn(move || {
+            let chunk = "PING\n".repeat(4096 / 5);
+            // At most 64 MB; the send blocks long before that, and fails
+            // once the server drops the connection.
+            for _ in 0..16 * 1024 {
+                if (&conn).write_all(chunk.as_bytes()).is_err() {
+                    return;
+                }
+                sent.fetch_add(chunk.len(), Ordering::Relaxed);
+            }
+        })
+    };
+    // Wait until the client's sends stall for a whole second: the server
+    // has stopped reading because it is stuck writing answers nobody reads
+    // (a 4 KiB chunk of PINGs takes it milliseconds to answer).
+    let give_up = Instant::now() + Duration::from_secs(60);
+    let mut last = usize::MAX;
+    while sent.load(Ordering::Relaxed) != last {
+        assert!(Instant::now() < give_up, "the client's sends never stalled");
+        last = sent.load(Ordering::Relaxed);
+        thread::sleep(Duration::from_secs(1));
+    }
+    assert!(last >= 1 << 20, "only {last} bytes sent before stalling");
+
+    let started = Instant::now();
+    drain.drain();
+    let (done_tx, done_rx) = mpsc::channel();
+    let waiter = thread::spawn(move || {
+        let _ = done_tx.send(join.join());
+    });
+    let margin = Duration::from_secs(2);
+    let run = done_rx
+        .recv_timeout(grace + margin)
+        .unwrap_or_else(|_| panic!("drain still running {:?} after it began", grace + margin));
+    run.expect("no panic").expect("clean run");
+    assert!(started.elapsed() < grace + margin);
+    waiter.join().expect("the waiter only forwards the result");
+    writer
+        .join()
+        .expect("the writer sees the closed connection");
 }

@@ -1,13 +1,14 @@
 //! Differential properties for the streaming engine: applying any valid
 //! delta sequence incrementally must produce bit-identical trees to a
-//! from-scratch batch rerun, and a checkpoint/resume split anywhere in the
-//! stream must not change the outcome.
+//! from-scratch batch rerun, under a threshold variant and under the Exact
+//! variant, and a checkpoint/resume split anywhere in the stream must not
+//! change the outcome.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use oct_core::incremental::{DeltaBatch, SetDelta, StreamConfig, StreamEngine};
-use oct_core::input::InputSet;
+use oct_core::input::{InputSet, Instance};
 use oct_core::itemset::ItemSet;
 use oct_core::persist;
 use oct_core::similarity::Similarity;
@@ -63,12 +64,81 @@ fn build_batches(ops: &[Vec<RawOp>]) -> Vec<DeltaBatch> {
         .collect()
 }
 
+/// Two sets sharing `core`, each with its own extra items (either may be
+/// empty, so the pair can be nested, equal or crossing). `order` picks
+/// which of the two upserts comes first in the batch.
+type OverlapOp = (u64, u64, Vec<u32>, Vec<u32>, Vec<u32>, bool);
+
+fn arb_overlaps(batches: usize) -> impl Strategy<Value = Vec<OverlapOp>> {
+    let extra = || prop::collection::vec(0u32..ITEMS, 0..3);
+    prop::collection::vec(
+        (
+            (0u64..IDS, 1u64..IDS, any::<bool>()),
+            prop::collection::vec(0u32..ITEMS, 1..5),
+            (extra(), extra()),
+        )
+            .prop_map(|((a, step, order), core, (extra_a, extra_b))| {
+                (a, step, core, extra_a, extra_b, order)
+            }),
+        batches,
+    )
+}
+
+/// Appends to each batch the upserts of two overlapping sets, with ids
+/// `a` and `a + step` (mod [`IDS`]) in the order `order` picks, so
+/// changed-changed pairs are met from both ends of the id order.
+fn with_overlaps(ops: &[Vec<RawOp>], overlaps: &[OverlapOp]) -> Vec<Vec<RawOp>> {
+    ops.iter()
+        .zip(overlaps)
+        .map(|(batch, (a, step, core, extra_a, extra_b, order))| {
+            let b = (a + step) % IDS;
+            let set_a: Vec<u32> = core.iter().chain(extra_a).copied().collect();
+            let set_b: Vec<u32> = core.iter().chain(extra_b).copied().collect();
+            let mut pair = [(*a, set_a, 1, 0), (b, set_b, 2, 0)];
+            if *order {
+                pair.reverse();
+            }
+            batch.iter().cloned().chain(pair).collect()
+        })
+        .collect()
+}
+
 fn config(checkpoint: Option<std::path::PathBuf>) -> StreamConfig {
+    config_for(Similarity::jaccard_threshold(0.6), checkpoint)
+}
+
+fn config_for(similarity: Similarity, checkpoint: Option<std::path::PathBuf>) -> StreamConfig {
     StreamConfig {
         threads: 1,
         checkpoint,
-        ..StreamConfig::new(ITEMS, Similarity::jaccard_threshold(0.6))
+        ..StreamConfig::new(ITEMS, similarity)
     }
+}
+
+/// Applies `batches` to a fresh engine and, after every batch, compares
+/// the incremental tree with a from-scratch rerun, byte for byte.
+fn check_incremental_equals_rerun(
+    similarity: Similarity,
+    batches: &[DeltaBatch],
+) -> Result<(), String> {
+    let mut engine = StreamEngine::new(config_for(similarity, None));
+    for (i, batch) in batches.iter().enumerate() {
+        let incremental = engine.apply_batch(batch).expect("valid by construction");
+        let rerun = engine.batch_rerun();
+        let (a, b) = (
+            persist::encode_tree(&incremental.tree),
+            persist::encode_tree(&rerun.tree),
+        );
+        prop_assert_eq!(
+            a.as_ref(),
+            b.as_ref(),
+            "divergence after batch {} ({} live sets)",
+            i + 1,
+            incremental.stats.live_sets
+        );
+        prop_assert_eq!(incremental.score.normalized, rerun.score.normalized);
+    }
+    Ok(())
 }
 
 /// A unique scratch path per proptest case (cases run in one process).
@@ -86,23 +156,22 @@ proptest! {
     /// over the accumulated state, byte for byte.
     #[test]
     fn incremental_equals_batch_rerun(ops in arb_ops()) {
-        let mut engine = StreamEngine::new(config(None));
-        for (i, batch) in build_batches(&ops).iter().enumerate() {
-            let incremental = engine.apply_batch(batch).expect("valid by construction");
-            let rerun = engine.batch_rerun();
-            let (a, b) = (
-                persist::encode_tree(&incremental.tree),
-                persist::encode_tree(&rerun.tree),
-            );
-            prop_assert_eq!(
-                a.as_ref(),
-                b.as_ref(),
-                "divergence after batch {} ({} live sets)",
-                i + 1,
-                incremental.stats.live_sets
-            );
-            prop_assert_eq!(incremental.score.normalized, rerun.score.normalized);
-        }
+        check_incremental_equals_rerun(Similarity::jaccard_threshold(0.6), &build_batches(&ops))?;
+    }
+
+    /// The same under the Exact variant, whose nesting test reads the
+    /// counted intersection, with every batch also upserting two
+    /// overlapping sets in either id order.
+    #[test]
+    fn exact_incremental_equals_batch_rerun(
+        case in arb_ops().prop_flat_map(|ops| {
+            let n = ops.len();
+            arb_overlaps(n).prop_map(move |overlaps| (ops.clone(), overlaps))
+        }),
+    ) {
+        let (ops, overlaps) = case;
+        let batches = build_batches(&with_overlaps(&ops, &overlaps));
+        check_incremental_equals_rerun(Similarity::exact(), &batches)?;
     }
 
     /// Killing the process after any prefix of the stream and resuming from
@@ -147,5 +216,66 @@ proptest! {
         prop_assert_eq!(a.as_ref(), b.as_ref(), "resume at {} diverged", split);
         prop_assert_eq!(expect.stats, resumed.stats);
         let _ = std::fs::remove_file(&ckpt);
+    }
+}
+
+/// Pairs of live sets that share an item and have at least one endpoint
+/// in `changed`, counted over the whole instance.
+fn brute_force_dirty_pairs(instance: &Instance, ids: &[u64], changed: &HashSet<u64>) -> usize {
+    let sets = &instance.sets;
+    let mut dirty = 0;
+    for i in 0..sets.len() {
+        for j in i + 1..sets.len() {
+            let touched = changed.contains(&ids[i]) || changed.contains(&ids[j]);
+            if touched && sets[i].items.intersection_size(&sets[j].items) > 0 {
+                dirty += 1;
+            }
+        }
+    }
+    dirty
+}
+
+/// `BatchStats::reclassified_pairs` counts exactly the intersecting pairs
+/// with a changed endpoint: each once, whichever end the counting starts
+/// from, and never a pair with a retired set.
+#[test]
+fn reclassified_pairs_equal_brute_force_count() {
+    let set = |items: &[u32]| InputSet::new(ItemSet::new(items.to_vec()), 1.0);
+    let batches = [
+        // Warm start: every pair is new.
+        vec![
+            SetDelta::upsert(1, set(&[0, 1, 2, 3])),
+            SetDelta::upsert(2, set(&[2, 3, 4])),
+            SetDelta::upsert(3, set(&[4, 5])),
+            SetDelta::upsert(4, set(&[6, 7])),
+            SetDelta::upsert(5, set(&[0, 1])),
+        ],
+        // Two overlapping changed sets, the higher id first, plus an
+        // untouched neighbour of each.
+        vec![
+            SetDelta::upsert(4, set(&[3, 5, 6])),
+            SetDelta::upsert(2, set(&[2, 3, 5])),
+        ],
+        // A retire next to an upsert that overlaps everything left.
+        vec![SetDelta::retire(3), SetDelta::upsert(6, set(&[0, 2, 5, 6]))],
+        // An upsert whose new content overlaps no one.
+        vec![SetDelta::upsert(5, set(&[20, 21]))],
+    ];
+    for similarity in [Similarity::exact(), Similarity::jaccard_threshold(0.6)] {
+        let mut engine = StreamEngine::new(config_for(similarity, None));
+        for (i, deltas) in batches.iter().enumerate() {
+            let changed: HashSet<u64> = deltas.iter().map(SetDelta::id).collect();
+            let outcome = engine
+                .apply_batch(&DeltaBatch::new(deltas.clone()))
+                .expect("valid batch");
+            let expected = brute_force_dirty_pairs(&engine.instance(), &engine.ids(), &changed);
+            assert_eq!(
+                outcome.stats.reclassified_pairs,
+                expected,
+                "{:?} batch {}",
+                similarity.kind,
+                i + 1
+            );
+        }
     }
 }
