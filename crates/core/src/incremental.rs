@@ -430,6 +430,10 @@ impl StreamEngine {
         metrics.add("incr/upserts", upserts as u64);
         metrics.add("incr/retires", retires as u64);
 
+        // The whole-state work around classify and mis (this eviction and
+        // index map, and the re-derivation of the aggregates below) records
+        // under one `derive` span, entered twice per batch.
+        let stage = span.child("derive");
         // Evict classifications touching changed sets; the rest stay valid
         // (pairwise-stable orientation, unchanged endpoints).
         self.pairs
@@ -442,6 +446,7 @@ impl StreamEngine {
             .enumerate()
             .map(|(i, &id)| (id, i as u32))
             .collect();
+        drop(stage);
 
         // Re-classify pairs between changed sets and their partners. The
         // inverted index makes this local: cost is proportional to the
@@ -507,6 +512,7 @@ impl StreamEngine {
 
         // Re-derive this batch's aggregates from the cache, in deterministic
         // (hi, lo) index order — the same order the batch analyzer emits.
+        let stage = span.child("derive");
         let mut entries: Vec<(u32, u32, u32, PairClass)> = self
             .pairs
             .values()
@@ -528,6 +534,7 @@ impl StreamEngine {
                 }
             }
         }
+        drop(stage);
 
         // Component-wise MWIS with solution reuse: untouched components keep
         // their previous selection verbatim; the rest are re-solved by a
@@ -948,6 +955,7 @@ mod tests {
         let report = metrics.report();
         for span in [
             "incr",
+            "incr/derive",
             "incr/classify",
             "incr/mis",
             "incr/skeleton",
@@ -955,6 +963,7 @@ mod tests {
         ] {
             assert!(report.span(span).is_some(), "missing span {span}");
         }
+        assert_eq!(report.span("incr/derive").map(|s| s.count), Some(2));
         assert_eq!(report.counter("incr/upserts"), Some(2));
         assert!(report.counter("incr/reclassified_pairs").is_some());
         assert!(report.counter("incr/components_solved").unwrap_or(0) >= 1);

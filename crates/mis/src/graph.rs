@@ -127,10 +127,12 @@ impl Graph {
             members.sort_unstable();
             components.push(members);
         }
+        // One local-index map serves every component: an induced edge never
+        // leaves its component, so only the current members' entries are read.
+        let mut local = vec![0u32; n];
         components
             .into_iter()
             .map(|members| {
-                let mut local = vec![0u32; n];
                 for (i, &v) in members.iter().enumerate() {
                     local[v as usize] = i as u32;
                 }
@@ -199,6 +201,37 @@ mod tests {
         assert_eq!(sub.len(), 3);
         assert_eq!(sub.num_edges(), 2);
         assert!(sub.has_edge(0, 1) && sub.has_edge(1, 2) && !sub.has_edge(0, 2));
+    }
+
+    #[test]
+    fn components_of_many_singletons_and_a_few_paths() {
+        // Paths 3-7-11 and 20-21, the rest singletons; weights tell the
+        // vertices apart after re-indexing.
+        let n = 40u32;
+        let weights: Vec<f64> = (0..n).map(|v| v as f64 + 1.0).collect();
+        let g = Graph::new(weights, &[(7, 11), (3, 7), (20, 21)]);
+        let comps = g.connected_components();
+        assert_eq!(comps.len(), n as usize - 3);
+        for (members, sub) in &comps {
+            let start = members[0];
+            let expect: Vec<u32> = match start {
+                3 => vec![3, 7, 11],
+                20 => vec![20, 21],
+                _ => vec![start],
+            };
+            assert_eq!(members, &expect);
+            assert_eq!(sub.len(), expect.len());
+            for (i, &v) in members.iter().enumerate() {
+                assert_eq!(sub.weight(i as u32), g.weight(v));
+            }
+            assert_eq!(sub.num_edges(), expect.len() - 1);
+            for i in 1..members.len() as u32 {
+                assert!(sub.has_edge(i - 1, i));
+            }
+        }
+        let starts: Vec<u32> = comps.iter().map(|(m, _)| m[0]).collect();
+        let expect: Vec<u32> = (0..n).filter(|v| ![7, 11, 21].contains(v)).collect();
+        assert_eq!(starts, expect);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //!   domination) and a greedy weighted-clique-cover upper bound;
 //! * [`local`] — weighted greedy construction plus (1,2)-swap local search,
 //!   used both for initial lower bounds and as the fallback when an instance
-//!   exceeds the exact-search budget;
+//!   exceeds the exact-search budget; on dense graphs the search tests
+//!   adjacency on bit rows, a 64-bit word at a time, with the same answers
+//!   as on adjacency lists;
 //! * [`hypergraph`] — MWIS on hypergraphs with edges of size ≥ 2, with an
 //!   exact hitting-set-style branch-and-bound and a greedy/local-search
 //!   fallback;

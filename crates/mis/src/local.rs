@@ -5,6 +5,18 @@
 //! classic moves from practical MWIS solvers: free-vertex insertion,
 //! `(1,2)`-swaps, and weighted `(ω,1)` insertions that evict a heavier
 //! vertex's lighter selected neighborhood, with random perturbation restarts.
+//!
+//! The search asks two adjacency questions in its hot loops: which selected
+//! vertices block `v`, and which is the first non-adjacent pair among a
+//! selected vertex's swap candidates. On a dense graph it answers both from
+//! bit rows, one `⌈n/64⌉`-word row per vertex built once per call, with one
+//! AND per word against a bit set of the selection or of the candidates.
+//! The rows are built only when they take no more memory than the adjacency
+//! lists (`n·⌈n/64⌉ ≤ m`); sparser graphs answer the same questions from the
+//! lists. Both ways yield the same vertices in the same ascending order, so
+//! every move, float sum and random draw, and thus every returned solution,
+//! is the same either way. A scratch buffer lives in the search, so its
+//! sweeps allocate nothing.
 
 use crate::graph::Graph;
 use rand::rngs::StdRng;
@@ -144,12 +156,78 @@ pub fn repair(g: &Graph, hint: &[u32], max_rounds: usize, seed: u64) -> Vec<u32>
     local_search(g, &kept, max_rounds, seed)
 }
 
+/// Local-search state: the selection, per-vertex selected-neighbour counts,
+/// optional bit rows, and a scratch buffer reused by every sweep, so that a
+/// sweep allocates nothing.
 struct Search<'g> {
     g: &'g Graph,
     in_sol: Vec<bool>,
     /// Number of selected neighbors per vertex.
     sel_neighbors: Vec<u32>,
     weight: f64,
+    /// Present when the graph passes the row rule ([`BitRows::build`]).
+    rows: Option<BitRows>,
+    /// Scratch: one vertex's blockers or swap candidates, ascending.
+    buf: Vec<u32>,
+}
+
+/// The adjacency matrix as one bit row of `words` `u64`s per vertex (bit
+/// `u` of row `v` is set iff `{u, v}` is an edge), plus the selection and
+/// the current swap candidates as bit sets of the same width.
+struct BitRows {
+    words: usize,
+    rows: Vec<u64>,
+    sel: Vec<u64>,
+    cand: Vec<u64>,
+}
+
+impl BitRows {
+    /// Builds the rows when they take no more memory than the graph's
+    /// adjacency lists: `n·⌈n/64⌉` words of 8 bytes against `2m` entries of
+    /// 4 bytes, i.e. `n·⌈n/64⌉ ≤ m`. Sparser graphs get `None` and are
+    /// searched through the lists.
+    fn build(g: &Graph) -> Option<Self> {
+        let n = g.len();
+        let words = n.div_ceil(64);
+        if n == 0 || n * words > g.num_edges() {
+            return None;
+        }
+        let mut rows = vec![0u64; n * words];
+        for (v, row) in rows.chunks_exact_mut(words).enumerate() {
+            for &u in g.neighbors(v as u32) {
+                set_bit(row, u);
+            }
+        }
+        Some(Self {
+            words,
+            rows,
+            sel: vec![0; words],
+            cand: vec![0; words],
+        })
+    }
+
+    fn row(&self, v: u32) -> &[u64] {
+        &self.rows[v as usize * self.words..][..self.words]
+    }
+}
+
+fn set_bit(bits: &mut [u64], v: u32) {
+    bits[v as usize / 64] |= 1 << (v % 64);
+}
+
+fn clear_bit(bits: &mut [u64], v: u32) {
+    bits[v as usize / 64] &= !(1 << (v % 64));
+}
+
+/// Appends the vertices of a bit set (word `i` holds `64i..64i + 63`) to
+/// `out` in ascending order.
+fn push_bits(out: &mut Vec<u32>, words: impl Iterator<Item = u64>) {
+    for (i, mut word) in words.enumerate() {
+        while word != 0 {
+            out.push((i * 64) as u32 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
 }
 
 impl<'g> Search<'g> {
@@ -160,6 +238,8 @@ impl<'g> Search<'g> {
             in_sol: vec![false; n],
             sel_neighbors: vec![0; n],
             weight: 0.0,
+            rows: BitRows::build(g),
+            buf: Vec::new(),
         };
         for &v in init {
             s.insert(v);
@@ -181,6 +261,9 @@ impl<'g> Search<'g> {
         for &u in self.g.neighbors(v) {
             self.sel_neighbors[u as usize] += 1;
         }
+        if let Some(r) = &mut self.rows {
+            set_bit(&mut r.sel, v);
+        }
     }
 
     fn remove(&mut self, v: u32) {
@@ -189,6 +272,9 @@ impl<'g> Search<'g> {
         self.weight -= self.g.weight(v);
         for &u in self.g.neighbors(v) {
             self.sel_neighbors[u as usize] -= 1;
+        }
+        if let Some(r) = &mut self.rows {
+            clear_bit(&mut r.sel, v);
         }
     }
 
@@ -211,17 +297,13 @@ impl<'g> Search<'g> {
                     improved = true;
                     continue;
                 }
-                let blockers: Vec<u32> = self
-                    .g
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| self.in_sol[u as usize])
-                    .collect();
-                let blocked_weight: f64 = blockers.iter().map(|&u| self.g.weight(u)).sum();
+                self.collect_blockers(v);
+                // Summed in ascending vertex order, whichever way the
+                // blockers were found.
+                let blocked_weight: f64 = self.buf.iter().map(|&u| self.g.weight(u)).sum();
                 if self.g.weight(v) > blocked_weight + 1e-12 {
-                    for u in blockers {
-                        self.remove(u);
+                    for i in 0..self.buf.len() {
+                        self.remove(self.buf[i]);
                     }
                     self.insert(v);
                     improved = true;
@@ -245,30 +327,70 @@ impl<'g> Search<'g> {
         }
     }
 
+    /// Fills `buf` with the selected neighbors of `v`, ascending: one AND
+    /// per word with bit rows, a scan of `v`'s list without.
+    fn collect_blockers(&mut self, v: u32) {
+        self.buf.clear();
+        match &self.rows {
+            Some(r) => push_bits(
+                &mut self.buf,
+                r.row(v).iter().zip(&r.sel).map(|(row, sel)| row & sel),
+            ),
+            None => self.buf.extend(
+                self.g
+                    .neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| self.in_sol[u as usize]),
+            ),
+        }
+    }
+
     /// Finds non-adjacent neighbors `a, b` of selected `v`, each blocked only
-    /// by `v`, with `w(a) + w(b) > w(v)`.
-    fn find_one_two_swap(&self, v: u32) -> Option<(u32, u32)> {
-        let candidates: Vec<u32> = self
-            .g
-            .neighbors(v)
-            .iter()
-            .copied()
-            .filter(|&u| {
-                !self.in_sol[u as usize]
-                    && self.sel_neighbors[u as usize] == 1
-                    && self.g.weight(u) > 0.0
-            })
-            .collect();
-        for (i, &a) in candidates.iter().enumerate() {
-            for &b in &candidates[i + 1..] {
-                if !self.g.has_edge(a, b)
-                    && self.g.weight(a) + self.g.weight(b) > self.g.weight(v) + 1e-12
-                {
-                    return Some((a, b));
+    /// by `v`, with `w(a) + w(b) > w(v)`: the first such pair in `(a, b)`
+    /// order.
+    fn find_one_two_swap(&mut self, v: u32) -> Option<(u32, u32)> {
+        let g = self.g;
+        self.buf.clear();
+        self.buf.extend(g.neighbors(v).iter().copied().filter(|&u| {
+            !self.in_sol[u as usize] && self.sel_neighbors[u as usize] == 1 && g.weight(u) > 0.0
+        }));
+        let swaps = |a: u32, b: u32| g.weight(a) + g.weight(b) > g.weight(v) + 1e-12;
+        let Some(r) = &mut self.rows else {
+            for (i, &a) in self.buf.iter().enumerate() {
+                for &b in &self.buf[i + 1..] {
+                    if !g.has_edge(a, b) && swaps(a, b) {
+                        return Some((a, b));
+                    }
                 }
             }
+            return None;
+        };
+        for &u in &self.buf {
+            set_bit(&mut r.cand, u);
         }
-        None
+        // The partners of `a` are the candidates outside its row, above it.
+        let found = self.buf.iter().find_map(|&a| {
+            let first = a as usize / 64;
+            let row = r.row(a);
+            (first..r.words).find_map(|i| {
+                let mut partners = r.cand[i] & !row[i];
+                if i == first {
+                    // Bits above `a`; two shifts, as a shift by 64 overflows.
+                    partners &= u64::MAX << (a % 64) << 1;
+                }
+                while partners != 0 {
+                    let b = (i * 64) as u32 + partners.trailing_zeros();
+                    if swaps(a, b) {
+                        return Some((a, b));
+                    }
+                    partners &= partners - 1;
+                }
+                None
+            })
+        });
+        r.cand.fill(0);
+        found
     }
 
     /// Removes a random small subset of the solution to escape the local
@@ -283,15 +405,9 @@ impl<'g> Search<'g> {
             let v = selected[rng.gen_range(0..selected.len())];
             if self.in_sol[v as usize] {
                 self.remove(v);
-                // Insert a random free neighbor to push the search elsewhere.
-                let frees: Vec<u32> = self
-                    .g
-                    .neighbors(v)
-                    .iter()
-                    .copied()
-                    .filter(|&u| self.is_free(u))
-                    .collect();
-                if let Some(&u) = frees.first() {
+                // Insert its first free neighbor to push the search elsewhere.
+                let g = self.g;
+                if let Some(&u) = g.neighbors(v).iter().find(|&&u| self.is_free(u)) {
                     self.insert(u);
                 }
             }

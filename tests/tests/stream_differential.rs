@@ -103,6 +103,19 @@ fn with_overlaps(ops: &[Vec<RawOp>], overlaps: &[OverlapOp]) -> Vec<Vec<RawOp>> 
         .collect()
 }
 
+/// Six sets whose neighbours in the list cross (share one item, neither
+/// nested), so under Exact they form one conflict path of six vertices.
+fn crossing_chain() -> DeltaBatch {
+    DeltaBatch::new(
+        (0..6u32)
+            .map(|i| {
+                let items = ItemSet::new(vec![2 * i, 2 * i + 1, 2 * i + 2]);
+                SetDelta::upsert(u64::from(i), InputSet::new(items, f64::from(i + 1)))
+            })
+            .collect(),
+    )
+}
+
 fn config(checkpoint: Option<std::path::PathBuf>) -> StreamConfig {
     config_for(Similarity::jaccard_threshold(0.6), checkpoint)
 }
@@ -121,7 +134,16 @@ fn check_incremental_equals_rerun(
     similarity: Similarity,
     batches: &[DeltaBatch],
 ) -> Result<(), String> {
-    let mut engine = StreamEngine::new(config_for(similarity, None));
+    check_engine_equals_rerun(StreamEngine::new(config_for(similarity, None)), batches).map(|_| ())
+}
+
+/// [`check_incremental_equals_rerun`] on a given engine; returns the
+/// number of components each batch solved.
+fn check_engine_equals_rerun(
+    mut engine: StreamEngine,
+    batches: &[DeltaBatch],
+) -> Result<Vec<usize>, String> {
+    let mut solved = Vec::new();
     for (i, batch) in batches.iter().enumerate() {
         let incremental = engine.apply_batch(batch).expect("valid by construction");
         let rerun = engine.batch_rerun();
@@ -137,8 +159,9 @@ fn check_incremental_equals_rerun(
             incremental.stats.live_sets
         );
         prop_assert_eq!(incremental.score.normalized, rerun.score.normalized);
+        solved.push(incremental.stats.solved_components);
     }
-    Ok(())
+    Ok(solved)
 }
 
 /// A unique scratch path per proptest case (cases run in one process).
@@ -172,6 +195,22 @@ proptest! {
         let (ops, overlaps) = case;
         let batches = build_batches(&with_overlaps(&ops, &overlaps));
         check_incremental_equals_rerun(Similarity::exact(), &batches)?;
+    }
+
+    /// The same under Exact with `exact_component_limit` 4, so that every
+    /// conflict component above four sets goes to the seeded local search
+    /// (`oct_mis::local::repair`). Each feed opens with a six-set conflict
+    /// path, so the local search runs at least once per case.
+    #[test]
+    fn exact_local_search_components_equal_batch_rerun(ops in arb_ops()) {
+        let mut batches = vec![crossing_chain()];
+        batches.extend(build_batches(&ops));
+        let engine = StreamEngine::new(StreamConfig {
+            exact_component_limit: 4,
+            ..config_for(Similarity::exact(), None)
+        });
+        let solved = check_engine_equals_rerun(engine, &batches)?;
+        prop_assert!(solved.iter().any(|&s| s > 0), "no batch solved a component: {:?}", solved);
     }
 
     /// Killing the process after any prefix of the stream and resuming from
