@@ -1,5 +1,8 @@
 //! Hand-rolled argument parsing for `octree` (no external CLI crate).
 
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
+
 use oct_core::similarity::{Similarity, SimilarityKind};
 
 /// Usage text printed on errors.
@@ -297,93 +300,135 @@ pub enum Command {
     },
 }
 
+/// The `--name value` flags and bare `--switch`es of one command line.
+/// Every lookup records the name it asked for, so after a command has read
+/// what it needs, [`Flags::reject_unread`] names any flag it never read.
+#[derive(Default)]
+struct Flags {
+    values: HashMap<String, String>,
+    switches: HashSet<String>,
+    read: RefCell<HashSet<String>>,
+}
+
+impl Flags {
+    /// The value of `--name`, if given.
+    fn get(&self, name: &str) -> Option<&String> {
+        self.read.borrow_mut().insert(name.to_owned());
+        self.values.get(name)
+    }
+
+    /// Whether `--name` was given with a value.
+    fn contains_key(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// Whether the bare switch `--name` was given.
+    fn switch(&self, name: &str) -> bool {
+        self.read.borrow_mut().insert(name.to_owned());
+        self.switches.contains(name)
+    }
+
+    /// A typed error naming the first (alphabetically) flag or switch that
+    /// `command` never read: a misspelt or misplaced flag must not be
+    /// silently ignored.
+    fn reject_unread(&self, command: &str) -> Result<(), String> {
+        let read = self.read.borrow();
+        let unread = self
+            .values
+            .keys()
+            .chain(&self.switches)
+            .filter(|name| !read.contains(*name))
+            .min();
+        match unread {
+            Some(name) => Err(format!("{command} does not take --{name}")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Parses `argv` into a [`Command`].
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut it = argv.iter();
     let command = it.next().ok_or("missing command")?;
-    let mut flags: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut switches: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut flags = Flags::default();
     while let Some(flag) = it.next() {
         let name = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("unexpected argument {flag:?}"))?;
         if matches!(name, "no-merge" | "labels" | "resume" | "plan-only") {
-            switches.insert(name.to_owned());
+            flags.switches.insert(name.to_owned());
         } else {
             let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-            flags.insert(name.to_owned(), value.clone());
+            flags.values.insert(name.to_owned(), value.clone());
         }
     }
-    let similarity =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Similarity, String> {
-            let variant = flags
-                .get("variant")
-                .map(String::as_str)
-                .unwrap_or("threshold-jaccard");
-            let kind = match variant {
-                "threshold-jaccard" => SimilarityKind::JaccardThreshold,
-                "cutoff-jaccard" => SimilarityKind::JaccardCutoff,
-                "threshold-f1" => SimilarityKind::F1Threshold,
-                "cutoff-f1" => SimilarityKind::F1Cutoff,
-                "perfect-recall" => SimilarityKind::PerfectRecall,
-                "exact" => SimilarityKind::Exact,
-                other => return Err(format!("unknown variant {other:?}")),
-            };
-            let delta: f64 = match flags.get("delta") {
-                Some(d) => d.parse().map_err(|_| format!("bad delta {d:?}"))?,
-                None if kind == SimilarityKind::Exact => 1.0,
-                None => 0.8,
-            };
-            if kind == SimilarityKind::Exact && (delta - 1.0).abs() > 1e-12 {
-                return Err("the exact variant requires --delta 1".to_owned());
-            }
-            Ok(Similarity::new(kind, delta))
+    let similarity = |flags: &Flags| -> Result<Similarity, String> {
+        let variant = flags
+            .get("variant")
+            .map(String::as_str)
+            .unwrap_or("threshold-jaccard");
+        let kind = match variant {
+            "threshold-jaccard" => SimilarityKind::JaccardThreshold,
+            "cutoff-jaccard" => SimilarityKind::JaccardCutoff,
+            "threshold-f1" => SimilarityKind::F1Threshold,
+            "cutoff-f1" => SimilarityKind::F1Cutoff,
+            "perfect-recall" => SimilarityKind::PerfectRecall,
+            "exact" => SimilarityKind::Exact,
+            other => return Err(format!("unknown variant {other:?}")),
         };
-    let required =
-        |flags: &std::collections::HashMap<String, String>, name: &str| -> Result<String, String> {
-            flags
-                .get(name)
-                .cloned()
-                .ok_or_else(|| format!("--{name} is required"))
+        let delta: f64 = match flags.get("delta") {
+            Some(d) => d.parse().map_err(|_| format!("bad delta {d:?}"))?,
+            None if kind == SimilarityKind::Exact => 1.0,
+            None => 0.8,
         };
-    let items = |flags: &std::collections::HashMap<String, String>| -> Result<u32, String> {
+        if kind == SimilarityKind::Exact && (delta - 1.0).abs() > 1e-12 {
+            return Err("the exact variant requires --delta 1".to_owned());
+        }
+        Ok(Similarity::new(kind, delta))
+    };
+    let required = |flags: &Flags, name: &str| -> Result<String, String> {
+        flags
+            .get(name)
+            .cloned()
+            .ok_or_else(|| format!("--{name} is required"))
+    };
+    let items = |flags: &Flags| -> Result<u32, String> {
         required(flags, "items")?
             .parse()
             .map_err(|_| "bad --items value".to_owned())
     };
-    let threads = |flags: &std::collections::HashMap<String, String>| -> Result<usize, String> {
+    let threads = |flags: &Flags| -> Result<usize, String> {
         flags
             .get("threads")
             .map(|t| t.parse().map_err(|_| format!("bad --threads value {t:?}")))
             .transpose()
             .map(|t| t.unwrap_or(0))
     };
-    let deadline_ms =
-        |flags: &std::collections::HashMap<String, String>| -> Result<Option<u64>, String> {
-            flags
-                .get("deadline-ms")
-                .map(|d| {
-                    // 0 is legal and means "already expired": every stage
-                    // runs its degraded path — the cheapest valid output.
-                    d.parse::<u64>()
-                        .map_err(|_| format!("bad --deadline-ms value {d:?}"))
-                })
-                .transpose()
-        };
+    let deadline_ms = |flags: &Flags| -> Result<Option<u64>, String> {
+        flags
+            .get("deadline-ms")
+            .map(|d| {
+                // 0 is legal and means "already expired": every stage
+                // runs its degraded path — the cheapest valid output.
+                d.parse::<u64>()
+                    .map_err(|_| format!("bad --deadline-ms value {d:?}"))
+            })
+            .transpose()
+    };
 
-    match command.as_str() {
+    let parsed = match command.as_str() {
         "build" => Ok(Command::Build {
             log: required(&flags, "log")?,
             items: items(&flags)?,
             similarity: similarity(&flags)?,
             out: flags.get("out").cloned(),
-            no_merge: switches.contains("no-merge"),
+            no_merge: flags.switch("no-merge"),
             min_frequency: flags
                 .get("min-frequency")
                 .map(|f| f.parse().map_err(|_| "bad --min-frequency".to_owned()))
                 .transpose()?
                 .unwrap_or(0.0),
-            labels: switches.contains("labels"),
+            labels: flags.switch("labels"),
             metrics: flags.get("metrics").cloned(),
             threads: threads(&flags)?,
             deadline_ms: deadline_ms(&flags)?,
@@ -398,7 +443,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .transpose()?
                 .unwrap_or(1),
             checkpoint_dir: flags.get("checkpoint-dir").cloned(),
-            resume: switches.contains("resume"),
+            resume: flags.switch("resume"),
         }),
         "score" => Ok(Command::Score {
             tree: required(&flags, "tree")?,
@@ -682,7 +727,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     })
                     .transpose()?
                     .unwrap_or(0),
-                plan_only: switches.contains("plan-only"),
+                plan_only: flags.switch("plan-only"),
             })
         }
         "loadgen" => {
@@ -752,7 +797,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if addr.is_some() && out.is_none() {
                 return Err("--addr needs --out (the daemon SWAPs the written tree)".to_owned());
             }
-            if switches.contains("resume") && !flags.contains_key("checkpoint") {
+            if flags.switch("resume") && !flags.contains_key("checkpoint") {
                 return Err("--resume needs --checkpoint".to_owned());
             }
             Ok(Command::Watch {
@@ -795,13 +840,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 out,
                 addr,
                 checkpoint: flags.get("checkpoint").cloned(),
-                resume: switches.contains("resume"),
+                resume: flags.switch("resume"),
                 metrics: flags.get("metrics").cloned(),
                 threads: threads(&flags)?,
             })
         }
         other => Err(format!("unknown command {other:?}")),
-    }
+    }?;
+    flags.reject_unread(command)?;
+    Ok(parsed)
 }
 
 #[cfg(test)]
@@ -948,6 +995,19 @@ mod tests {
         assert!(
             parse(&argv("score --tree t --log q")).is_err(),
             "missing items"
+        );
+        // A flag or switch the command never reads is named, not ignored.
+        assert_eq!(
+            parse(&argv("build --log q --items 5 --treads 4")),
+            Err("build does not take --treads".to_owned())
+        );
+        assert_eq!(
+            parse(&argv("score --tree t --log q --items 5 --labels")),
+            Err("score does not take --labels".to_owned())
+        );
+        assert_eq!(
+            parse(&argv("query --send PING --threads 2")),
+            Err("query does not take --threads".to_owned())
         );
     }
 

@@ -19,9 +19,9 @@
 //! Raised per-item bounds are honored: an item may be assigned to up to
 //! `bound(i)` pairwise branch-disjoint categories.
 
+use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::ItemId;
-use crate::packed::CsrIndex;
 use crate::similarity::{SimilarityKind, EPS};
 use crate::tree::{CatId, CategoryTree};
 use crate::util::{ceil_tolerant, FxHashMap};

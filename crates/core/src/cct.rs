@@ -13,6 +13,12 @@
 //! over Euclidean distances becomes the tree template with one leaf
 //! category per input set; items are assigned by Algorithm 2 and the tree
 //! is condensed exactly as in CTCR.
+//!
+//! Both the embeddings and the raw-pairwise ablation
+//! (`global_embeddings: false`, which clusters on `1 − base` directly)
+//! read their intersection counts from [`intersecting_pairs`], the
+//! co-occurrence kernel CTCR's conflict analysis uses, so no all-pairs
+//! set intersection runs here.
 
 use std::time::Duration;
 
@@ -36,14 +42,6 @@ pub struct CctConfig {
     /// Use the paper's global-context embeddings; when false, cluster on
     /// raw pairwise dissimilarity directly (ablation).
     pub global_embeddings: bool,
-    /// Narrow-then-rerank candidate generation for the raw-pairwise
-    /// ablation: with `Some(k)`, exact dissimilarity is computed only for
-    /// each set's `k` approximate nearest neighbours (by item-membership
-    /// embedding, symmetrized); every other pair is pinned to the maximal
-    /// dissimilarity `1.0`. `k ≥ n` degenerates to the exhaustive scan and
-    /// reproduces the full matrix bit-for-bit. Ignored when
-    /// `global_embeddings` is true.
-    pub ann_candidates: Option<usize>,
     /// Telemetry sink (see [`crate::ctcr::CtcrConfig::metrics`]); disabled
     /// by default.
     pub metrics: Metrics,
@@ -55,7 +53,6 @@ impl Default for CctConfig {
             linkage: Linkage::Average,
             threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
             global_embeddings: true,
-            ann_candidates: None,
             metrics: Metrics::disabled(),
         }
     }
@@ -108,6 +105,30 @@ pub fn embeddings(instance: &Instance, threads: usize) -> Vec<Vec<(u32, f32)>> {
     rows
 }
 
+/// The raw-pairwise ablation's matrix: dissimilarity `1 − base(q_i, q_j)`
+/// for every pair. Every cell starts at the disjoint value
+/// `1 − base(|q_i|, |q_j|, 0)` (not always 1: an empty set has recall 1
+/// under Perfect-Recall), and the intersecting pairs overwrite theirs from
+/// the kernel's counts, the same integers a set merge would produce.
+fn raw_pairwise_matrix(instance: &Instance, threads: usize) -> CondensedMatrix {
+    let n = instance.num_sets();
+    let base = instance.similarity.kind.base();
+    let sizes: Vec<usize> = instance.sets.iter().map(|s| s.items.len()).collect();
+    let dissimilarity =
+        |i: usize, j: usize, inter: usize| 1.0 - base.eval(sizes[i], sizes[j], inter) as f32;
+    let mut m = CondensedMatrix::zeros(n);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            m.set(i, j, dissimilarity(i, j, 0));
+        }
+    }
+    for p in intersecting_pairs(instance, threads) {
+        let (i, j) = (p.hi.min(p.lo) as usize, p.hi.max(p.lo) as usize);
+        m.set(i, j, dissimilarity(i, j, p.inter as usize));
+    }
+    m
+}
+
 /// Runs CCT over `instance`.
 pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     let metrics = &config.metrics;
@@ -129,63 +150,9 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
         // pairwise distance is finite.
         cluster_with_metrics(matrix, config.linkage, metrics).expect("finite distances")
     } else {
-        // Ablation: dissimilarity = 1 − base similarity, directly. The
-        // all-pairs intersection sizes run on packed bitmaps (word-level
-        // AND + popcount); `base.eval` sees the same integers an `ItemSet`
-        // merge would produce, so the matrix is unchanged bit-for-bit.
-        let base = instance.similarity.kind.base();
-        let packed = instance.packed_sets();
-        let mut m = CondensedMatrix::zeros(n);
-        if let Some(k) = config.ann_candidates {
-            // Narrow-then-rerank (DESIGN.md §19): approximate neighbours by
-            // item-membership embedding pick the pairs worth exact scoring;
-            // everything else is pinned to the maximal dissimilarity.
-            let _narrow = stage.child("narrow");
-            let dim = crate::vector::DEFAULT_DIM;
-            let embeds: Vec<Vec<f32>> = instance
-                .sets
-                .iter()
-                .map(|s| crate::vector::embed_items(s.items.as_slice(), dim))
-                .collect();
-            let ids: Vec<u32> = (0..n as u32).collect();
-            let index = crate::vector::VectorIndex::build(
-                ids,
-                embeds.clone(),
-                &crate::vector::VectorConfig::default(),
-            )
-            .expect("membership embeddings are dense, uniform, and finite");
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    m.set(i, j, 1.0);
-                }
-            }
-            // k + 1 because each set is its own nearest neighbour; an ef of
-            // at least n turns the search into the exhaustive scan, making
-            // `k ≥ n` exactly equal to the full pairwise matrix.
-            let want = (k + 1).min(n);
-            let ef = (k + 1).max(crate::vector::DEFAULT_EF_SEARCH);
-            for (i, embed) in embeds.iter().enumerate() {
-                for (id, _) in index.search(embed, want, ef) {
-                    let j = id as usize;
-                    if j == i {
-                        continue;
-                    }
-                    let (a, b) = if i < j { (i, j) } else { (j, i) };
-                    let (qa, qb) = (&packed[a], &packed[b]);
-                    let sim = base.eval(qa.len(), qb.len(), qa.intersection_size(qb));
-                    m.set(a, b, 1.0 - sim as f32);
-                }
-            }
-        } else {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let (qi, qj) = (&packed[i], &packed[j]);
-                    let sim = base.eval(qi.len(), qj.len(), qi.intersection_size(qj));
-                    m.set(i, j, 1.0 - sim as f32);
-                }
-            }
-        }
-        // Dissimilarities are 1 − sim with sim ∈ [0, 1]: always finite.
+        // Ablation: cluster on raw pairwise dissimilarity. Dissimilarities
+        // are 1 − sim with sim ∈ [0, 1]: always finite.
+        let m = raw_pairwise_matrix(instance, config.threads);
         cluster_with_metrics(m, config.linkage, metrics).expect("finite distances")
     };
     let cluster_time = stage.elapsed();
@@ -366,55 +333,37 @@ mod tests {
     }
 
     #[test]
-    fn ann_narrow_mode_with_full_k_equals_exhaustive_ablation() {
+    fn raw_pairwise_matrix_matches_brute_force() {
+        // An empty set, nested, crossing and disjoint pairs: every cell
+        // must equal `1 − base` over a direct `ItemSet` intersection.
+        let sets = [vec![], vec![0, 1, 2, 3], vec![1, 2], vec![2, 3, 4], vec![5]];
         for similarity in [
-            Similarity::jaccard_threshold(0.6),
-            Similarity::f1_threshold(0.6),
-            Similarity::perfect_recall(0.7),
+            Similarity::jaccard_threshold(0.8),
+            Similarity::f1_cutoff(0.8),
+            Similarity::perfect_recall(0.8),
         ] {
-            let instance = figure2_instance(similarity);
-            let exhaustive = run(
-                &instance,
-                &CctConfig {
-                    global_embeddings: false,
-                    ..CctConfig::default()
-                },
+            let instance = Instance::new(
+                6,
+                sets.iter()
+                    .map(|items| InputSet::new(ItemSet::new(items.clone()), 1.0))
+                    .collect(),
+                similarity,
             );
-            let narrowed = run(
-                &instance,
-                &CctConfig {
-                    global_embeddings: false,
-                    ann_candidates: Some(instance.num_sets()),
-                    ..CctConfig::default()
-                },
-            );
-            assert_eq!(
-                crate::persist::encode_tree(&narrowed.tree).as_ref(),
-                crate::persist::encode_tree(&exhaustive.tree).as_ref()
-            );
-            assert_eq!(
-                narrowed.score.total.to_bits(),
-                exhaustive.score.total.to_bits()
-            );
+            let base = similarity.kind.base();
+            let m = raw_pairwise_matrix(&instance, 1);
+            for i in 0..sets.len() {
+                for j in (i + 1)..sets.len() {
+                    let (a, b) = (&instance.sets[i].items, &instance.sets[j].items);
+                    let sim = base.eval(a.len(), b.len(), a.intersection_size(b));
+                    assert_eq!(
+                        m.get(i, j).to_bits(),
+                        (1.0 - sim as f32).to_bits(),
+                        "{:?} cell ({i}, {j})",
+                        similarity.kind
+                    );
+                }
+            }
         }
-    }
-
-    #[test]
-    fn ann_narrow_mode_with_small_k_stays_valid_and_deterministic() {
-        let instance = figure2_instance(Similarity::jaccard_threshold(0.6));
-        let config = CctConfig {
-            global_embeddings: false,
-            ann_candidates: Some(2),
-            ..CctConfig::default()
-        };
-        let a = run(&instance, &config);
-        let b = run(&instance, &config);
-        assert!(a.tree.validate(&instance).is_ok());
-        assert_eq!(
-            crate::persist::encode_tree(&a.tree).as_ref(),
-            crate::persist::encode_tree(&b.tree).as_ref(),
-            "narrow mode must be run-to-run stable"
-        );
     }
 
     #[test]

@@ -12,20 +12,28 @@
 //!   pairs end up on a common branch in the constructed tree.
 //!
 //! Disjoint pairs can always be covered separately, so only intersecting
-//! pairs are interesting; they are enumerated through an inverted index,
-//! which counts each pair's intersection, and classified from those counts
-//! and the two set sizes alone. No variant inspects set structure: even the
-//! Exact variant's nesting test is `inter == min(|q_hi|, |q_lo|)`.
+//! pairs are interesting. One co-occurrence kernel, `CoCounter`, counts
+//! them: for one set it walks the CSR posting lists of its items with a
+//! dense per-set counter, yielding `(|q₁ ∩ q₂|, eff_inter)` for every
+//! partner. [`intersecting_pairs`] runs it over all sets (each pair from its
+//! lower index) and the stream engine over the changed sets. Pairs are
+//! classified from those counts and the two set sizes alone. No variant
+//! inspects set structure: even the Exact variant's nesting test is
+//! `inter == min(|q_hi|, |q_lo|)`.
 
 use oct_resilience::Budget;
 
+use crate::csr::CsrIndex;
 use crate::input::Instance;
-use crate::packed::CsrIndex;
 use crate::similarity::{SimilarityKind, EPS};
 use crate::util::{ceil_tolerant, floor_tolerant, FxHashMap, FxHashSet};
 
-/// How often (in inverted-index items) workers read the wall clock.
-const DEADLINE_STRIDE: usize = 256;
+/// How often (in sets scanned) workers read the wall clock.
+const DEADLINE_STRIDE: u64 = 64;
+
+/// Instances over fewer items count their pairs on one thread (the same
+/// cutover as the item-chunked scan this kernel replaced).
+const PARALLEL_MIN_ITEMS: usize = 1024;
 
 /// Classification of an intersecting pair of input sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +70,9 @@ impl PairClass {
 /// eff_inter, δ)`; the sets' items are never read. The Exact variant's
 /// nesting test included: one set contains the other exactly when they
 /// share all the items of the smaller one, `inter == min(|q_hi|, |q_lo|)`.
-/// A lower-bound `inter` (a scan cut short by a budget) can only make the
-/// together test fail more often, for every variant: a nested pair reads
-/// as crossing just as the Jaccard/F1 together-slack shrinks.
+/// A lower-bound `inter` can only make the together test fail more often,
+/// for every variant: a nested pair reads as crossing just as the
+/// Jaccard/F1 together-slack shrinks.
 pub fn classify_pair(
     instance: &Instance,
     hi: usize,
@@ -148,28 +156,97 @@ pub struct RankedPair {
     pub eff_inter: u32,
 }
 
-/// One worker's partial result: co-occurrence counts keyed by ranked set
-/// pair, plus whether the scan was truncated by the budget.
-type ChunkCounts = (FxHashMap<(u32, u32), (u32, u32)>, bool);
+/// The co-occurrence kernel: counts one set's intersection with every set
+/// it shares an item with, by walking the CSR posting lists of its items.
+///
+/// It keeps a dense `u32` counter per set, reset through a touched list.
+/// Both all-pairs callers ([`intersecting_pairs_budgeted`] and the stream
+/// engine's re-classification) count through it, so a pair's `inter` and
+/// `eff_inter` are the same integers wherever they are read.
+pub(crate) struct CoCounter<'a> {
+    instance: &'a Instance,
+    index: &'a CsrIndex,
+    /// Shared items per partner set; all zero between calls.
+    inter: Vec<u32>,
+    /// Shared items with a raised branch bound per partner set; empty when
+    /// the instance raises no bound, otherwise all zero between calls.
+    relaxed: Vec<u32>,
+    /// Partners with a nonzero `inter`, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl<'a> CoCounter<'a> {
+    /// A counter over `instance`, whose inverted index is `index`.
+    pub(crate) fn new(instance: &'a Instance, index: &'a CsrIndex) -> Self {
+        let n = instance.num_sets();
+        Self {
+            instance,
+            index,
+            inter: vec![0; n],
+            relaxed: if instance.item_bounds.is_some() {
+                vec![0; n]
+            } else {
+                Vec::new()
+            },
+            touched: Vec::new(),
+        }
+    }
+
+    /// Calls `emit(o, |q_s ∩ q_o|, eff_inter)` once for every set `o ≠ s`
+    /// that shares an item with set `s` and is not skipped, in first-touch
+    /// order. `eff_inter` counts the shared items whose branch bound is 1.
+    /// Skipped sets are never counted, so a caller that emits each pair
+    /// from one side only saves half the visits.
+    pub(crate) fn partners(
+        &mut self,
+        s: u32,
+        skip: impl Fn(u32) -> bool,
+        mut emit: impl FnMut(u32, u32, u32),
+    ) {
+        let bounded = !self.relaxed.is_empty();
+        for item in self.instance.sets[s as usize].items.iter() {
+            let relaxed = bounded && self.instance.bound_of(item) > 1;
+            for &o in self.index.sets_of(item) {
+                if o == s || skip(o) {
+                    continue;
+                }
+                let count = &mut self.inter[o as usize];
+                if *count == 0 {
+                    self.touched.push(o);
+                }
+                *count += 1;
+                if relaxed {
+                    self.relaxed[o as usize] += 1;
+                }
+            }
+        }
+        for o in self.touched.drain(..) {
+            let inter = std::mem::take(&mut self.inter[o as usize]);
+            let relaxed = self.relaxed.get_mut(o as usize).map_or(0, std::mem::take);
+            emit(o, inter, inter - relaxed);
+        }
+    }
+}
 
 /// Enumerates all intersecting input-set pairs with intersection sizes,
-/// splitting the inverted index across `threads` workers.
+/// splitting the sets across `threads` workers.
 pub fn intersecting_pairs(instance: &Instance, threads: usize) -> Vec<RankedPair> {
     intersecting_pairs_budgeted(instance, threads, &Budget::unlimited()).0
 }
 
-/// [`intersecting_pairs`] under a wall-clock [`Budget`]: on expiry each
-/// worker stops scanning its remaining inverted-index items. The second
-/// return value is `true` when the scan was cut short — the pair list is
-/// then a prefix sample (intersection counts for scanned items only), so
-/// downstream conflict detection under-reports and the resulting tree is
-/// degraded but structurally valid.
+/// [`intersecting_pairs`] under a wall-clock [`Budget`]. Each pair is
+/// counted by the co-occurrence kernel from its lower set index; worker `t`
+/// of `T` takes sets `t, t + T, t + 2T, …` (the strided split balances the
+/// triangular work) and, on expiry, stops at a set boundary. The second
+/// return value is `true` when the scan was cut short: the list then holds
+/// every pair emitted from the sets scanned so far (a prefix of each
+/// worker's share) with exact counts, and misses the rest, so downstream
+/// conflict detection under-reports and the resulting tree is degraded but
+/// structurally valid. An already expired budget yields no pairs.
 ///
-/// A truncated `inter` (and `eff_inter`) is a lower bound on the true
-/// count, and [`classify_pair`]'s together test only gets harder on it:
-/// the Jaccard/F1 together-slack shrinks, and under the Exact variant a
-/// nested pair whose shared items were only partly scanned falls short of
-/// `min(|q_hi|, |q_lo|)` and reads as not nested.
+/// Every listed `inter` is exact, so in particular a lower bound on the
+/// count the full scan would report; [`classify_pair`]'s together test
+/// only gets harder on a lower bound, for every variant.
 pub fn intersecting_pairs_budgeted(
     instance: &Instance,
     threads: usize,
@@ -177,39 +254,51 @@ pub fn intersecting_pairs_budgeted(
 ) -> (Vec<RankedPair>, bool) {
     let ranks = instance.ranks();
     let index = instance.inverted_index();
-    let threads = threads.max(1);
-    let has_bounds = instance.item_bounds.is_some();
-
-    // Each worker scans a chunk of items and counts co-occurrences locally.
-    let chunk = index.len().div_ceil(threads);
-    let results: Vec<ChunkCounts> = if threads == 1 || index.len() < 1024 {
-        vec![count_chunk(
-            instance,
-            &ranks,
-            &index,
-            0,
-            index.len(),
-            has_bounds,
-            budget,
-        )]
+    let n = instance.num_sets();
+    let threads = if index.num_items() < PARALLEL_MIN_ITEMS {
+        1
+    } else {
+        threads.max(1)
+    };
+    let limited = budget.is_limited();
+    let scan = |t: usize| -> (Vec<RankedPair>, bool) {
+        let mut counter = CoCounter::new(instance, &index);
+        let mut pairs = Vec::new();
+        for (scanned, s) in (t..n).step_by(threads).enumerate() {
+            if limited && budget.check_every(scanned as u64, DEADLINE_STRIDE) {
+                return (pairs, true);
+            }
+            let s = s as u32;
+            counter.partners(
+                s,
+                |o| o < s,
+                |o, inter, eff_inter| {
+                    // Order by rank: hi = lower rank value.
+                    let (hi, lo) = if ranks[s as usize] < ranks[o as usize] {
+                        (s, o)
+                    } else {
+                        (o, s)
+                    };
+                    pairs.push(RankedPair {
+                        hi,
+                        lo,
+                        inter,
+                        eff_inter,
+                    });
+                },
+            );
+        }
+        (pairs, false)
+    };
+    let results: Vec<(Vec<RankedPair>, bool)> = if threads == 1 {
+        vec![scan(0)]
     } else {
         std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(index.len());
-                if lo >= hi {
-                    continue;
-                }
-                let (instance, ranks, index) = (&*instance, &ranks, &index);
-                handles.push(scope.spawn(move || {
-                    count_chunk(instance, ranks, index, lo, hi, has_bounds, budget)
-                }));
-            }
+            let handles: Vec<_> = (0..threads).map(|t| scope.spawn(move || scan(t))).collect();
             handles
                 .into_iter()
                 .map(|h| match h.join() {
-                    Ok(map) => map,
+                    Ok(result) => result,
                     // Surface the worker's own panic payload rather than a
                     // generic message of our own.
                     Err(payload) => std::panic::resume_unwind(payload),
@@ -217,66 +306,10 @@ pub fn intersecting_pairs_budgeted(
                 .collect()
         })
     };
-
     let truncated = results.iter().any(|(_, t)| *t);
-    let mut merged: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
-    for (map, _) in results {
-        for (key, (inter, eff)) in map {
-            let entry = merged.entry(key).or_insert((0, 0));
-            entry.0 += inter;
-            entry.1 += eff;
-        }
-    }
-    let mut pairs: Vec<RankedPair> = merged
-        .into_iter()
-        .map(|((hi, lo), (inter, eff_inter))| RankedPair {
-            hi,
-            lo,
-            inter,
-            eff_inter,
-        })
-        .collect();
-    pairs.sort_by_key(|p| (p.hi, p.lo));
+    let mut pairs: Vec<RankedPair> = results.into_iter().flat_map(|(p, _)| p).collect();
+    pairs.sort_unstable_by_key(|p| (p.hi, p.lo));
     (pairs, truncated)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn count_chunk(
-    instance: &Instance,
-    ranks: &[u32],
-    index: &CsrIndex,
-    lo: usize,
-    hi: usize,
-    has_bounds: bool,
-    budget: &Budget,
-) -> ChunkCounts {
-    let limited = budget.is_limited();
-    let mut map: FxHashMap<(u32, u32), (u32, u32)> = FxHashMap::default();
-    let mut truncated = false;
-    for (scanned, item) in (lo..hi).enumerate() {
-        if limited && budget.check_every(scanned as u64, DEADLINE_STRIDE as u64) {
-            truncated = true;
-            break;
-        }
-        let sets = index.sets_of(item as u32);
-        let relaxed = has_bounds && instance.bound_of(item as u32) > 1;
-        for (i, &a) in sets.iter().enumerate() {
-            for &b in &sets[i + 1..] {
-                // Order by rank: hi = lower rank value.
-                let key = if ranks[a as usize] < ranks[b as usize] {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let entry = map.entry(key).or_insert((0, 0));
-                entry.0 += 1;
-                if !relaxed {
-                    entry.1 += 1;
-                }
-            }
-        }
-    }
-    (map, truncated)
 }
 
 /// The full conflict structure of an instance.
@@ -360,11 +393,10 @@ pub fn analyze_with_metrics(
 /// 3-conflict derivation is skipped entirely — the hypergraph solver then
 /// sees only the 2-conflicts already found.
 ///
-/// Pairs are classified from the partial counts as they stand (see
-/// [`intersecting_pairs_budgeted`]): under the Exact variant a partly
-/// scanned nested pair is classified as crossing rather than nested, the
-/// same pessimistic reading of the together test that the Jaccard/F1
-/// arithmetic makes.
+/// The pairs the truncated scan did reach carry exact counts and are
+/// classified as in a full run (see [`intersecting_pairs_budgeted`]); the
+/// pairs it missed are treated as disjoint, so they yield neither
+/// conflicts nor must-together or nestable pairs.
 pub fn analyze_budgeted(
     instance: &Instance,
     threads: usize,
@@ -814,6 +846,93 @@ mod tests {
         assert_eq!(i.sets[q2].items.len(), 2);
         assert!(classify_pair(&i, q1, q2, 2, 2).can_together);
         assert!(classify_pair(&i, q1, q2, 1, 1).is_conflict());
+    }
+
+    /// Clustered random sets over `num_items`, with every seventh item's
+    /// branch bound raised so `eff_inter` differs from `inter`.
+    fn clustered(num_sets: usize, num_items: u32, seed: u64) -> Instance {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sets: Vec<(Vec<u32>, f64)> = (0..num_sets)
+            .map(|_| {
+                let base = rng.gen_range(0..num_items - 64);
+                let len = rng.gen_range(1..40);
+                let items = (0..len).map(|_| base + rng.gen_range(0..64u32)).collect();
+                (items, rng.gen_range(1..10) as f64)
+            })
+            .collect();
+        let bounds = (0..num_items)
+            .map(|i| if i % 7 == 0 { 2 } else { 1 })
+            .collect();
+        inst(sets, Similarity::jaccard_threshold(0.7), num_items).with_item_bounds(bounds)
+    }
+
+    /// Every intersecting pair by brute force over all `(i, j)`, oriented
+    /// and sorted like [`intersecting_pairs`].
+    fn brute_force(i: &Instance) -> Vec<(u32, u32, u32, u32)> {
+        let ranks = i.ranks();
+        let mut pairs = Vec::new();
+        for a in 0..i.num_sets() {
+            for b in a + 1..i.num_sets() {
+                let shared = i.sets[a].items.intersection(&i.sets[b].items);
+                if shared.is_empty() {
+                    continue;
+                }
+                let eff = shared.iter().filter(|&item| i.bound_of(item) == 1).count();
+                let (hi, lo) = if ranks[a] < ranks[b] { (a, b) } else { (b, a) };
+                pairs.push((hi as u32, lo as u32, shared.len() as u32, eff as u32));
+            }
+        }
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn tuples(pairs: &[RankedPair]) -> Vec<(u32, u32, u32, u32)> {
+        pairs
+            .iter()
+            .map(|p| (p.hi, p.lo, p.inter, p.eff_inter))
+            .collect()
+    }
+
+    #[test]
+    fn kernel_matches_brute_force_on_every_thread_count() {
+        // Enough items that two and more threads split the sets.
+        let i = clustered(600, 3000, 5);
+        assert!(i.inverted_index().num_items() >= PARALLEL_MIN_ITEMS);
+        let expected = brute_force(&i);
+        assert!(expected.iter().any(|&(_, _, inter, eff)| eff < inter));
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                tuples(&intersecting_pairs(&i, threads)),
+                expected,
+                "threads = {threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_scan_lists_exact_counts() {
+        let i = clustered(3000, 6000, 9);
+        let full = tuples(&intersecting_pairs(&i, 2));
+        let (none, truncated) = intersecting_pairs_budgeted(&i, 2, &Budget::expired_now());
+        assert!(
+            truncated && none.is_empty(),
+            "an expired budget yields no pairs"
+        );
+        // Wherever a deadline cuts the scan, the pairs it did list are
+        // exact: a subset of the full list, counts included.
+        for deadline_ms in [1, 2, 5] {
+            let (pairs, _) =
+                intersecting_pairs_budgeted(&i, 2, &Budget::with_deadline_ms(deadline_ms));
+            let pairs = tuples(&pairs);
+            assert!(pairs.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
+            for p in &pairs {
+                assert!(
+                    full.binary_search(p).is_ok(),
+                    "{p:?} is not in the full list"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! 1. **Pair cache** — pair classifications ([`PairClass`]) are cached keyed
 //!    by `SetId` pair. A batch evicts entries touching changed sets and
-//!    re-classifies only pairs between a changed set and its partners
-//!    (discovered through the CSR inverted index); everything else is reused.
+//!    re-classifies only pairs between a changed set and its partners, whose
+//!    intersection counts come from the co-occurrence kernel the batch
+//!    analysis uses ([`crate::conflict`]); everything else is reused.
 //!    The `(hi, lo)` orientation is pairwise-stable — it depends only on the
 //!    two sets' sizes, weights, and ids — so cached entries stay valid while
 //!    both endpoints are unchanged, whatever else the batch did.
@@ -42,7 +43,7 @@ use std::path::PathBuf;
 use oct_mis::{local, Graph, SolveBudget, Solver};
 use oct_obs::Metrics;
 
-use crate::conflict::{classify_pair, PairClass};
+use crate::conflict::{classify_pair, CoCounter, PairClass};
 use crate::ctcr::{build_from_selection, CtcrConfig, SelectionContext};
 use crate::input::{InputSet, Instance};
 use crate::persist::{self, StreamCheckpoint};
@@ -448,10 +449,9 @@ impl StreamEngine {
             .collect();
         drop(stage);
 
-        // Re-classify pairs between changed sets and their partners. The
-        // inverted index makes this local: cost is proportional to the
-        // posting lists of the changed sets' items, not to |Q|². One dense
-        // counter, reset through its touched list, serves every changed set.
+        // Re-classify pairs between changed sets and their partners through
+        // the co-occurrence kernel: cost is proportional to the posting
+        // lists of the changed sets' items, not to |Q|².
         let stage = span.child("classify");
         let index = instance.inverted_index();
         let mut is_changed = vec![false; ids.len()];
@@ -460,40 +460,26 @@ impl StreamEngine {
                 is_changed[ci as usize] = true;
             }
         }
-        let mut counts = vec![0u32; ids.len()];
-        let mut touched: Vec<u32> = Vec::new();
-        let mut dirty: Vec<(u32, u32, u32)> = Vec::new();
+        let mut counter = CoCounter::new(&instance, &index);
+        let mut dirty: Vec<(u32, u32, u32, u32)> = Vec::new();
         for ci in (0..ids.len() as u32).filter(|&ci| is_changed[ci as usize]) {
-            for item in instance.sets[ci as usize].items.iter() {
-                for &other in index.sets_of(item) {
-                    // A changed-changed pair is counted from its lower
-                    // index (index order is id order) only.
-                    if other == ci || (other < ci && is_changed[other as usize]) {
-                        continue;
-                    }
-                    let count = &mut counts[other as usize];
-                    if *count == 0 {
-                        touched.push(other);
-                    }
-                    *count += 1;
-                }
-            }
-            for other in touched.drain(..) {
-                let inter = std::mem::take(&mut counts[other as usize]);
-                dirty.push((ci.min(other), ci.max(other), inter));
-            }
+            // A changed-changed pair is counted from its lower index (index
+            // order is id order) only.
+            let skip = |other: u32| other < ci && is_changed[other as usize];
+            counter.partners(ci, skip, |other, inter, eff_inter| {
+                dirty.push((ci.min(other), ci.max(other), inter, eff_inter));
+            });
         }
         let reclassified = dirty.len();
         let cached = self.pairs.len();
-        for (a, b, inter) in dirty {
+        for (a, b, inter, eff_inter) in dirty {
             let (hi, lo) = pair_orientation(&instance, a, b);
-            // The engine never raises item bounds, so eff_inter == inter.
             let class = classify_pair(
                 &instance,
                 hi as usize,
                 lo as usize,
                 inter as usize,
-                inter as usize,
+                eff_inter as usize,
             );
             let (ida, idb) = (ids[a as usize], ids[b as usize]);
             self.pairs.insert(

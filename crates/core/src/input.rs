@@ -1,8 +1,8 @@
 //! `OCT` problem instances: weighted candidate categories over an item
 //! universe.
 
+use crate::csr::CsrIndex;
 use crate::itemset::{ItemId, ItemSet};
-use crate::packed::{CsrIndex, PackedSet};
 use crate::similarity::{Similarity, EPS};
 
 /// One candidate category: an item set the solution should contain a
@@ -145,16 +145,6 @@ impl Instance {
         CsrIndex::build(self.num_items, self.sets.iter().map(|s| &s.items))
     }
 
-    /// The input sets repacked as chunked bitmaps, indexed like `sets`.
-    /// Used by the popcount-based hot paths (conflict subset tests, the
-    /// ablation similarity matrix); `ItemSet` stays the reference.
-    pub fn packed_sets(&self) -> Vec<PackedSet> {
-        self.sets
-            .iter()
-            .map(|s| PackedSet::from_itemset(&s.items))
-            .collect()
-    }
-
     /// The paper's ranking (§3.2): sets sorted by size descending, then by
     /// weight ascending (heavier same-size sets rank lower in the tree),
     /// ties broken by index. Returns `rank[set_idx] ∈ 0..n` where rank 0 is
@@ -250,16 +240,6 @@ mod tests {
         assert_eq!(&idx[8], &[3][..]); // item i only in q4
         assert_eq!(idx.num_items(), 9);
         assert_eq!(idx.num_postings(), 5 + 2 + 4 + 6);
-    }
-
-    #[test]
-    fn packed_sets_mirror_input_sets() {
-        let inst = figure2_instance(Similarity::new(SimilarityKind::Exact, 1.0));
-        let packed = inst.packed_sets();
-        assert_eq!(packed.len(), inst.num_sets());
-        for (p, s) in packed.iter().zip(&inst.sets) {
-            assert_eq!(p.to_vec(), s.items.as_slice());
-        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! ## Modules
 //!
 //! * [`input`] / [`itemset`] / [`similarity`] — the problem model (§2);
-//! * [`packed`] — bit-parallel packed item sets and the CSR inverted index;
+//! * [`csr`] — the CSR inverted index behind every all-pairs count;
 //! * [`tree`] / [`score`] — the solution space and objective;
 //! * [`conflict`] — 2-/3-conflict analysis (§3.1–3.3);
 //! * [`ctcr`] — the MIS-based Category Tree Conflict Resolver (§3);
@@ -53,6 +53,7 @@ pub mod assign;
 pub mod baselines;
 pub mod cct;
 pub mod conflict;
+pub mod csr;
 pub mod ctcr;
 pub mod dot;
 pub mod facets;
@@ -61,7 +62,6 @@ pub mod input;
 pub mod itemset;
 pub mod labeling;
 pub mod navigation;
-pub mod packed;
 pub mod persist;
 pub mod point;
 pub mod repair;
@@ -74,10 +74,10 @@ pub mod vector;
 pub mod workflow;
 
 pub use cct::CctConfig;
+pub use csr::CsrIndex;
 pub use ctcr::CtcrConfig;
 pub use input::{InputSet, Instance};
 pub use itemset::{ItemId, ItemSet};
-pub use packed::{CsrIndex, PackedSet};
 pub use point::{PointCover, PointIndex};
 pub use score::{score_tree, score_tree_with, ScoreOptions, TreeScore};
 pub use similarity::{Similarity, SimilarityKind};
@@ -88,6 +88,7 @@ pub use vector::{VectorConfig, VectorError, VectorIndex};
 pub mod prelude {
     pub use crate::baselines::{self, BaselineConfig, BaselineError};
     pub use crate::cct::{self, CctConfig};
+    pub use crate::csr::CsrIndex;
     pub use crate::ctcr::{self, CtcrConfig};
     pub use crate::dot;
     pub use crate::facets;
@@ -98,7 +99,6 @@ pub mod prelude {
     pub use crate::itemset::{ItemId, ItemSet};
     pub use crate::labeling;
     pub use crate::navigation;
-    pub use crate::packed::{CsrIndex, PackedSet};
     pub use crate::persist;
     pub use crate::point::{PointCover, PointIndex};
     pub use crate::repair;

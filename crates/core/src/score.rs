@@ -39,8 +39,8 @@
 use oct_obs::{Counter, Metrics};
 use oct_resilience::{run_isolated, Budget, ExecutionError};
 
+use crate::csr::CsrIndex;
 use crate::input::Instance;
-use crate::packed::CsrIndex;
 use crate::similarity::{Similarity, EPS};
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::{FxHashMap, FxHashSet};

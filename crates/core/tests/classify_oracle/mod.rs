@@ -4,7 +4,6 @@
 
 use oct_core::conflict::PairClass;
 use oct_core::input::Instance;
-use oct_core::packed::PackedSet;
 use oct_core::similarity::SimilarityKind;
 
 /// `δ` in hundredths; every threshold these tests use is one.
@@ -18,11 +17,11 @@ fn hundredths(delta: f64) -> u64 {
 }
 
 /// The structural oracle for `classify_pair`: it recounts the pair's
-/// shared items from the sets, decides Exact nesting with the scalar *and*
-/// the packed subset test (which must agree), and evaluates the paper's
+/// shared items from the sets, decides Exact nesting with the subset test
+/// (never from the counts the classifier reads), and evaluates the paper's
 /// §3.3 together/separately predicates for the other variants in exact
 /// integer arithmetic (δ = n/100).
-pub fn oracle_class(instance: &Instance, packed: &[PackedSet], hi: usize, lo: usize) -> PairClass {
+pub fn oracle_class(instance: &Instance, hi: usize, lo: usize) -> PairClass {
     let (a, b) = (&instance.sets[hi].items, &instance.sets[lo].items);
     let shared = a.intersection(b);
     let inter = shared.len() as u64;
@@ -36,16 +35,10 @@ pub fn oracle_class(instance: &Instance, packed: &[PackedSet], hi: usize, lo: us
         hundredths(instance.threshold_of(lo)),
     );
     match instance.similarity.kind {
-        SimilarityKind::Exact => {
-            let nested = b.is_subset_of(a) || a.is_subset_of(b);
-            let packed_nested =
-                packed[lo].is_subset_of(&packed[hi]) || packed[hi].is_subset_of(&packed[lo]);
-            assert_eq!(nested, packed_nested, "substrates disagree on nesting");
-            PairClass {
-                can_together: nested,
-                can_separately: eff == 0,
-            }
-        }
+        SimilarityKind::Exact => PairClass {
+            can_together: b.is_subset_of(a) || a.is_subset_of(b),
+            can_separately: eff == 0,
+        },
         SimilarityKind::PerfectRecall => PairClass {
             // |q_hi| / |q_hi ∪ q_lo| ≥ δ_hi.
             can_together: q1 * 100 >= n1 * (q1 + q2 - inter),

@@ -1,26 +1,27 @@
-//! Differential property tests for the packed bitmap substrate: every
-//! [`PackedSet`] operation must agree with the scalar [`ItemSet`] reference
-//! *and* with a `BTreeSet` oracle on adversarial shapes (empty sets,
-//! singletons, dense contiguous runs, sparse power-law ids, ids at the top
-//! of the `u32` range), and [`classify_pair`] must equal a structural
-//! oracle across all six similarity variants and a δ grid.
+//! Differential property tests for the set substrate: every [`ItemSet`]
+//! operation must agree with a `BTreeSet` oracle on adversarial shapes
+//! (empty sets, singletons, dense contiguous runs, sparse spread-out ids,
+//! ids at the top of the `u32` range, and pairs of very different sizes
+//! that drive the galloping intersection), and [`classify_pair`] on the
+//! co-occurrence kernel's counts must equal a structural oracle across all
+//! six similarity variants and a δ grid.
 
 use std::collections::BTreeSet;
 
 use oct_core::conflict::{classify_pair, intersecting_pairs};
 use oct_core::input::{InputSet, Instance};
 use oct_core::itemset::ItemSet;
-use oct_core::packed::PackedSet;
 use oct_core::similarity::Similarity;
 use proptest::prelude::*;
 
 mod classify_oracle;
 use classify_oracle::oracle_class;
 
-/// Adversarial item-id vectors: the shapes that stress every container
-/// representation and the sparse↔dense transitions between them. The
-/// vendored proptest has no `prop_oneof`, so one tagged strategy derives
-/// each shape from shared raw draws.
+/// Adversarial item-id vectors: dense runs against singletons and sparse
+/// spreads (the size ratios that switch the intersection between merging
+/// and galloping), ids on 1024-aligned boundaries, and ids at the top of
+/// the `u32` range. The vendored proptest has no `prop_oneof`, so one
+/// tagged strategy derives each shape from shared raw draws.
 fn arb_items() -> impl Strategy<Value = Vec<u32>> {
     (
         0u32..7,
@@ -32,17 +33,16 @@ fn arb_items() -> impl Strategy<Value = Vec<u32>> {
             // Empty and singleton sets.
             0 => Vec::new(),
             1 => vec![base],
-            // Dense contiguous run: forces Dense containers, full words.
+            // Dense contiguous run.
             2 => (base..base + len as u32).collect(),
-            // Sparse spread-out ids: at most a couple per chunk.
+            // Sparse spread-out ids.
             3 => raw.iter().map(|&r| r * 83_003 + base).collect(),
-            // Clustered at chunk boundaries (multiples of 1024): ids land
-            // on the first/last slots of many containers.
+            // Clustered at the first and last ids of 1024-aligned blocks.
             4 => raw
                 .iter()
                 .map(|&r| (r % 64) * 1024 + if r % 2 == 0 { 0 } else { 1023 })
                 .collect(),
-            // Density straddling the sparse↔dense threshold of one chunk.
+            // A strided run inside one 1024-id block.
             5 => (0..20 + raw.len() as u32)
                 .map(|i| (base % 1000) * 1024 + (i * 21) % 1024)
                 .collect(),
@@ -58,62 +58,39 @@ fn oracle(items: &[u32]) -> BTreeSet<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Three-way agreement on every set operation: PackedSet vs ItemSet vs
-    /// the BTreeSet oracle.
+    /// Agreement of every set operation with the BTreeSet oracle.
     #[test]
-    fn packed_matches_scalar_and_oracle(a in arb_items(), b in arb_items()) {
+    fn itemset_matches_oracle(a in arb_items(), b in arb_items()) {
         let (sa, sb) = (oracle(&a), oracle(&b));
         let (ia, ib) = (ItemSet::new(a.clone()), ItemSet::new(b.clone()));
-        let (pa, pb) = (PackedSet::from(&ia), PackedSet::from(&ib));
 
         // Cardinality and membership.
-        prop_assert_eq!(pa.len(), sa.len());
-        prop_assert_eq!(pa.len(), ia.len());
-        prop_assert_eq!(pa.is_empty(), sa.is_empty());
+        prop_assert_eq!(ia.len(), sa.len());
+        prop_assert_eq!(ia.is_empty(), sa.is_empty());
         for &x in sa.iter().take(50) {
-            prop_assert!(pa.contains(x));
+            prop_assert!(ia.contains(x));
         }
         for &x in sb.iter().take(50) {
-            prop_assert_eq!(pa.contains(x), sa.contains(&x));
+            prop_assert_eq!(ia.contains(x), sa.contains(&x));
         }
 
-        // Binary operations against both references.
+        // Binary operations.
         let inter_oracle = sa.intersection(&sb).count();
-        prop_assert_eq!(pa.intersection_size(&pb), inter_oracle);
         prop_assert_eq!(ia.intersection_size(&ib), inter_oracle);
-        let union_oracle = sa.union(&sb).count();
-        prop_assert_eq!(pa.union_size(&pb), union_oracle);
-        prop_assert_eq!(ia.union_size(&ib), union_oracle);
-        prop_assert_eq!(pa.is_disjoint(&pb), inter_oracle == 0);
-        prop_assert_eq!(pa.is_subset_of(&pb), sa.is_subset(&sb));
-        prop_assert_eq!(pb.is_subset_of(&pa), sb.is_subset(&sa));
+        prop_assert_eq!(ib.intersection_size(&ia), inter_oracle);
+        prop_assert_eq!(ia.union_size(&ib), sa.union(&sb).count());
+        prop_assert_eq!(ia.is_disjoint(&ib), inter_oracle == 0);
         prop_assert_eq!(ia.is_subset_of(&ib), sa.is_subset(&sb));
-
+        prop_assert_eq!(ib.is_subset_of(&ia), sb.is_subset(&sa));
         let diff_oracle: Vec<u32> = sa.difference(&sb).copied().collect();
-        prop_assert_eq!(pa.difference(&pb).to_vec(), diff_oracle.clone());
-        let diff_scalar = ia.difference(&ib);
-        prop_assert_eq!(diff_scalar.as_slice(), &diff_oracle[..]);
+        let diff = ia.difference(&ib);
+        prop_assert_eq!(diff.as_slice(), &diff_oracle[..]);
 
-        // Iteration order and round-trips.
+        // Iteration order and canonical form.
         let sorted: Vec<u32> = sa.iter().copied().collect();
-        prop_assert_eq!(pa.to_vec(), sorted.clone());
-        prop_assert_eq!(pa.iter().collect::<Vec<u32>>(), sorted);
-        prop_assert_eq!(pa.to_itemset(), ia.clone());
-        prop_assert_eq!(PackedSet::from(&pa.to_itemset()), pa.clone());
-
-        // Canonical form: equal contents → equal values, both directions.
-        let rebuilt = PackedSet::from_sorted(ia.as_slice());
-        prop_assert_eq!(rebuilt, pa);
-    }
-
-    /// Difference results stay canonical: re-packing the materialized
-    /// difference yields the same `PackedSet` the direct call produced.
-    #[test]
-    fn difference_stays_canonical(a in arb_items(), b in arb_items()) {
-        let pa = PackedSet::from(&ItemSet::new(a));
-        let pb = PackedSet::from(&ItemSet::new(b));
-        let diff = pa.difference(&pb);
-        prop_assert_eq!(PackedSet::from_sorted(&diff.to_vec()), diff);
+        prop_assert_eq!(ia.as_slice(), &sorted[..]);
+        prop_assert_eq!(ia.iter().collect::<Vec<u32>>(), sorted.clone());
+        prop_assert_eq!(ItemSet::from_sorted(sorted), ia);
     }
 }
 
@@ -165,14 +142,13 @@ proptest! {
                 seed_instance.sets.clone(),
                 similarity,
             );
-            let packed = instance.packed_sets();
             for pair in intersecting_pairs(&instance, 1) {
                 let (hi, lo) = (pair.hi as usize, pair.lo as usize);
                 let (inter, eff) = (pair.inter as usize, pair.eff_inter as usize);
                 let class = classify_pair(&instance, hi, lo, inter, eff);
                 prop_assert_eq!(
                     class,
-                    oracle_class(&instance, &packed, hi, lo),
+                    oracle_class(&instance, hi, lo),
                     "variant {:?} δ={} pair ({hi},{lo})",
                     similarity.kind, delta
                 );

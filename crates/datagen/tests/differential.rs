@@ -1,13 +1,14 @@
-//! Scalar-vs-packed differential suite on the generated datasets: the
-//! packed-bitmap substrate must be an invisible substitution. On small
-//! renditions of the paper's datasets A and B this proves
+//! Differential suite of the CSR-index substrate on the generated datasets:
+//! the inverted-index paths must be an invisible substitution for plain
+//! `ItemSet` algebra. On small renditions of the paper's datasets A and B
+//! this proves
 //!
 //! * production tree scoring (CSR index + parallel aggregation) is
-//!   bit-identical to the naive scalar `ItemSet`-union reference scorer,
-//! * `intersecting_pairs` (CSR inverted-index co-occurrence counting)
-//!   matches brute-force scalar pair enumeration exactly, and
-//! * `classify_pair` agrees with a structural oracle (recounted
-//!   intersections, scalar and packed subset tests, exact-integer §3.3
+//!   bit-identical to the naive `ItemSet`-union reference scorer,
+//! * `intersecting_pairs` (the co-occurrence kernel over the CSR inverted
+//!   index) matches brute-force pair enumeration exactly, and
+//! * `classify_pair` on those counts agrees with a structural oracle
+//!   (recounted intersections, `ItemSet` subset tests, exact-integer §3.3
 //!   predicates) on every intersecting pair, for all six similarity
 //!   variants over a δ grid.
 //!
@@ -122,7 +123,6 @@ fn pair_classification_agrees_across_substrates() {
     const DELTA_GRID: [f64; 7] = [0.05, 0.25, 0.50, 0.60, 0.75, 0.90, 0.99];
     for (name, scale) in [(DatasetName::A, 0.05), (DatasetName::B, 0.03)] {
         let ds = generate(name, scale, Similarity::exact());
-        let packed = ds.instance.packed_sets();
         // Ranks (and so the pair list) do not depend on the variant.
         let pairs = intersecting_pairs(&ds.instance, 1);
         let variants = DELTA_GRID.iter().flat_map(|&delta| {
@@ -144,7 +144,7 @@ fn pair_classification_agrees_across_substrates() {
                 let (inter, eff) = (pair.inter as usize, pair.eff_inter as usize);
                 assert_eq!(
                     classify_pair(&instance, hi, lo, inter, eff),
-                    oracle_class(&instance, &packed, hi, lo),
+                    oracle_class(&instance, hi, lo),
                     "{name:?} {:?} δ={}: pair ({hi},{lo}) classified differently",
                     similarity.kind,
                     similarity.delta
