@@ -141,7 +141,8 @@ PARTIAL=""
 for _ in $(seq 1 100); do
     query "CATEGORIZE $SPAN" > "$WORK/partial.txt" 2>&1 || true
     # Settled means: exactly shard 0 missing (not a transient 0,N flap
-    # while breakers converge) and the very next repeat byte-identical.
+    # while the health machines mark the killed replicas Down) and the
+    # very next repeat byte-identical.
     if grep -qE 'partial=1 missing=0([^,0-9]|$)' "$WORK/partial.txt"; then
         query "CATEGORIZE $SPAN" > "$WORK/partial2.txt" 2>&1 || true
         if cmp -s "$WORK/partial.txt" "$WORK/partial2.txt"; then

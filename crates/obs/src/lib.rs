@@ -218,7 +218,7 @@ impl Metrics {
 
     /// A view of this sink that prefixes every metric name with
     /// `prefix + "/"`. Made for per-entity families — a router tracking
-    /// `router/replica/<addr>/{ok,fail,hedge_wins}` builds one scope per
+    /// `router/replica/<addr>/{ok,fail,pool_stale}` builds one scope per
     /// replica. Its `incr`/`add`/`gauge`/`observe` still format the full
     /// name on every call; hot paths take [`ScopedMetrics::counter`] /
     /// [`ScopedMetrics::histogram`] handles once instead. Scopes share

@@ -13,24 +13,17 @@
 //! - [`ExecutionError`] — typed failures for isolated workers, so a panic
 //!   inside a scoped thread becomes a value instead of a process abort.
 //! - [`run_isolated`] — the `catch_unwind` wrapper every scoped worker
-//!   closure runs under.
-//! - [`retry`] — a jittered-exponential-backoff [`RetryPolicy`] for
-//!   transient failures (the shard router's failover sweeps), budget- and
-//!   cancellation-aware so retries never outlive their deadline.
-//! - [`breaker`] — a [`CircuitBreaker`] that trips after consecutive
-//!   failures and half-opens on a timer, one per replica in the shard
-//!   router.
+//!   closure runs under, and [`panic_message`], which turns a caught
+//!   panic payload into text.
 //!
 //! Every degradation path is tested through its real trigger (a NaN input
 //! row, a truncated checkpoint file, a cancelled budget, an out-of-universe
 //! item) or, where no input can reach it, by handing the isolation helper a
 //! panicking closure. Nothing here is process-global, so tests never
 //! interfere with each other.
-//! - [`hedge`] — a quantile-tracked [`HedgeTrigger`] plus [`run_hedged`]
-//!   first-success-wins execution for tail-latency hedging and failover.
-//! - [`health`] — a per-replica [`HealthMachine`]
-//!   (Up→Suspect→Down→Probing) driven by active probes, with last-observed
-//!   serving-epoch tracking for stale-replica detection.
+//!
+//! The shard router's per-replica health machine and hedge trigger live in
+//! `oct-router`, their only user.
 
 use std::error::Error;
 use std::fmt;
@@ -38,16 +31,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-pub mod breaker;
-pub mod health;
-pub mod hedge;
-pub mod retry;
-
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use health::{HealthConfig, HealthMachine, HealthState};
-pub use hedge::{run_hedged, HedgeConfig, HedgeOutcome, HedgeReason, HedgeTrigger, HedgeWinner};
-pub use retry::{RetryOutcome, RetryPolicy};
 
 /// A shared cooperative-cancellation flag.
 ///

@@ -8,10 +8,14 @@
 //! - **Placement** ([`shard`]): a consistent-hash ring maps item ids to
 //!   shards; rendezvous hashing picks each request's replica (and its
 //!   deterministic failover order).
-//! - **Robustness** ([`replica`], [`router`]): per-replica circuit
-//!   breakers and Up→Suspect→Down→Probing health machines, hedged second
-//!   requests after a latency-quantile-tracked delay, sequential
-//!   failover, and jittered retry sweeps — all bounded by one per-request
+//! - **Robustness** ([`replica`], [`router`]): the worker thread that
+//!   holds the client connection writes every shard's sub-request, then
+//!   reads the answers in shard order by absolute deadlines. One failover
+//!   rule covers failures and stragglers: a failed attempt, or one past
+//!   its [`hedge`] deadline (the replica's tracked p90) while another
+//!   candidate exists, goes to the next candidate. One [`health`] machine
+//!   per replica (Up→Suspect→Down→Probing) decides which replicas take
+//!   attempts. All of it is bounded by one per-request
 //!   [`oct_resilience::Budget`].
 //! - **Degradation** ([`merge`]): when a whole shard is unreachable, the
 //!   surviving shards' answers merge deterministically into a cover
@@ -25,11 +29,14 @@
 
 #![warn(missing_docs)]
 
+pub mod health;
+pub mod hedge;
 pub mod merge;
 pub mod replica;
 pub mod router;
 pub mod shard;
 
+pub use health::{HealthConfig, HealthState};
 pub use merge::{merge_covers, SubCover};
 pub use replica::Replica;
 pub use router::{DrainHandle, Router, RouterConfig};

@@ -7,20 +7,24 @@
 //! accept ─▶ admission (BoundedQueue, typed OVERLOADED shed — same as oct-serve)
 //!              ▼
 //!           worker pops connection ─▶ oct-serve's serve_connection
-//!           (answers buffered per read chunk); per request line:
+//!           (answers buffered per read chunk); per request line, on the
+//!           worker's own thread:
 //!              CATEGORIZE/SCORE ─▶ partition items by shard (consistent hash)
-//!                 │  per owning shard, in parallel:
-//!                 │    candidates = replicas in rendezvous order,
-//!                 │                 fresh + available first
-//!                 │    breaker.try_acquire ─▶ hedged primary
-//!                 │       │ no answer within the p90-tracked delay
-//!                 │       ▼
-//!                 │    hedge on the next candidate (first OK wins,
-//!                 │    loser cancelled); then sequential failover,
-//!                 │    jittered retry sweeps, all under one Budget
+//!                 │  per owning shard: candidates = replicas in rendezvous
+//!                 │  order, newest-epoch Up/Suspect first; the first one
+//!                 │  whose health machine admits it gets the sub-request,
+//!                 │  written on a pooled or newly dialled connection
+//!                 ▼
+//!              read the answers in shard order, each by an absolute
+//!              deadline; a failed attempt, or one past its hedge deadline
+//!              while another candidate exists, drops its connection and
+//!              goes to the next candidate; none left ⇒ shard missing
 //!                 ▼
 //!              deterministic merge; dead shards ⇒ typed PARTIAL marker
 //! ```
+//!
+//! The router starts threads only for its workers and its prober: no
+//! request spawns one.
 //!
 //! # Degradation contract
 //!
@@ -39,20 +43,20 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use oct_obs::{Metrics, PipelineReport};
-use oct_resilience::{run_hedged, Budget, CancelToken, HedgeReason, HedgeWinner, RetryPolicy};
-use oct_resilience::{BreakerConfig, HealthConfig, HedgeConfig};
+use oct_obs::{Counter, Histogram, Metrics, PipelineReport};
+use oct_resilience::{Budget, CancelToken};
 use oct_serve::queue::{BoundedQueue, Push};
 use oct_serve::server::{reject, serve_connection, ConnectionPolicy};
 use oct_serve::{ErrorCode, Request, Response};
 
+use crate::health::HealthConfig;
 use crate::merge::{merge_covers, SubCover};
-use crate::replica::Replica;
+use crate::replica::{Attempt, Miss, Replica};
 use crate::shard::{rendezvous_order, request_key, ShardMap};
 
 /// Worker queue-pop poll interval (drain responsiveness).
@@ -77,14 +81,8 @@ pub struct RouterConfig {
     /// Overall per-client-request deadline; `None` = unlimited (drain
     /// still bounds it).
     pub deadline_ms: Option<u64>,
-    /// Jittered retry policy for whole failover sweeps over a shard.
-    pub retry: RetryPolicy,
-    /// Per-replica circuit-breaker thresholds.
-    pub breaker: BreakerConfig,
     /// Per-replica health-machine thresholds.
     pub health: HealthConfig,
-    /// Hedging policy (latency quantile, delay clamps).
-    pub hedge: HedgeConfig,
     /// Cadence of the background health-probe loop.
     pub probe_interval: Duration,
     /// Timeout for one health probe.
@@ -114,10 +112,7 @@ impl Default for RouterConfig {
             queue_capacity: 64,
             attempt_timeout: Duration::from_millis(250),
             deadline_ms: Some(1000),
-            retry: RetryPolicy::default(),
-            breaker: BreakerConfig::default(),
             health: HealthConfig::default(),
-            hedge: HedgeConfig::default(),
             probe_interval: Duration::from_millis(100),
             probe_timeout: Duration::from_millis(100),
             drain_grace: Duration::from_secs(5),
@@ -134,11 +129,11 @@ impl Default for RouterConfig {
 /// replica lists.
 struct Topology {
     map: ShardMap,
-    shards: Vec<Vec<Arc<Replica>>>,
+    shards: Vec<Vec<Replica>>,
 }
 
 impl Topology {
-    fn all(&self) -> impl Iterator<Item = &Arc<Replica>> {
+    fn all(&self) -> impl Iterator<Item = &Replica> {
         self.shards.iter().flatten()
     }
 
@@ -170,11 +165,35 @@ struct Shared {
     shutdown: AtomicBool,
     drain_token: CancelToken,
     in_flight: AtomicUsize,
-    next_seed: AtomicU64,
+    counts: RouterMetrics,
     /// Sticky: latched the first time any cover was served partial, and
     /// reported via `STATS degraded=1` (mirrors the backend's sticky
     /// degraded flag) so one probe spots a router that has been limping.
     served_partial: AtomicBool,
+}
+
+/// The routed path's metrics, looked up once so a request takes no
+/// metrics lock and formats no name.
+struct RouterMetrics {
+    /// Covers served with a `partial=1` marker.
+    partial: Counter,
+    /// Attempts given up at their hedge deadline for the next candidate.
+    hedges: Counter,
+    /// Sub-requests sent to the next candidate after a failed attempt.
+    failovers: Counter,
+    /// Whole cover fan-outs, scatter to merge.
+    fanout_latency: Histogram,
+}
+
+impl RouterMetrics {
+    fn new(metrics: &Metrics) -> Self {
+        Self {
+            partial: metrics.counter("router/partial"),
+            hedges: metrics.counter("router/hedges"),
+            failovers: metrics.counter("router/failovers"),
+            fanout_latency: metrics.histogram("router/fanout_latency"),
+        }
+    }
 }
 
 impl Shared {
@@ -244,13 +263,7 @@ impl Router {
                     replicas
                         .iter()
                         .map(|addr| {
-                            Arc::new(Replica::new(
-                                addr.clone(),
-                                config.breaker.clone(),
-                                config.health.clone(),
-                                config.hedge.clone(),
-                                &config.metrics,
-                            ))
+                            Replica::new(addr.clone(), config.health.clone(), &config.metrics)
                         })
                         .collect()
                 })
@@ -269,7 +282,7 @@ impl Router {
             shutdown: AtomicBool::new(false),
             drain_token: CancelToken::new(),
             in_flight: AtomicUsize::new(0),
-            next_seed: AtomicU64::new(0x243F_6A88_85A3_08D3),
+            counts: RouterMetrics::new(&config.metrics),
             served_partial: AtomicBool::new(false),
             config,
         });
@@ -437,71 +450,53 @@ fn fanout_cover(shared: &Shared, items: &[u32], with_label: bool) -> Response {
             label: None,
         };
     }
-    let budget = shared.request_budget();
-    shared
-        .metrics
-        .gauge("router/fanout_width", parts.len() as f64);
-    let results: Vec<(u32, Result<Response, String>)> = thread::scope(|scope| {
-        let budget = &budget;
-        let handles: Vec<_> = parts
-            .iter()
-            .map(|(shard, slice)| {
-                let sub = if with_label {
-                    Request::Categorize {
-                        items: slice.clone(),
-                        shard: Some(*shard),
-                    }
-                } else {
-                    Request::Score {
-                        items: slice.clone(),
-                        shard: Some(*shard),
-                    }
-                };
-                let key = request_key(slice);
-                scope.spawn(move || (*shard, shard_call(shared, *shard, sub, key, budget)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fan-out thread panicked"))
-            .collect()
-    });
+    let shards: Vec<u32> = parts.iter().map(|(shard, _)| *shard).collect();
+    let calls = parts
+        .into_iter()
+        .map(|(shard, slice)| {
+            let key = request_key(&slice);
+            let sub = if with_label {
+                Request::Categorize {
+                    items: slice,
+                    shard: Some(shard),
+                }
+            } else {
+                Request::Score {
+                    items: slice,
+                    shard: Some(shard),
+                }
+            };
+            shard_call(shared, shard, key, sub)
+        })
+        .collect();
     let mut subs = Vec::new();
     let mut missing = Vec::new();
-    for (shard, result) in results {
-        match result {
-            Ok(resp) => match SubCover::from_response(shard, &resp) {
-                Some(sub) => subs.push(sub),
-                None => missing.push(shard),
-            },
-            Err(_) => missing.push(shard),
+    for (shard, answer) in shards.into_iter().zip(gather(shared, calls)) {
+        match answer
+            .ok()
+            .and_then(|resp| SubCover::from_response(shard, &resp))
+        {
+            Some(sub) => subs.push(sub),
+            None => missing.push(shard),
         }
     }
     let merged = merge_covers(&subs, missing);
     if merged.is_partial() {
-        shared.metrics.incr("router/partial");
+        shared.counts.partial.incr();
         shared.served_partial.store(true, Ordering::Relaxed);
     }
-    shared
-        .metrics
-        .observe("router/fanout_latency", started.elapsed());
+    shared.counts.fanout_latency.observe(started.elapsed());
     merged
 }
 
 /// `NAVIGATE` needs no scatter — every replica serves the full tree — so
 /// it goes to the whole-fleet rendezvous choice for the category key.
 fn navigate(shared: &Shared, cat: u32) -> Response {
-    let candidates: Vec<Arc<Replica>> = shared.topology.all().cloned().collect();
-    let order = rendezvous_order(candidates.len(), u64::from(cat) ^ 0x5851_F42D_4C95_7F2D);
-    let ordered: Vec<Arc<Replica>> = order.into_iter().map(|i| candidates[i].clone()).collect();
-    let budget = shared.request_budget();
-    match call_with_failover(shared, &ordered, &Request::Navigate { cat }, &budget) {
-        Ok(resp) => resp,
-        Err(message) => Response::Error {
-            code: ErrorCode::Unavailable,
-            message,
-        },
-    }
+    whole_fleet(
+        shared,
+        u64::from(cat) ^ 0x5851_F42D_4C95_7F2D,
+        Request::Navigate { cat },
+    )
 }
 
 /// Top-k `NAVIGATE` is whole-tree like the browse form: any replica can
@@ -509,13 +504,17 @@ fn navigate(shared: &Shared, cat: u32) -> Response {
 /// replicas rank identically). Rendezvous on the query key spreads distinct
 /// queries across the fleet while keeping each query's home stable.
 fn navigate_topk(shared: &Shared, k: usize, items: Vec<u32>, ef: Option<usize>) -> Response {
-    let candidates: Vec<Arc<Replica>> = shared.topology.all().cloned().collect();
     let key = request_key(&items) ^ (k as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
-    let order = rendezvous_order(candidates.len(), key);
-    let ordered: Vec<Arc<Replica>> = order.into_iter().map(|i| candidates[i].clone()).collect();
-    let budget = shared.request_budget();
-    let request = Request::NavigateTopK { k, items, ef };
-    match call_with_failover(shared, &ordered, &request, &budget) {
+    whole_fleet(shared, key, Request::NavigateTopK { k, items, ef })
+}
+
+/// One request any replica of the fleet can answer, failing over across
+/// the whole fleet in rendezvous order for `key`.
+fn whole_fleet(shared: &Shared, key: u64, request: Request) -> Response {
+    let replicas: Vec<&Replica> = shared.topology.all().collect();
+    let order = rendezvous_order(replicas.len(), key);
+    let call = Call::new(order.into_iter().map(|i| replicas[i]), request);
+    match gather(shared, vec![call]).swap_remove(0) {
         Ok(resp) => resp,
         Err(message) => Response::Error {
             code: ErrorCode::Unavailable,
@@ -529,35 +528,18 @@ fn navigate_topk(shared: &Shared, k: usize, items: Vec<u32>, ef: Option<usize>) 
 /// flag that ORs backend degradation, unreachable shards, and the
 /// router's own sticky partial latch.
 fn fanout_stats(shared: &Shared) -> Response {
-    let budget = shared.request_budget();
-    let shard_count = shared.topology.shards.len();
-    let results: Vec<Option<Response>> = thread::scope(|scope| {
-        let budget = &budget;
-        let handles: Vec<_> = (0..shard_count)
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard_call(
-                        shared,
-                        shard as u32,
-                        Request::Stats,
-                        0x9E37_79B9 ^ shard as u64,
-                        budget,
-                    )
-                    .ok()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stats fan-out thread panicked"))
-            .collect()
-    });
+    let calls = (0..shared.topology.shards.len() as u32)
+        .map(|shard| {
+            let key = 0x9E37_79B9 ^ u64::from(shard);
+            shard_call(shared, shard, key, Request::Stats)
+        })
+        .collect();
     let mut merged: Option<(u64, usize, usize, u32)> = None;
     let mut any_degraded = false;
     let mut unreachable = 0usize;
-    for result in results {
-        match result {
-            Some(Response::Stats {
+    for answer in gather(shared, calls) {
+        match answer {
+            Ok(Response::Stats {
                 epoch,
                 categories,
                 max_depth,
@@ -590,41 +572,33 @@ fn fanout_stats(shared: &Shared) -> Response {
     }
 }
 
-/// `SWAP` broadcasts to *every* replica of every shard in parallel. A
+/// `SWAP` goes to *every* replica of every shard, whatever its health: all
+/// are written first, then each answer is read by its own deadline. A
 /// partial broadcast leaves the fleet mixed-epoch — the response is a
 /// typed error listing the failures, and the epoch-preference in
 /// candidate ordering keeps routing consistent until the stragglers are
 /// re-swapped (probes keep observing their epochs).
 fn broadcast_swap(shared: &Shared, path: &str) -> Response {
     let timeout = shared.config.attempt_timeout * SWAP_TIMEOUT_FACTOR;
-    let outcomes: Vec<(String, Result<Response, String>)> = thread::scope(|scope| {
-        let handles: Vec<_> = shared
-            .topology
-            .all()
-            .map(|replica| {
-                let replica = Arc::clone(replica);
-                let request = Request::Swap {
-                    path: path.to_owned(),
-                };
-                scope.spawn(move || (replica.addr.clone(), replica.call(&request, timeout)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("swap fan-out thread panicked"))
-            .collect()
-    });
+    let request = Request::Swap {
+        path: path.to_owned(),
+    };
+    let started: Vec<(&Replica, Result<Attempt<'_>, String>)> = shared
+        .topology
+        .all()
+        .map(|replica| (replica, replica.start(&request, timeout)))
+        .collect();
     let mut published: Option<(u64, usize)> = None;
-    let mut failed: Vec<String> = Vec::new();
-    for (addr, outcome) in outcomes {
-        match outcome {
-            Ok(Response::Swapped { epoch, categories }) => {
+    let mut failed: Vec<&str> = Vec::new();
+    for (replica, attempt) in started {
+        match attempt.map(|a| a.finish(&request, None)) {
+            Ok(Ok(Response::Swapped { epoch, categories })) => {
                 published = Some(match published {
                     None => (epoch, categories),
                     Some((e, c)) => (e.min(epoch), c),
                 });
             }
-            Ok(_) | Err(_) => failed.push(addr),
+            _ => failed.push(&replica.addr),
         }
     }
     match (published, failed.is_empty()) {
@@ -640,143 +614,136 @@ fn broadcast_swap(shared: &Shared, path: &str) -> Response {
     }
 }
 
-/// One shard sub-request: rendezvous-ordered candidates, hedged +
-/// failover sweeps under the shared retry policy and request budget.
-fn shard_call(
-    shared: &Shared,
-    shard: u32,
-    request: Request,
-    key: u64,
-    budget: &Budget,
-) -> Result<Response, String> {
+/// One shard's sub-request over that shard's replicas in rendezvous order
+/// for `key`.
+fn shard_call(shared: &Shared, shard: u32, key: u64, request: Request) -> Call<'_> {
     let replicas = &shared.topology.shards[shard as usize];
     let order = rendezvous_order(replicas.len(), key);
-    let ordered: Vec<Arc<Replica>> = order.into_iter().map(|i| replicas[i].clone()).collect();
-    call_with_failover(shared, &ordered, &request, budget)
+    Call::new(order.into_iter().map(|i| &replicas[i]), request)
 }
 
-/// Ranks `ordered` (a rendezvous order) for this attempt: available
-/// replicas serving the newest observed epoch first, then other available
-/// replicas, then the rest as last resorts — each group keeping its
-/// rendezvous order, so the failover sequence is deterministic for a
-/// fixed health view.
-fn rank_candidates(ordered: &[Arc<Replica>]) -> Vec<Arc<Replica>> {
-    let newest = ordered
-        .iter()
-        .filter(|r| r.health.is_available())
-        .map(|r| r.health.epoch())
-        .max();
-    let rank = |r: &Arc<Replica>| -> u8 {
-        if !r.health.is_available() {
-            2
-        } else if Some(r.health.epoch()) == newest {
-            0
-        } else {
-            1
-        }
-    };
-    let mut ranked = ordered.to_vec();
-    ranked.sort_by_key(rank);
-    ranked
-}
-
-/// The robustness core: hedged primary, then sequential failover over the
-/// remaining candidates, the whole sweep repeated under the jittered
-/// retry policy until the budget expires.
-fn call_with_failover(
-    shared: &Shared,
-    ordered: &[Arc<Replica>],
-    request: &Request,
-    budget: &Budget,
-) -> Result<Response, String> {
-    if ordered.is_empty() {
-        return Err("no replicas configured".to_owned());
-    }
-    let seed = shared.next_seed.fetch_add(1, Ordering::Relaxed);
-    shared
-        .config
-        .retry
-        .run(seed, budget, |attempt| {
-            if attempt > 1 {
-                shared.metrics.incr("router/retries");
-            }
-            sweep_once(shared, ordered, request, budget)
-        })
-        .map_err(|outcome| {
-            format!(
-                "all replicas failed after {} sweep(s): {}",
-                outcome.attempts(),
-                outcome.into_error()
-            )
-        })
-}
-
-/// One failover sweep: hedged (primary, backup) then the stragglers.
-fn sweep_once(
-    shared: &Shared,
-    ordered: &[Arc<Replica>],
-    request: &Request,
-    budget: &Budget,
-) -> Result<Response, String> {
-    // Health can change between sweeps; re-rank each time.
-    let candidates = rank_candidates(ordered);
+/// Writes every call's sub-request, then reads the answers in call order,
+/// each failing over on the worker's own thread (see [`Call::finish`]).
+fn gather<'a>(shared: &'a Shared, mut calls: Vec<Call<'a>>) -> Vec<CallResult> {
+    let budget = shared.request_budget();
+    // The request deadline as an instant, so every read shares it.
+    let by = budget.remaining().map(|left| Instant::now() + left);
     let timeout = shared.config.attempt_timeout;
-    let metrics = shared.metrics.clone();
-    let attempt = |replica: Arc<Replica>| {
-        let request = request.clone();
-        let metrics = metrics.clone();
-        move |token: &CancelToken| -> Result<Response, String> {
-            if token.is_cancelled() {
-                return Err("cancelled".to_owned());
-            }
-            if !replica.breaker.try_acquire() {
-                metrics.incr("router/breaker_rejected");
-                return Err(format!("{}: breaker open", replica.addr));
-            }
-            replica.call(&request, timeout)
-        }
-    };
+    for call in &mut calls {
+        call.start_next(timeout);
+    }
+    calls
+        .into_iter()
+        .map(|call| call.finish(shared, &budget, by))
+        .collect()
+}
 
-    let primary = candidates[0].clone();
-    let backup = candidates.get(1).cloned();
-    // No backup ⇒ never hedge: the delay only matters when one exists.
-    let delay = primary.trigger.delay();
-    let mut wait = delay.saturating_add(timeout.saturating_mul(2));
-    if let Some(remaining) = budget.remaining() {
-        wait = wait.min(remaining);
-    }
-    let outcome = run_hedged(delay, wait, attempt(primary), backup.map(&attempt));
-    match outcome.fired {
-        Some(HedgeReason::LatencyTrigger) => shared.metrics.incr("router/hedges"),
-        Some(HedgeReason::PrimaryFailure) => shared.metrics.incr("router/failovers"),
-        None => {}
-    }
-    if outcome.winner == Some(HedgeWinner::Hedge) {
-        shared.metrics.incr("router/hedge_wins");
-    }
-    match outcome.result {
-        Ok(resp) => Ok(resp),
-        Err(err) => {
-            let mut last = err.unwrap_or_else(|| "no attempt answered in time".to_owned());
-            // Sequential failover over the last resorts.
-            for replica in candidates.iter().skip(2) {
-                if budget.expired() {
-                    return Err(format!("budget expired; last error: {last}"));
-                }
-                if !replica.breaker.try_acquire() {
-                    shared.metrics.incr("router/breaker_rejected");
-                    last = format!("{}: breaker open", replica.addr);
-                    continue;
-                }
-                match replica.call(request, timeout) {
-                    Ok(resp) => {
-                        shared.metrics.incr("router/failovers");
-                        return Ok(resp);
-                    }
-                    Err(e) => last = e,
-                }
+/// A sub-request's answer, or why no candidate gave one.
+type CallResult = Result<Response, String>;
+
+/// One sub-request and the replicas that may answer it, best first.
+struct Call<'a> {
+    request: Request,
+    candidates: Vec<&'a Replica>,
+    /// Index of the next candidate to try.
+    next: usize,
+    /// The written, unread attempt, if any.
+    attempt: Option<Attempt<'a>>,
+    /// Why the last candidate gave no answer.
+    error: String,
+}
+
+impl<'a> Call<'a> {
+    /// Ranks `ordered` (a rendezvous order): available replicas serving
+    /// the newest observed epoch first, then other available replicas,
+    /// then the rest, which are admitted only once their cooldown has
+    /// elapsed — each group keeping its rendezvous order, so the failover
+    /// sequence is deterministic for a fixed health view.
+    fn new(ordered: impl Iterator<Item = &'a Replica>, request: Request) -> Self {
+        let mut candidates: Vec<&Replica> = ordered.collect();
+        let newest = candidates
+            .iter()
+            .filter(|r| r.health.is_available())
+            .map(|r| r.health.epoch())
+            .max();
+        candidates.sort_by_cached_key(|r| {
+            if !r.health.is_available() {
+                2u8
+            } else if Some(r.health.epoch()) == newest {
+                0
+            } else {
+                1
             }
-            Err(last)
+        });
+        Self {
+            request,
+            candidates,
+            next: 0,
+            attempt: None,
+            error: "no replicas configured".to_owned(),
         }
+    }
+
+    /// Writes the sub-request to the next candidate whose health machine
+    /// admits an attempt. `false` when no candidate is left.
+    fn start_next(&mut self, timeout: Duration) -> bool {
+        while let Some(&replica) = self.candidates.get(self.next) {
+            self.next += 1;
+            if !replica.health.try_admit() {
+                self.error = format!("{}: down", replica.addr);
+                continue;
+            }
+            match replica.start(&self.request, timeout) {
+                Ok(attempt) => {
+                    self.attempt = Some(attempt);
+                    return true;
+                }
+                Err(e) => self.error = e,
+            }
+        }
+        false
+    }
+
+    /// Reads the answer. The one failover rule: a failed attempt, or one
+    /// still unanswered at its hedge deadline while another available
+    /// candidate exists, gives way to the next candidate. A missed hedge
+    /// deadline counts `router/hedges` and is no health failure. The
+    /// request deadline `by` bounds every read, and no new candidate is
+    /// tried once `budget` has expired.
+    fn finish(mut self, shared: &Shared, budget: &Budget, by: Option<Instant>) -> CallResult {
+        let timeout = shared.config.attempt_timeout;
+        while let Some(attempt) = self.attempt.take() {
+            let replica = attempt.replica();
+            let hedge = self.candidates[self.next..]
+                .iter()
+                .any(|r| r.health.is_available())
+                .then(|| attempt.started + replica.trigger.delay())
+                .filter(|at| by.is_none_or(|by| *at < by));
+            let failed = match attempt.finish(&self.request, hedge.or(by)) {
+                Ok(resp) => return Ok(resp),
+                Err(Miss::Failed(e)) => {
+                    self.error = e;
+                    true
+                }
+                Err(Miss::Abandoned) if hedge.is_some() => {
+                    shared.counts.hedges.incr();
+                    self.error = format!("{}: no answer by the hedge deadline", replica.addr);
+                    false
+                }
+                Err(Miss::Abandoned) => {
+                    return Err(format!(
+                        "{}: no answer by the request deadline",
+                        replica.addr
+                    ));
+                }
+            };
+            if budget.expired() {
+                return Err(format!("budget expired; last error: {}", self.error));
+            }
+            if self.start_next(timeout) && failed {
+                shared.counts.failovers.incr();
+            }
+        }
+        Err(self.error)
     }
 }

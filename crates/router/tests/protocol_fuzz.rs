@@ -22,7 +22,6 @@ use std::thread;
 use std::time::Duration;
 
 use oct_core::{CategoryTree, ROOT};
-use oct_resilience::RetryPolicy;
 use oct_router::{Router, RouterConfig};
 use oct_serve::prelude::*;
 use proptest::prelude::*;
@@ -52,7 +51,6 @@ fn endpoints() -> (SocketAddr, SocketAddr) {
         let router = Router::bind(RouterConfig {
             workers: 2,
             attempt_timeout: Duration::from_millis(500),
-            retry: RetryPolicy::none(),
             shards: vec![vec![backend.to_string()]],
             ..RouterConfig::default()
         })

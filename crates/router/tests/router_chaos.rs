@@ -14,11 +14,15 @@ use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use oct_chaos::{classify_line, ChaosConfig, ChaosProxy, FaultPlan, InvariantTally, StopHandle};
+use oct_chaos::{
+    classify_line, ChaosConfig, ChaosProxy, FaultAction, FaultPlan, InvariantTally, StopHandle,
+};
 use oct_core::{CategoryTree, ROOT};
 use oct_obs::Metrics;
-use oct_resilience::{BreakerConfig, HealthConfig, HealthState, HedgeConfig, RetryPolicy};
-use oct_router::{Replica, Router, RouterConfig, ShardMap};
+use oct_router::{
+    rendezvous_order, request_key, HealthConfig, HealthState, Replica, Router, RouterConfig,
+    ShardMap,
+};
 use oct_serve::{Request, Response, ServeConfig, Server, ServingTree};
 
 /// Items 0..16: `left` = {0..8}, `right` = {8..16}.
@@ -95,11 +99,18 @@ fn stop_proxy(proxy: Proxy) {
 /// A router over `shards` (tight health/probe knobs so fault detection and
 /// recovery land within test timescales).
 fn start_router(shards: Vec<Vec<String>>) -> (SocketAddr, oct_router::DrainHandle, JoinHandle<()>) {
-    let config = RouterConfig {
+    start_router_with(shards, |_| {})
+}
+
+/// [`start_router`] with the router's config adjusted by `tweak`.
+fn start_router_with(
+    shards: Vec<Vec<String>>,
+    tweak: impl FnOnce(&mut RouterConfig),
+) -> (SocketAddr, oct_router::DrainHandle, JoinHandle<()>) {
+    let mut config = RouterConfig {
         workers: 2,
         attempt_timeout: Duration::from_millis(500),
         deadline_ms: Some(5000),
-        retry: RetryPolicy::none(),
         health: HealthConfig {
             suspect_after: 1,
             down_after: 2,
@@ -112,6 +123,7 @@ fn start_router(shards: Vec<Vec<String>>) -> (SocketAddr, oct_router::DrainHandl
         shards,
         ..RouterConfig::default()
     };
+    tweak(&mut config);
     let router = Router::bind(config).expect("bind router");
     let addr = router.local_addr().expect("router addr");
     let drain = router.drain_handle();
@@ -339,6 +351,101 @@ fn recovery_after_faults_clear_is_byte_identical_to_the_pre_fault_capture() {
     kill(b1);
 }
 
+#[test]
+fn a_slow_replica_is_hedged_around_and_stays_up() {
+    // Shard 1 has two replicas of one backend: one direct, one behind a
+    // `delays` proxy that holds each request and each answer 1–400 ms. The
+    // plan is a pure function of its seed; on this seed every one of the
+    // proxy's first 32 connections holds a request and its answer more
+    // than 120 ms in total (checked below), longer than the 100 ms cold
+    // hedge deadline and less than the 1 s attempt timeout. The slow
+    // replica is the rendezvous primary of the query's shard-1
+    // sub-request. Hedging must keep every answer byte-identical to a
+    // healthy router's, and a missed hedge deadline is no health failure.
+    let delays = ChaosConfig {
+        delay_ms_max: 400,
+        ..ChaosConfig::delays(0x13)
+    };
+    let plan = FaultPlan::new(delays.clone());
+    for conn in 0..32 {
+        match plan.action(0, conn) {
+            FaultAction::Delay { request, response } => {
+                assert!(
+                    request + response > Duration::from_millis(120),
+                    "conn {conn}"
+                )
+            }
+            other => panic!("conn {conn}: {other:?}"),
+        }
+    }
+    // Each pooled router connection holds a backend worker: leave room for
+    // both routers' probe and request connections.
+    let roomy = || ServeConfig {
+        workers: 8,
+        ..backend_config()
+    };
+    let b0 = start_backend(roomy());
+    let b1 = start_backend(roomy());
+    let query = spanning_query(2);
+    let (healthy_addr, healthy_drain, healthy_join) =
+        start_router(vec![vec![b0.addr.to_string()], vec![b1.addr.to_string()]]);
+    let baseline = RawClient::connect(healthy_addr).roundtrip(&query);
+    assert!(baseline.starts_with("OK COVER"), "{baseline}");
+    assert!(!baseline.contains("partial="), "{baseline}");
+    healthy_drain.drain();
+    healthy_join.join().expect("router exits");
+    drop(healthy_drain); // the last owner: closes its pooled connections
+
+    let slow = start_proxy("127.0.0.1:0", b1.addr, delays, 0);
+    let slow_addr = slow.addr.to_string();
+    let items: Vec<u32> = (0..16).collect();
+    let (_, slice) = ShardMap::new(2)
+        .partition(&items)
+        .into_iter()
+        .find(|(shard, _)| *shard == 1)
+        .expect("0..16 spans shard 1");
+    let mut shard1 = vec![b1.addr.to_string(), b1.addr.to_string()];
+    shard1[rendezvous_order(2, request_key(&slice))[0]] = slow_addr.clone();
+    let metrics = Metrics::new(true);
+    let (addr, drain, join) = start_router_with(vec![vec![b0.addr.to_string()], shard1], |c| {
+        c.attempt_timeout = Duration::from_secs(1);
+        c.probe_timeout = Duration::from_secs(1);
+        c.metrics = metrics.clone();
+    });
+    let mut c = RawClient::connect(addr);
+    for i in 0..12 {
+        assert_eq!(
+            c.roundtrip(&query),
+            baseline,
+            "answer {i} with a slow primary must match the healthy router's"
+        );
+    }
+    // Let a probe cycle finish so the health gauge is current.
+    thread::sleep(Duration::from_millis(600));
+    let report = metrics.report();
+    let hedges = report.counter("router/hedges").unwrap_or(0);
+    assert!(hedges > 0, "the slow primary was hedged around");
+    let scope = format!("router/replica/{slow_addr}");
+    assert_eq!(
+        report.gauge(&format!("{scope}/health")),
+        Some(3.0),
+        "the slow replica stays Up"
+    );
+    assert_eq!(report.counter(&format!("{scope}/fail")), Some(0));
+    assert_eq!(report.counter(&format!("{scope}/rejected")), Some(0));
+
+    assert!(
+        slow.stop.accepted() <= 32,
+        "only checked connections were used"
+    );
+
+    drain.drain();
+    join.join().expect("router exits");
+    stop_proxy(slow);
+    kill(b0);
+    kill(b1);
+}
+
 /// Rebinds a chaos proxy on a just-freed concrete port (retrying briefly —
 /// the old listener's close may still be settling).
 fn restart_proxy(listen: SocketAddr, upstream: SocketAddr, config: ChaosConfig, id: u32) -> Proxy {
@@ -368,20 +475,14 @@ fn restart_proxy(listen: SocketAddr, upstream: SocketAddr, config: ChaosConfig, 
 fn stale_pooled_connection_redials_without_a_health_or_breaker_penalty() {
     // A backend that courteously retires every connection after one
     // request makes each pooled connection stale on first reuse. The
-    // replica must absorb that with a silent redial: every call succeeds,
-    // health never leaves Up, and the breaker records no trip.
+    // replica must absorb that with a silent redial: every call succeeds
+    // and health never leaves Up or records a Down.
     let backend = start_backend(ServeConfig {
         max_requests: 1,
         ..backend_config()
     });
     let metrics = Metrics::new(true);
-    let replica = Replica::new(
-        backend.addr.to_string(),
-        BreakerConfig::default(),
-        HealthConfig::default(),
-        HedgeConfig::default(),
-        &metrics,
-    );
+    let replica = Replica::new(backend.addr.to_string(), HealthConfig::default(), &metrics);
     let stale = metrics.counter(&format!("router/replica/{}/pool_stale", backend.addr));
     for i in 0..3 {
         let resp = replica

@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 
 use oct_core::{CategoryTree, ROOT};
 use oct_obs::{Metrics, PipelineReport};
-use oct_resilience::{HealthConfig, RetryPolicy};
-use oct_router::{Router, RouterConfig, ShardMap};
+use oct_router::{HealthConfig, Router, RouterConfig, ShardMap};
 use oct_serve::prelude::*;
 
 /// Items 0..16: `left` = {0..8}, `right` = {8..16}.
@@ -83,7 +82,6 @@ fn start_fleet_with(
         workers: 2,
         attempt_timeout: Duration::from_millis(500),
         deadline_ms: Some(3000),
-        retry: RetryPolicy::none(),
         health: HealthConfig {
             suspect_after: 1,
             down_after: 2,

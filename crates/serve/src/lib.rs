@@ -18,8 +18,8 @@
 //!   [`run_isolated`](oct_resilience::run_isolated). A cover is a pure
 //!   function of (tree, request), so a retry would hit the same panic: it
 //!   is answered with `ERR internal` and the connection keeps serving.
-//!   Retries and circuit breakers live in `oct-router`, where failures are
-//!   transient.
+//!   Failover to another replica lives in `oct-router`, where failures
+//!   are transient.
 //! * **Graceful drain** ([`server`]) — SIGTERM/SIGINT/`SHUTDOWN` stop
 //!   admission, let in-flight work finish (cancelling stragglers through a
 //!   shared [`CancelToken`](oct_resilience::CancelToken) after a grace

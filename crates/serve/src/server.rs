@@ -20,8 +20,8 @@
 //!
 //! A cover is a pure function of (snapshot, request), so a contained panic
 //! would recur on a retry: it is answered with `ERR internal` at once, and
-//! the connection goes on to its next request. Retries and circuit
-//! breakers live in the shard router, where failures are transient.
+//! the connection goes on to its next request. Failover to another
+//! replica lives in the shard router, where failures are transient.
 //!
 //! # Pipelined replies
 //!
