@@ -7,7 +7,10 @@
 #     stream checkpoint and replays only the remaining batches;
 #   * the resumed run's final tree is byte-identical to an uninterrupted
 #     run with the same flags (the feed is a pure function of them);
-#   * the metrics report records the incr/* spans and counters.
+#   * the metrics report records the incr/* spans and counters;
+#   * upserts that keep their items (the feed fixes each query's result
+#     items) skip the co-occurrence kernel: the reference run recounts
+#     fewer pairs than it reclassifies.
 # VARIANT picks the similarity variant of the seed build and of both watch
 # runs (default threshold-jaccard; `VARIANT=exact` drives the Exact
 # classifier through checkpoint, kill -9 and --resume).
@@ -59,7 +62,7 @@ watch_flags=(--log "$WORK/q.tsv" --items "$ITEMS" --variant "$VARIANT" --days 20
 
 # Reference run (no daemon, no interruption): the ground-truth final tree.
 "$OCTREE" watch "${watch_flags[@]/stream.ckpt/ref.ckpt}" --out "$WORK/ref.oct" \
-    > "$WORK/ref.log"
+    --metrics "$WORK/ref_metrics.json" > "$WORK/ref.log"
 grep -Eq "batch +$BATCHES/$BATCHES" "$WORK/ref.log" \
     || { echo "stream smoke: reference run incomplete"; cat "$WORK/ref.log"; exit 1; }
 
@@ -106,6 +109,22 @@ grep -q 'incr/classify' "$WORK/watch_metrics.json" \
     || { echo "stream smoke: incr spans missing from metrics"; exit 1; }
 grep -q 'incr/upserts' "$WORK/watch_metrics.json" \
     || { echo "stream smoke: incr counters missing from metrics"; exit 1; }
+
+# Same-items upserts keep their cached counts: over the whole reference
+# run the kernel recounts fewer pairs than are reclassified.
+python3 - "$WORK/ref_metrics.json" << 'PY'
+import json
+import sys
+
+counters = json.load(open(sys.argv[1]))["counters"]
+recounted = counters.get("incr/recounted_pairs")
+reclassified = counters.get("incr/reclassified_pairs")
+if recounted is None or reclassified is None or not recounted < reclassified:
+    sys.exit(
+        "stream smoke: expected incr/recounted_pairs < incr/reclassified_pairs, "
+        f"got {recounted} and {reclassified}"
+    )
+PY
 
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID" || true

@@ -54,7 +54,21 @@ pub fn assign_items(
     targets: &[(u32, CatId)],
     greedy_duplicates: bool,
 ) -> AssignStats {
-    let mut state = AssignState::new(instance, tree, targets);
+    let index = instance.inverted_index();
+    assign_items_indexed(instance, &index, tree, targets, greedy_duplicates)
+}
+
+/// [`assign_items`] over `index`, the inverted index of `instance`, which
+/// a construction builds once and shares between its stages.
+pub(crate) fn assign_items_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    tree: &mut CategoryTree,
+    targets: &[(u32, CatId)],
+    greedy_duplicates: bool,
+) -> AssignStats {
+    debug_assert!(instance.is_indexed_by(index), "stale inverted index");
+    let mut state = AssignState::new(instance, index, tree, targets);
     let mut stats = AssignStats::default();
 
     // Stage 1: single-branch items (precision-polluting ones deferred when
@@ -85,8 +99,8 @@ struct AssignState<'a> {
     instance: &'a Instance,
     tree: &'a mut CategoryTree,
     targets: Vec<(u32, CatId)>,
-    /// item → input sets containing it, built once per run.
-    index: CsrIndex,
+    /// item → input sets containing it.
+    index: &'a CsrIndex,
     target_of_cat: FxHashMap<CatId, u32>,
     cat_of_set: FxHashMap<u32, CatId>,
     /// `|C|` per category (full, deduplicated).
@@ -100,7 +114,12 @@ struct AssignState<'a> {
 }
 
 impl<'a> AssignState<'a> {
-    fn new(instance: &'a Instance, tree: &'a mut CategoryTree, targets: &[(u32, CatId)]) -> Self {
+    fn new(
+        instance: &'a Instance,
+        index: &'a CsrIndex,
+        tree: &'a mut CategoryTree,
+        targets: &[(u32, CatId)],
+    ) -> Self {
         let len = tree.len();
         let mut target_of_cat = FxHashMap::default();
         let mut cat_of_set = FxHashMap::default();
@@ -112,7 +131,7 @@ impl<'a> AssignState<'a> {
             instance,
             tree,
             targets: targets.to_vec(),
-            index: instance.inverted_index(),
+            index,
             target_of_cat,
             cat_of_set,
             full_size: vec![0; len],

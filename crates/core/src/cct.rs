@@ -16,20 +16,24 @@
 //!
 //! Both the embeddings and the raw-pairwise ablation
 //! (`global_embeddings: false`, which clusters on `1 − base` directly)
-//! read their intersection counts from [`intersecting_pairs`], the
+//! read their intersection counts from
+//! [`intersecting_pairs`](crate::conflict::intersecting_pairs), the
 //! co-occurrence kernel CTCR's conflict analysis uses, so no all-pairs
-//! set intersection runs here.
+//! set intersection runs here. One inverted index serves that kernel,
+//! item assignment, condensing and scoring.
 
 use std::time::Duration;
 
 use oct_cluster::{cluster_with_metrics, CondensedMatrix, Dendrogram, Linkage};
 use oct_obs::Metrics;
+use oct_resilience::Budget;
 
-use crate::assign::{assign_items, AssignStats};
-use crate::conflict::intersecting_pairs;
-use crate::ctcr::condense;
+use crate::assign::{assign_items_indexed, AssignStats};
+use crate::conflict::{intersecting_pairs_indexed, RankedPair};
+use crate::csr::CsrIndex;
+use crate::ctcr::condense_indexed;
 use crate::input::Instance;
-use crate::score::{score_tree_with, ScoreOptions, TreeScore};
+use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
 use crate::tree::{CatId, CategoryTree, ROOT};
 
 /// Tuning knobs for CCT.
@@ -86,10 +90,19 @@ pub struct CctResult {
 /// `i`-th coordinate of `E(q_j)` is `base(q_j, q_i)` (non-zero only for
 /// intersecting pairs, plus the diagonal).
 pub fn embeddings(instance: &Instance, threads: usize) -> Vec<Vec<(u32, f32)>> {
+    embeddings_indexed(instance, &instance.inverted_index(), threads)
+}
+
+/// [`embeddings`] over `index`, the inverted index of `instance`.
+fn embeddings_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    threads: usize,
+) -> Vec<Vec<(u32, f32)>> {
     let n = instance.num_sets();
     let base = instance.similarity.kind.base();
     let mut rows: Vec<Vec<(u32, f32)>> = (0..n).map(|j| vec![(j as u32, 1.0)]).collect();
-    for p in intersecting_pairs(instance, threads) {
+    for p in pairs_of(instance, index, threads) {
         let (a, b) = (p.hi as usize, p.lo as usize);
         let qa = instance.sets[a].items.len();
         let qb = instance.sets[b].items.len();
@@ -110,7 +123,7 @@ pub fn embeddings(instance: &Instance, threads: usize) -> Vec<Vec<(u32, f32)>> {
 /// `1 − base(|q_i|, |q_j|, 0)` (not always 1: an empty set has recall 1
 /// under Perfect-Recall), and the intersecting pairs overwrite theirs from
 /// the kernel's counts, the same integers a set merge would produce.
-fn raw_pairwise_matrix(instance: &Instance, threads: usize) -> CondensedMatrix {
+fn raw_pairwise_matrix(instance: &Instance, index: &CsrIndex, threads: usize) -> CondensedMatrix {
     let n = instance.num_sets();
     let base = instance.similarity.kind.base();
     let sizes: Vec<usize> = instance.sets.iter().map(|s| s.items.len()).collect();
@@ -122,11 +135,17 @@ fn raw_pairwise_matrix(instance: &Instance, threads: usize) -> CondensedMatrix {
             m.set(i, j, dissimilarity(i, j, 0));
         }
     }
-    for p in intersecting_pairs(instance, threads) {
+    for p in pairs_of(instance, index, threads) {
         let (i, j) = (p.hi.min(p.lo) as usize, p.hi.max(p.lo) as usize);
         m.set(i, j, dissimilarity(i, j, p.inter as usize));
     }
     m
+}
+
+/// Every intersecting pair of `instance`, counted over `index` (see
+/// [`intersecting_pairs`](crate::conflict::intersecting_pairs)).
+fn pairs_of(instance: &Instance, index: &CsrIndex, threads: usize) -> Vec<RankedPair> {
+    intersecting_pairs_indexed(instance, index, threads, &Budget::unlimited()).0
 }
 
 /// Runs CCT over `instance`.
@@ -134,6 +153,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     let metrics = &config.metrics;
     let run_span = metrics.span("cct");
     let n = instance.num_sets();
+    let index = instance.inverted_index();
 
     // Stage 1-2: embeddings + agglomerative clustering.
     let stage = run_span.child("cluster");
@@ -142,7 +162,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     } else if config.global_embeddings {
         let rows = {
             let _embed = stage.child("embed");
-            embeddings(instance, config.threads)
+            embeddings_indexed(instance, &index, config.threads)
         };
         let matrix = CondensedMatrix::euclidean_sparse_with(&rows, config.threads, metrics)
             .expect("matrix fill workers do not panic on valid embeddings");
@@ -152,7 +172,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     } else {
         // Ablation: cluster on raw pairwise dissimilarity. Dissimilarities
         // are 1 − sim with sim ∈ [0, 1]: always finite.
-        let m = raw_pairwise_matrix(instance, config.threads);
+        let m = raw_pairwise_matrix(instance, &index, config.threads);
         cluster_with_metrics(m, config.linkage, metrics).expect("finite distances")
     };
     let cluster_time = stage.elapsed();
@@ -184,13 +204,13 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     // Stage 4: item assignment (Algorithm 2) over all of Q.
     let assign_stats = {
         let _stage = run_span.child("assign");
-        assign_items(instance, &mut tree, &targets, true)
+        assign_items_indexed(instance, &index, &mut tree, &targets, true)
     };
 
     // Stage 5-6: condense; Stage 7: C_misc.
     {
         let _stage = run_span.child("condense");
-        condense(instance, &mut tree);
+        condense_indexed(instance, &index, &mut tree);
     }
     tree.add_misc_category(instance.num_items);
 
@@ -201,7 +221,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
             metrics: metrics.clone(),
             ..ScoreOptions::default()
         };
-        score_tree_with(instance, &tree, &options)
+        score_tree_indexed(instance, &index, &tree, &options)
     };
     let surviving: Vec<(u32, CatId)> = targets
         .iter()
@@ -350,7 +370,7 @@ mod tests {
                 similarity,
             );
             let base = similarity.kind.base();
-            let m = raw_pairwise_matrix(&instance, 1);
+            let m = raw_pairwise_matrix(&instance, &instance.inverted_index(), 1);
             for i in 0..sets.len() {
                 for j in (i + 1)..sets.len() {
                     let (a, b) = (&instance.sets[i].items, &instance.sets[j].items);

@@ -178,6 +178,7 @@ pub(crate) struct CoCounter<'a> {
 impl<'a> CoCounter<'a> {
     /// A counter over `instance`, whose inverted index is `index`.
     pub(crate) fn new(instance: &'a Instance, index: &'a CsrIndex) -> Self {
+        debug_assert!(instance.is_indexed_by(index), "stale inverted index");
         let n = instance.num_sets();
         Self {
             instance,
@@ -252,8 +253,18 @@ pub fn intersecting_pairs_budgeted(
     threads: usize,
     budget: &Budget,
 ) -> (Vec<RankedPair>, bool) {
+    intersecting_pairs_indexed(instance, &instance.inverted_index(), threads, budget)
+}
+
+/// [`intersecting_pairs_budgeted`] over `index`, the inverted index of
+/// `instance`.
+pub(crate) fn intersecting_pairs_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    threads: usize,
+    budget: &Budget,
+) -> (Vec<RankedPair>, bool) {
     let ranks = instance.ranks();
-    let index = instance.inverted_index();
     let n = instance.num_sets();
     let threads = if index.num_items() < PARALLEL_MIN_ITEMS {
         1
@@ -262,7 +273,7 @@ pub fn intersecting_pairs_budgeted(
     };
     let limited = budget.is_limited();
     let scan = |t: usize| -> (Vec<RankedPair>, bool) {
-        let mut counter = CoCounter::new(instance, &index);
+        let mut counter = CoCounter::new(instance, index);
         let mut pairs = Vec::new();
         for (scanned, s) in (t..n).step_by(threads).enumerate() {
             if limited && budget.check_every(scanned as u64, DEADLINE_STRIDE) {
@@ -404,7 +415,21 @@ pub fn analyze_budgeted(
     metrics: &oct_obs::Metrics,
     budget: &Budget,
 ) -> ConflictAnalysis {
-    let (pairs, truncated) = intersecting_pairs_budgeted(instance, threads, budget);
+    let index = instance.inverted_index();
+    analyze_indexed(instance, &index, threads, with_triples, metrics, budget)
+}
+
+/// [`analyze_budgeted`] over `index`, the inverted index of `instance`,
+/// which a construction builds once and shares between its stages.
+pub(crate) fn analyze_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    threads: usize,
+    with_triples: bool,
+    metrics: &oct_obs::Metrics,
+    budget: &Budget,
+) -> ConflictAnalysis {
+    let (pairs, truncated) = intersecting_pairs_indexed(instance, index, threads, budget);
     if truncated {
         metrics.incr("budget/expired");
     }

@@ -23,11 +23,12 @@ use oct_mis::{Graph, Hypergraph, SolveBudget, Solver};
 use oct_obs::{Counter, Metrics};
 use oct_resilience::Budget;
 
-use crate::assign::{assign_items, AssignStats};
-use crate::conflict::{analyze, analyze_budgeted, ConflictAnalysis};
+use crate::assign::{assign_items_indexed, AssignStats};
+use crate::conflict::{analyze, analyze_indexed, ConflictAnalysis};
+use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::ItemSet;
-use crate::score::{score_tree, score_tree_with, ScoreOptions, TreeScore};
+use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
 use crate::similarity::SimilarityKind;
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::{FxHashMap, FxHashSet};
@@ -151,7 +152,9 @@ pub struct CtcrResult {
 /// pipeline re-runs; the better-scoring tree wins. This mirrors the
 /// taxonomists' reemployment workflow of §5.4, automated.
 pub fn run(instance: &Instance, config: &CtcrConfig) -> CtcrResult {
-    let mut best = run_attempt(instance, config, &FxHashSet::default());
+    // One inverted index serves every stage of every attempt.
+    let index = instance.inverted_index();
+    let mut best = run_attempt(instance, &index, config, &FxHashSet::default());
     if !instance.similarity.kind.is_binary() {
         return best;
     }
@@ -171,7 +174,7 @@ pub fn run(instance: &Instance, config: &CtcrConfig) -> CtcrResult {
         if banned.len() == before {
             break;
         }
-        latest = run_attempt(instance, config, &banned);
+        latest = run_attempt(instance, &index, config, &banned);
         if latest.score.total > best.score.total {
             best = latest.clone();
         }
@@ -256,7 +259,12 @@ fn polluter_ban_list(instance: &Instance, result: &CtcrResult) -> FxHashSet<u32>
     banned
 }
 
-fn run_attempt(instance: &Instance, config: &CtcrConfig, banned: &FxHashSet<u32>) -> CtcrResult {
+fn run_attempt(
+    instance: &Instance,
+    index: &CsrIndex,
+    config: &CtcrConfig,
+    banned: &FxHashSet<u32>,
+) -> CtcrResult {
     let metrics = &config.metrics;
     let run_span = metrics.span("ctcr");
     metrics.incr("ctcr/attempts");
@@ -265,8 +273,9 @@ fn run_attempt(instance: &Instance, config: &CtcrConfig, banned: &FxHashSet<u32>
 
     // Stages 1-2: ranking + conflicts (lines 1-9).
     let stage = run_span.child("conflict");
-    let analysis = analyze_budgeted(
+    let analysis = analyze_indexed(
         instance,
+        index,
         config.threads,
         with_triples,
         metrics,
@@ -312,7 +321,7 @@ fn run_attempt(instance: &Instance, config: &CtcrConfig, banned: &FxHashSet<u32>
         must: &must,
         nestable: &nestable,
     };
-    let stages = build_from_selection(instance, &ctx, &selection, config, &run_span);
+    let stages = build_from_selection(instance, index, &ctx, &selection, config, &run_span);
 
     let degraded = analysis.truncated
         || mis.deadline_expired
@@ -391,9 +400,11 @@ pub(crate) struct StagesOutput {
 /// skeleton, item assignment, intermediates, repair, condensing, `C_misc`,
 /// scoring. Deterministic in its inputs — both the batch pipeline and the
 /// incremental engine build trees through this one function, which is what
-/// makes their outputs bit-comparable.
+/// makes their outputs bit-comparable. `index` is the inverted index of
+/// `instance`; every stage that reads postings shares it.
 pub(crate) fn build_from_selection(
     instance: &Instance,
+    index: &CsrIndex,
     ctx: &SelectionContext<'_>,
     selection: &[u32],
     config: &CtcrConfig,
@@ -435,7 +446,8 @@ pub(crate) fn build_from_selection(
     // Stage 5: item assignment (lines 16-20).
     let stage = parent_span.child("assign");
     let greedy_duplicates = !kind.requires_perfect_recall();
-    let assign_stats = assign_items(instance, &mut tree, &targets, greedy_duplicates);
+    let assign_stats =
+        assign_items_indexed(instance, index, &mut tree, &targets, greedy_duplicates);
     let assign_time = stage.elapsed();
     drop(stage);
 
@@ -455,7 +467,7 @@ pub(crate) fn build_from_selection(
     // Extension: slack-aware cover repair (see `crate::repair`).
     let repair_time = if config.repair {
         let stage = parent_span.child("repair");
-        crate::repair::repair(instance, &mut tree);
+        crate::repair::repair_indexed(instance, index, &mut tree);
         stage.elapsed()
     } else {
         Duration::ZERO
@@ -464,7 +476,7 @@ pub(crate) fn build_from_selection(
     // Stage 7: condensing (lines 24-25).
     let stage = parent_span.child("condense");
     if kind != SimilarityKind::Exact {
-        condense(instance, &mut tree);
+        condense_indexed(instance, index, &mut tree);
     }
     let condense_time = stage.elapsed();
     drop(stage);
@@ -478,7 +490,7 @@ pub(crate) fn build_from_selection(
         metrics: metrics.clone(),
         budget: config.budget.clone(),
     };
-    let score = score_tree_with(instance, &tree, &score_options);
+    let score = score_tree_indexed(instance, index, &tree, &score_options);
     let score_time = stage.elapsed();
     drop(stage);
 
@@ -663,9 +675,16 @@ mod ordered {
 /// remove every category that is not the best-precision coverer of at least
 /// one covered set.
 pub fn condense(instance: &Instance, tree: &mut CategoryTree) {
+    condense_indexed(instance, &instance.inverted_index(), tree);
+}
+
+/// [`condense`] over `index`, the inverted index of `instance`.
+pub(crate) fn condense_indexed(instance: &Instance, index: &CsrIndex, tree: &mut CategoryTree) {
+    let rescore =
+        |tree: &CategoryTree| score_tree_indexed(instance, index, tree, &ScoreOptions::default());
     // Items to keep: members of at least one covered set (or of no input
     // set at all — those are untouched catalog items).
-    let before = score_tree(instance, tree);
+    let before = rescore(tree);
     let mut in_any_set = vec![false; instance.num_items as usize];
     let mut in_covered = vec![false; instance.num_items as usize];
     for (set, cover) in instance.sets.iter().zip(&before.per_set) {
@@ -679,7 +698,7 @@ pub fn condense(instance: &Instance, tree: &mut CategoryTree) {
     tree.retain_items(|item| in_covered[item as usize] || !in_any_set[item as usize]);
 
     // Keep only best coverers (plus the root).
-    let score = score_tree(instance, tree);
+    let score = rescore(tree);
     let mut keep: FxHashSet<CatId> = FxHashSet::default();
     keep.insert(ROOT);
     for cover in &score.per_set {

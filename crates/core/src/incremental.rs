@@ -7,14 +7,19 @@
 //! [`DeltaBatch`]es — upserts and retirements of input sets identified by a
 //! stable [`SetId`] — re-doing only the work a batch actually touches:
 //!
-//! 1. **Pair cache** — pair classifications ([`PairClass`]) are cached keyed
-//!    by `SetId` pair. A batch evicts entries touching changed sets and
-//!    re-classifies only pairs between a changed set and its partners, whose
-//!    intersection counts come from the co-occurrence kernel the batch
-//!    analysis uses ([`crate::conflict`]); everything else is reused.
-//!    The `(hi, lo)` orientation is pairwise-stable — it depends only on the
-//!    two sets' sizes, weights, and ids — so cached entries stay valid while
-//!    both endpoints are unchanged, whatever else the batch did.
+//! 1. **Pair cache** — every intersecting pair's count and classification
+//!    ([`PairClass`]) is cached over the last rebuild's instance indices,
+//!    which a batch maps onto its own. The `(hi, lo)` orientation is
+//!    pairwise-stable — it depends only on the two sets' sizes, weights,
+//!    and ids — so an entry stays valid while both endpoints are untouched,
+//!    whatever else the batch did, and its count while both keep their
+//!    items. Pairs of a set upserted with the items it already had keep
+//!    their counts and are re-oriented and re-classified by arithmetic
+//!    alone (a weight change can flip the orientation of two equal-size
+//!    sets). Only the sets whose items may have changed (new ids, upserts
+//!    with other items, sets touched twice in the batch) are recounted,
+//!    through the co-occurrence kernel the batch analysis uses
+//!    ([`crate::conflict`]); everything else is reused.
 //! 2. **Component solution cache** — the conflict graph is split into
 //!    connected components; each component's MWIS solution is cached under a
 //!    canonical signature (member ids, weights, edges). Components untouched
@@ -23,7 +28,8 @@
 //!    (exact branch-and-reduce for small components, seeded
 //!    [`oct_mis::local::repair`] for large ones).
 //! 3. **Shared tree build** — stages 4–8 of Algorithm 1 run through the very
-//!    function the batch pipeline uses.
+//!    function the batch pipeline uses, over the one inverted index the
+//!    batch builds for its kernel.
 //!
 //! Because every cache is a pure function of the accumulated set state, the
 //! incremental result is **bit-identical** to rebuilding from scratch over
@@ -187,16 +193,32 @@ impl StreamConfig {
     }
 }
 
-/// A cached pair classification. `hi`/`lo` record the rank orientation,
-/// which depends only on the two endpoint sets (size desc, weight asc,
-/// id asc) — never on third parties — so the entry is valid exactly while
-/// both endpoints are unchanged.
+/// A cached pair classification over the instance indices of the last
+/// rebuild. `hi`/`lo` record the rank orientation, which depends only on
+/// the two endpoint sets (size desc, weight asc, id asc) — never on third
+/// parties — so orientation and class stay valid while both endpoints are
+/// unchanged, and the count `inter` while both keep their items.
 #[derive(Debug, Clone, Copy)]
 struct CachedPair {
-    hi: SetId,
-    lo: SetId,
+    hi: u32,
+    lo: u32,
     inter: u32,
     class: PairClass,
+}
+
+/// What a batch did to one set, judged against the state at the batch's
+/// start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Touch {
+    /// No delta named the set.
+    Untouched,
+    /// One upsert kept the set's items; only its weight, threshold or label
+    /// may differ, so its cached counts stand and only its pairs' orientation
+    /// and class are re-derived.
+    SameItems,
+    /// A new set, an upsert with other items, a retire, or more than one
+    /// delta in the batch: its pairs are evicted and recounted.
+    Recount,
 }
 
 /// Counters describing how much work one batch actually did.
@@ -208,9 +230,15 @@ pub struct BatchStats {
     pub retires: usize,
     /// Live sets after the batch.
     pub live_sets: usize,
-    /// Pairs (re-)classified this batch.
+    /// Pairs (re-)classified this batch: every intersecting pair with an
+    /// endpoint the batch touched.
     pub reclassified_pairs: usize,
-    /// Pairs whose cached classification was reused.
+    /// The part of `reclassified_pairs` the co-occurrence kernel counted:
+    /// pairs with an endpoint whose items may have changed. The rest kept
+    /// their cached intersection counts.
+    pub recounted_pairs: usize,
+    /// Pairs whose cached classification was reused: neither endpoint was
+    /// touched.
     pub cached_pairs: usize,
     /// 2-conflicts in the current conflict graph.
     pub conflicts2: usize,
@@ -243,8 +271,11 @@ pub struct StreamEngine {
     config: StreamConfig,
     sets: BTreeMap<SetId, InputSet>,
     applied_batches: u64,
-    /// Pair classifications keyed by `(min_id, max_id)`.
-    pairs: FxHashMap<(SetId, SetId), CachedPair>,
+    /// The live ids at the last rebuild, in index order: the index space of
+    /// `pairs`.
+    indexed: Vec<SetId>,
+    /// Every intersecting pair of the last rebuild, sorted by `(hi, lo)`.
+    pairs: Vec<CachedPair>,
     /// Component signature → selected set ids.
     components: FxHashMap<u64, Vec<SetId>>,
 }
@@ -260,7 +291,8 @@ impl StreamEngine {
             config,
             sets: BTreeMap::new(),
             applied_batches: 0,
-            pairs: FxHashMap::default(),
+            indexed: Vec::new(),
+            pairs: Vec::new(),
             components: FxHashMap::default(),
         }
     }
@@ -373,23 +405,37 @@ impl StreamEngine {
             }
         }
 
-        let mut changed: FxHashSet<SetId> = FxHashSet::default();
+        let mut touched: FxHashMap<SetId, Touch> = FxHashMap::default();
         let (mut upserts, mut retires) = (0usize, 0usize);
         for delta in &batch.deltas {
-            match delta {
+            let same_items = match delta {
                 SetDelta::Upsert { id, set } => {
-                    self.sets.insert(*id, set.clone());
                     upserts += 1;
+                    let prev = self.sets.insert(*id, set.clone());
+                    prev.is_some_and(|prev| prev.items == set.items)
                 }
                 SetDelta::Retire { id } => {
-                    self.sets.remove(id);
                     retires += 1;
+                    self.sets.remove(id);
+                    false
                 }
-            }
-            changed.insert(delta.id());
+            };
+            // Only a set's first delta compares against the batch's start.
+            touched
+                .entry(delta.id())
+                .and_modify(|touch| *touch = Touch::Recount)
+                .or_insert(if same_items {
+                    Touch::SameItems
+                } else {
+                    Touch::Recount
+                });
         }
         self.applied_batches += 1;
-        let outcome = self.rebuild_with(&changed, upserts, retires);
+        let outcome = self.rebuild_with(
+            |id| touched.get(&id).copied().unwrap_or(Touch::Untouched),
+            upserts,
+            retires,
+        );
         self.write_checkpoint()?;
         Ok(outcome)
     }
@@ -397,10 +443,10 @@ impl StreamEngine {
     /// Rebuilds from the current state treating *every* pair as dirty —
     /// used after [`StreamEngine::resume`] and by [`StreamEngine::batch_rerun`].
     pub fn rebuild(&mut self) -> BatchOutcome {
+        self.indexed.clear();
         self.pairs.clear();
         self.components.clear();
-        let all: FxHashSet<SetId> = self.sets.keys().copied().collect();
-        self.rebuild_with(&all, 0, 0)
+        self.rebuild_with(|_| Touch::Recount, 0, 0)
     }
 
     /// The from-scratch reference: clones the accumulated state into a fresh
@@ -417,12 +463,12 @@ impl StreamEngine {
         fresh.rebuild()
     }
 
-    /// The shared rebuild: repair the pair cache around `changed`, re-derive
-    /// aggregates, solve the conflict graph component-wise with solution
-    /// reuse, and run stages 4–8.
+    /// The shared rebuild: repair the pair cache around the sets `touch`
+    /// reports, re-derive aggregates, solve the conflict graph
+    /// component-wise with solution reuse, and run stages 4–8.
     fn rebuild_with(
         &mut self,
-        changed: &FxHashSet<SetId>,
+        touch: impl Fn(SetId) -> Touch,
         upserts: usize,
         retires: usize,
     ) -> BatchOutcome {
@@ -431,92 +477,94 @@ impl StreamEngine {
         metrics.add("incr/upserts", upserts as u64);
         metrics.add("incr/retires", retires as u64);
 
-        // The whole-state work around classify and mis (this eviction and
-        // index map, and the re-derivation of the aggregates below) records
-        // under one `derive` span, entered twice per batch.
+        // The whole-state work around classify and mis (the instance, the
+        // per-index flags and index map here, and the re-derivation of the
+        // aggregates below) records under one `derive` span, entered twice
+        // per batch.
         let stage = span.child("derive");
-        // Evict classifications touching changed sets; the rest stay valid
-        // (pairwise-stable orientation, unchanged endpoints).
-        self.pairs
-            .retain(|&(a, b), _| !changed.contains(&a) && !changed.contains(&b));
-
         let ids: Vec<SetId> = self.sets.keys().copied().collect();
         let instance = self.instance();
-        let idx_of: FxHashMap<SetId, u32> = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
+        let touches: Vec<Touch> = ids.iter().map(|&id| touch(id)).collect();
+        let new_index = index_map(&self.indexed, &ids);
         drop(stage);
 
-        // Re-classify pairs between changed sets and their partners through
-        // the co-occurrence kernel: cost is proportional to the posting
-        // lists of the changed sets' items, not to |Q|².
+        // Classify every pair with a touched endpoint. Cached pairs whose
+        // endpoints kept their items keep their counts and are re-oriented
+        // and re-classified by arithmetic alone; only the pairs of
+        // `Recount` sets go through the co-occurrence kernel, whose cost is
+        // proportional to the posting lists of those sets' items.
         let stage = span.child("classify");
-        let index = instance.inverted_index();
-        let mut is_changed = vec![false; ids.len()];
-        for id in changed {
-            if let Some(&ci) = idx_of.get(id) {
-                is_changed[ci as usize] = true;
+        let recount = |i: u32| touches[i as usize] == Touch::Recount;
+        let (mut cached, mut reoriented) = (0usize, 0usize);
+        self.pairs.retain_mut(|p| {
+            let (a, b) = (new_index[p.hi as usize], new_index[p.lo as usize]);
+            if a == RETIRED || b == RETIRED || recount(a) || recount(b) {
+                return false;
             }
-        }
+            if touches[a as usize] == Touch::Untouched && touches[b as usize] == Touch::Untouched {
+                // Index order is id order on both sides of the map, so the
+                // orientation stands.
+                (p.hi, p.lo) = (a, b);
+                cached += 1;
+            } else {
+                let (hi, lo) = pair_orientation(&instance, a, b);
+                let inter = p.inter as usize;
+                p.class = classify_pair(&instance, hi as usize, lo as usize, inter, inter);
+                (p.hi, p.lo) = (hi, lo);
+                reoriented += 1;
+            }
+            true
+        });
+        let index = instance.inverted_index();
         let mut counter = CoCounter::new(&instance, &index);
-        let mut dirty: Vec<(u32, u32, u32, u32)> = Vec::new();
-        for ci in (0..ids.len() as u32).filter(|&ci| is_changed[ci as usize]) {
-            // A changed-changed pair is counted from its lower index (index
-            // order is id order) only.
-            let skip = |other: u32| other < ci && is_changed[other as usize];
+        let before = self.pairs.len();
+        for ci in (0..ids.len() as u32).filter(|&ci| recount(ci)) {
+            // A pair of two recounted sets is counted from its lower index
+            // only.
+            let skip = |other: u32| other < ci && recount(other);
             counter.partners(ci, skip, |other, inter, eff_inter| {
-                dirty.push((ci.min(other), ci.max(other), inter, eff_inter));
-            });
-        }
-        let reclassified = dirty.len();
-        let cached = self.pairs.len();
-        for (a, b, inter, eff_inter) in dirty {
-            let (hi, lo) = pair_orientation(&instance, a, b);
-            let class = classify_pair(
-                &instance,
-                hi as usize,
-                lo as usize,
-                inter as usize,
-                eff_inter as usize,
-            );
-            let (ida, idb) = (ids[a as usize], ids[b as usize]);
-            self.pairs.insert(
-                (ida.min(idb), ida.max(idb)),
-                CachedPair {
-                    hi: ids[hi as usize],
-                    lo: ids[lo as usize],
+                // Stream instances raise no item bound, so the cache keeps
+                // one count.
+                debug_assert_eq!(inter, eff_inter, "no raised item bounds");
+                let (hi, lo) = pair_orientation(&instance, ci, other);
+                let class = classify_pair(
+                    &instance,
+                    hi as usize,
+                    lo as usize,
+                    inter as usize,
+                    inter as usize,
+                );
+                self.pairs.push(CachedPair {
+                    hi,
+                    lo,
                     inter,
                     class,
-                },
-            );
+                });
+            });
         }
+        let recounted = self.pairs.len() - before;
+        let reclassified = recounted + reoriented;
         metrics.add("incr/reclassified_pairs", reclassified as u64);
+        metrics.add("incr/recounted_pairs", recounted as u64);
         metrics.add("incr/cached_pairs", cached as u64);
         drop(stage);
 
         // Re-derive this batch's aggregates from the cache, in deterministic
         // (hi, lo) index order — the same order the batch analyzer emits.
         let stage = span.child("derive");
-        let mut entries: Vec<(u32, u32, u32, PairClass)> = self
-            .pairs
-            .values()
-            .map(|p| (idx_of[&p.hi], idx_of[&p.lo], p.inter, p.class))
-            .collect();
-        entries.sort_unstable_by_key(|&(hi, lo, _, _)| (hi, lo));
+        self.pairs.sort_unstable_by_key(|p| (p.hi, p.lo));
         let mut conflicts2: Vec<(u32, u32)> = Vec::new();
         let mut must: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut nestable: FxHashSet<(u32, u32)> = FxHashSet::default();
-        for (hi, lo, inter, class) in entries {
-            if class.is_conflict() {
-                conflicts2.push((hi, lo));
-            } else if class.must_together() {
-                must.insert((hi, lo));
-            } else if class.can_together {
-                let lo_len = instance.sets[lo as usize].items.len();
-                if (inter as f64) + EPS >= 0.5 * lo_len as f64 {
-                    nestable.insert((hi, lo));
+        for p in &self.pairs {
+            if p.class.is_conflict() {
+                conflicts2.push((p.hi, p.lo));
+            } else if p.class.must_together() {
+                must.insert((p.hi, p.lo));
+            } else if p.class.can_together {
+                let lo_len = instance.sets[p.lo as usize].items.len();
+                if (p.inter as f64) + EPS >= 0.5 * lo_len as f64 {
+                    nestable.insert((p.hi, p.lo));
                 }
             }
         }
@@ -562,7 +610,10 @@ impl StreamEngine {
         drop(stage);
 
         // Stages 4–8, shared with the batch pipeline.
-        let mut selection: Vec<u32> = selection_ids.iter().map(|id| idx_of[id]).collect();
+        let mut selection: Vec<u32> = selection_ids
+            .iter()
+            .map(|id| ids.binary_search(id).expect("selected sets are live") as u32)
+            .collect();
         selection.sort_unstable();
         let ranks = instance.ranks();
         let ctx = SelectionContext {
@@ -578,14 +629,16 @@ impl StreamEngine {
             metrics: metrics.clone(),
             ..CtcrConfig::default()
         };
-        let stages = build_from_selection(&instance, &ctx, &selection, &ctcr_config, &span);
-        metrics.gauge("incr/live_sets", ids.len() as f64);
-
+        let stages = build_from_selection(&instance, &index, &ctx, &selection, &ctcr_config, &span);
+        let live_sets = ids.len();
+        metrics.gauge("incr/live_sets", live_sets as f64);
+        self.indexed = ids;
         let stats = BatchStats {
             upserts,
             retires,
-            live_sets: ids.len(),
+            live_sets,
             reclassified_pairs: reclassified,
+            recounted_pairs: recounted,
             cached_pairs: cached,
             conflicts2: conflicts2.len(),
             components: num_components,
@@ -641,6 +694,28 @@ fn validate_set(num_items: u32, id: SetId, set: &InputSet) -> Result<(), StreamE
         }
     }
     Ok(())
+}
+
+/// Marks an id of the last rebuild that is no longer live.
+const RETIRED: u32 = u32::MAX;
+
+/// Maps each index of `old` to the index of the same id in `new`, or to
+/// [`RETIRED`]. Both lists ascend, so the map is one merge walk and keeps
+/// the order of the indices it keeps.
+fn index_map(old: &[SetId], new: &[SetId]) -> Vec<u32> {
+    let mut j = 0;
+    old.iter()
+        .map(|id| {
+            while new.get(j).is_some_and(|n| n < id) {
+                j += 1;
+            }
+            if new.get(j) == Some(id) {
+                j as u32
+            } else {
+                RETIRED
+            }
+        })
+        .collect()
 }
 
 /// Orients an intersecting index pair as `(hi, lo)` exactly like the global
@@ -806,6 +881,77 @@ mod tests {
         assert_eq!(tree_bytes(&outcome), tree_bytes(&engine.batch_rerun()));
     }
 
+    /// Intersecting pairs of live sets with an endpoint in `touched`.
+    fn pairs_touching(engine: &StreamEngine, touched: &[SetId]) -> usize {
+        let (instance, ids) = (engine.instance(), engine.ids());
+        let mut count = 0;
+        for i in 0..ids.len() {
+            for j in i + 1..ids.len() {
+                let touches = touched.contains(&ids[i]) || touched.contains(&ids[j]);
+                let (a, b) = (&instance.sets[i].items, &instance.sets[j].items);
+                if touches && a.intersection_size(b) > 0 {
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn same_items_upserts_skip_the_kernel() {
+        let mut engine = StreamEngine::new(StreamConfig {
+            threads: 1,
+            ..StreamConfig::new(20, Similarity::exact())
+        });
+        engine
+            .apply_batch(&DeltaBatch::new(vec![
+                SetDelta::upsert(1, set(vec![0, 1, 2], 1.0)),
+                SetDelta::upsert(2, set(vec![0, 1, 2], 2.0)),
+                SetDelta::upsert(3, set(vec![2, 3, 4], 1.0)),
+                SetDelta::upsert(4, set(vec![4, 5], 1.0)),
+                SetDelta::upsert(5, set(vec![10, 11], 1.0)),
+            ]))
+            .expect("seed");
+
+        // Weight, threshold and label only. Set 1 turns heavier than its
+        // equal twin 2, which flips the pair's (hi, lo) orientation.
+        let outcome = engine
+            .apply_batch(&DeltaBatch::new(vec![
+                SetDelta::upsert(1, set(vec![0, 1, 2], 3.0)),
+                SetDelta::upsert(
+                    3,
+                    set(vec![2, 3, 4], 1.0).with_threshold(0.5).with_label("x"),
+                ),
+            ]))
+            .expect("same-items batch");
+        assert_eq!(outcome.stats.recounted_pairs, 0, "{:?}", outcome.stats);
+        assert_eq!(
+            outcome.stats.reclassified_pairs,
+            pairs_touching(&engine, &[1, 3])
+        );
+        assert_eq!(tree_bytes(&outcome), tree_bytes(&engine.batch_rerun()));
+
+        // A retire and re-upsert of the same items, and two upserts of one
+        // id, are recounted.
+        let outcome = engine
+            .apply_batch(&DeltaBatch::new(vec![
+                SetDelta::retire(2),
+                SetDelta::upsert(2, set(vec![0, 1, 2], 2.0)),
+                SetDelta::upsert(4, set(vec![4, 5], 2.0)),
+                SetDelta::upsert(4, set(vec![4, 5], 3.0)),
+            ]))
+            .expect("recount batch");
+        let touching = pairs_touching(&engine, &[2, 4]);
+        assert!(touching > 0);
+        assert_eq!(
+            outcome.stats.recounted_pairs, touching,
+            "{:?}",
+            outcome.stats
+        );
+        assert_eq!(outcome.stats.reclassified_pairs, touching);
+        assert_eq!(tree_bytes(&outcome), tree_bytes(&engine.batch_rerun()));
+    }
+
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let path = scratch_path("resume.stream");
@@ -952,6 +1098,7 @@ mod tests {
         assert_eq!(report.span("incr/derive").map(|s| s.count), Some(2));
         assert_eq!(report.counter("incr/upserts"), Some(2));
         assert!(report.counter("incr/reclassified_pairs").is_some());
+        assert!(report.counter("incr/recounted_pairs").is_some());
         assert!(report.counter("incr/components_solved").unwrap_or(0) >= 1);
     }
 

@@ -145,6 +145,15 @@ impl Instance {
         CsrIndex::build(self.num_items, self.sets.iter().map(|s| &s.items))
     }
 
+    /// `true` when `index` has the shape of this instance's inverted index:
+    /// one posting list per item and one posting per set membership. Entry
+    /// points that take a shared index check it, so an index built from
+    /// another (say, last batch's) instance fails loudly in debug builds.
+    pub(crate) fn is_indexed_by(&self, index: &CsrIndex) -> bool {
+        index.num_items() == self.num_items as usize
+            && index.num_postings() == self.sets.iter().map(|s| s.items.len()).sum::<usize>()
+    }
+
     /// The paper's ranking (§3.2): sets sorted by size descending, then by
     /// weight ascending (heavier same-size sets rank lower in the tree),
     /// ties broken by index. Returns `rank[set_idx] ∈ 0..n` where rank 0 is

@@ -26,10 +26,10 @@
 //! locations up the parent chain, counting every category it reaches once,
 //! so only categories that share an item with the set are ever scored.
 
+use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::{ItemId, ItemSet};
-use crate::score::score_tree;
-
+use crate::score::{score_tree_indexed, ScoreOptions};
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::FxHashMap;
 
@@ -191,8 +191,18 @@ impl RepairState<'_> {
 /// Runs the repair pass. Returns statistics; the tree is modified in place
 /// and stays valid (no item gains branches, some lose one).
 pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
+    repair_indexed(instance, &instance.inverted_index(), tree)
+}
+
+/// [`repair`] over `index`, the inverted index of `instance`, which a
+/// construction builds once and shares between its stages.
+pub(crate) fn repair_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    tree: &mut CategoryTree,
+) -> RepairStats {
     let mut stats = RepairStats::default();
-    let score = score_tree(instance, tree);
+    let score = score_tree_indexed(instance, index, tree, &ScoreOptions::default());
 
     // Build state.
     let mut locations: FxHashMap<ItemId, Vec<CatId>> = FxHashMap::default();
@@ -345,6 +355,7 @@ mod tests {
     use super::*;
     use crate::input::InputSet;
     use crate::itemset::ItemSet;
+    use crate::score::score_tree;
     use crate::similarity::Similarity;
 
     #[test]

@@ -330,7 +330,7 @@ fn tree_score(instance: &Instance, best: &[Option<Cover>]) -> TreeScore {
 struct Ctx<'a> {
     instance: &'a Instance,
     tree: &'a CategoryTree,
-    index: CsrIndex,
+    index: &'a CsrIndex,
     depths: Vec<u32>,
     budget: &'a Budget,
     categories: Counter,
@@ -366,7 +366,7 @@ impl<'a> Pass<'a> {
     /// need the aggregate) but evaluates nothing more.
     fn visit(&mut self, cat: CatId) {
         let ctx = self.ctx;
-        let agg = aggregate_node(ctx.tree, cat, &mut self.pending, &ctx.index);
+        let agg = aggregate_node(ctx.tree, cat, &mut self.pending, ctx.index);
         self.expired = self.expired
             || (ctx.budget.is_limited() && ctx.budget.check_every(self.seen, DEADLINE_STRIDE));
         self.seen += 1;
@@ -437,12 +437,34 @@ pub fn try_score_tree_with(
     tree: &CategoryTree,
     options: &ScoreOptions,
 ) -> Result<TreeScore, ExecutionError> {
+    try_score_tree_indexed(instance, &instance.inverted_index(), tree, options)
+}
+
+/// [`score_tree_with`] over `index`, the inverted index of `instance`,
+/// which a construction builds once and shares between its stages.
+pub(crate) fn score_tree_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    tree: &CategoryTree,
+    options: &ScoreOptions,
+) -> TreeScore {
+    try_score_tree_indexed(instance, index, tree, options).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`try_score_tree_with`] over `index`, the inverted index of `instance`.
+pub(crate) fn try_score_tree_indexed(
+    instance: &Instance,
+    index: &CsrIndex,
+    tree: &CategoryTree,
+    options: &ScoreOptions,
+) -> Result<TreeScore, ExecutionError> {
+    debug_assert!(instance.is_indexed_by(index), "stale inverted index");
     let metrics = &options.metrics;
     let threads = resolve_threads(options.threads, tree.len());
     let ctx = Ctx {
         instance,
         tree,
-        index: instance.inverted_index(),
+        index,
         depths: category_depths(tree),
         budget: &options.budget,
         categories: metrics.counter("score/categories"),

@@ -129,6 +129,8 @@ impl Graph {
         }
         // One local-index map serves every component: an induced edge never
         // leaves its component, so only the current members' entries are read.
+        // `local` ascends over the sorted members, so mapping a sorted,
+        // deduplicated neighbor list keeps it sorted and deduplicated.
         let mut local = vec![0u32; n];
         components
             .into_iter()
@@ -136,16 +138,20 @@ impl Graph {
                 for (i, &v) in members.iter().enumerate() {
                     local[v as usize] = i as u32;
                 }
-                let weights = members.iter().map(|&v| self.weight(v)).collect();
-                let mut edges = Vec::new();
-                for &v in &members {
-                    for &u in self.neighbors(v) {
-                        if v < u {
-                            edges.push((local[v as usize], local[u as usize]));
-                        }
-                    }
-                }
-                let sub = Graph::new(weights, &edges);
+                let adj: Vec<Vec<u32>> = members
+                    .iter()
+                    .map(|&v| {
+                        self.neighbors(v)
+                            .iter()
+                            .map(|&u| local[u as usize])
+                            .collect()
+                    })
+                    .collect();
+                let sub = Graph {
+                    num_edges: adj.iter().map(Vec::len).sum::<usize>() / 2,
+                    adj,
+                    weights: members.iter().map(|&v| self.weight(v)).collect(),
+                };
                 (members, sub)
             })
             .collect()

@@ -51,6 +51,25 @@ proptest! {
             "exact {} vs brute {}", res.weight, brute);
     }
 
+    /// Each component's subgraph, built from the parent's sorted lists,
+    /// equals `Graph::new` over the component's induced edge list.
+    #[test]
+    fn component_subgraphs_equal_induced_rebuilds(g in arb_graph(40)) {
+        let comps = g.connected_components();
+        prop_assert_eq!(comps.iter().map(|(m, _)| m.len()).sum::<usize>(), g.len());
+        for (members, sub) in &comps {
+            let local = |v: u32| members.binary_search(&v).expect("edges stay inside") as u32;
+            let induced: Vec<(u32, u32)> = members
+                .iter()
+                .flat_map(|&v| g.neighbors(v).iter().map(move |&u| (v, u)))
+                .filter(|&(v, u)| v < u)
+                .map(|(v, u)| (local(v), local(u)))
+                .collect();
+            let weights = members.iter().map(|&v| g.weight(v)).collect();
+            prop_assert_eq!(sub, &Graph::new(weights, &induced));
+        }
+    }
+
     #[test]
     fn greedy_is_always_independent(g in arb_graph(24)) {
         let sol = local::greedy(&g);

@@ -1,10 +1,11 @@
 //! Differential properties for the streaming engine: applying any valid
 //! delta sequence incrementally must produce bit-identical trees to a
 //! from-scratch batch rerun, under a threshold variant and under the Exact
-//! variant, and a checkpoint/resume split anywhere in the stream must not
-//! change the outcome.
+//! variant (and, for upserts that keep a set's items, under all six), and
+//! a checkpoint/resume split anywhere in the stream must not change the
+//! outcome.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use oct_core::incremental::{DeltaBatch, SetDelta, StreamConfig, StreamEngine};
@@ -116,6 +117,83 @@ fn crossing_chain() -> DeltaBatch {
     )
 }
 
+/// A re-upsert of a live set with its current items: `(pick, weight,
+/// what)`. `pick` selects the live id by position; `what` keeps the
+/// threshold and label (0), sets a threshold (1) or a label (2).
+type SameItemsOp = (usize, u32, u8);
+
+fn arb_same_items(batches: usize) -> impl Strategy<Value = Vec<Vec<SameItemsOp>>> {
+    prop::collection::vec(
+        prop::collection::vec((0usize..64, 1u32..6, 0u8..3), 1..5),
+        batches,
+    )
+}
+
+/// Eight sets of three items, pairwise equal in twos (ids 0 and 1, and 4
+/// and 5) and otherwise crossing, so a weight change flips the `(hi, lo)`
+/// orientation of equal-size pairs.
+fn equal_size_sets() -> Vec<(u64, InputSet)> {
+    const SHAPES: [[u32; 3]; 4] = [[0, 1, 2], [0, 1, 2], [1, 2, 3], [2, 3, 4]];
+    (0..8u64)
+        .map(|id| {
+            let items = ItemSet::new(SHAPES[id as usize % 4].to_vec());
+            (id, InputSet::new(items, (id % 3 + 1) as f64))
+        })
+        .collect()
+}
+
+/// Opens with [`equal_size_sets`], then each batch first re-upserts live
+/// sets with their current items and a new weight, threshold or label, and
+/// then applies the raw ops (which may touch the same ids again).
+fn same_items_batches(ops: &[Vec<RawOp>], same: &[Vec<SameItemsOp>]) -> Vec<DeltaBatch> {
+    let mut live: BTreeMap<u64, InputSet> = equal_size_sets().into_iter().collect();
+    let mut batches = vec![DeltaBatch::new(
+        live.iter()
+            .map(|(&id, set)| SetDelta::upsert(id, set.clone()))
+            .collect(),
+    )];
+    for (raw, same) in ops.iter().zip(same) {
+        let mut deltas = Vec::new();
+        for &(pick, weight, what) in same {
+            let Some((&id, set)) = live.iter().nth(pick % live.len().max(1)) else {
+                break;
+            };
+            let mut set = set.clone();
+            set.weight = f64::from(weight);
+            match what {
+                1 => set.threshold = Some(0.5 + 0.1 * f64::from(weight % 5)),
+                2 => set.label = Some(format!("w{weight}")),
+                _ => {}
+            }
+            live.insert(id, set.clone());
+            deltas.push(SetDelta::upsert(id, set));
+        }
+        for (id, items, weight, kind) in raw {
+            if *kind == 2 && live.remove(id).is_some() {
+                deltas.push(SetDelta::retire(*id));
+            } else {
+                let set = InputSet::new(ItemSet::new(items.clone()), f64::from(*weight));
+                live.insert(*id, set.clone());
+                deltas.push(SetDelta::upsert(*id, set));
+            }
+        }
+        batches.push(DeltaBatch::new(deltas));
+    }
+    batches
+}
+
+/// The six similarity variants.
+fn all_variants() -> [Similarity; 6] {
+    [
+        Similarity::exact(),
+        Similarity::perfect_recall(0.8),
+        Similarity::jaccard_cutoff(0.6),
+        Similarity::jaccard_threshold(0.6),
+        Similarity::f1_cutoff(0.6),
+        Similarity::f1_threshold(0.6),
+    ]
+}
+
 fn config(checkpoint: Option<std::path::PathBuf>) -> StreamConfig {
     config_for(Similarity::jaccard_threshold(0.6), checkpoint)
 }
@@ -213,6 +291,24 @@ proptest! {
         prop_assert!(solved.iter().any(|&s| s > 0), "no batch solved a component: {:?}", solved);
     }
 
+    /// Upserts that keep a set's items keep its cached counts, but their
+    /// pairs' orientation and class are re-derived: the incremental tree
+    /// still equals a rerun after every batch, under all six variants,
+    /// while weight changes flip the orientation of equal-size pairs.
+    #[test]
+    fn same_items_upserts_equal_batch_rerun(
+        case in arb_ops().prop_flat_map(|ops| {
+            let n = ops.len();
+            arb_same_items(n).prop_map(move |same| (ops.clone(), same))
+        }),
+    ) {
+        let (ops, same) = case;
+        let batches = same_items_batches(&ops, &same);
+        for similarity in all_variants() {
+            check_incremental_equals_rerun(similarity, &batches)?;
+        }
+    }
+
     /// Killing the process after any prefix of the stream and resuming from
     /// the checkpoint yields the same final tree as an uninterrupted run.
     #[test]
@@ -299,6 +395,8 @@ fn reclassified_pairs_equal_brute_force_count() {
         vec![SetDelta::retire(3), SetDelta::upsert(6, set(&[0, 2, 5, 6]))],
         // An upsert whose new content overlaps no one.
         vec![SetDelta::upsert(5, set(&[20, 21]))],
+        // An upsert that keeps its items: reclassified from cached counts.
+        vec![SetDelta::upsert(1, set(&[0, 1, 2, 3]))],
     ];
     for similarity in [Similarity::exact(), Similarity::jaccard_threshold(0.6)] {
         let mut engine = StreamEngine::new(config_for(similarity, None));
