@@ -27,12 +27,15 @@ fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     // Last-resort isolation: a bug anywhere below surfaces as a one-line
     // error and a nonzero exit, never an abort with a backtrace dump.
-    let outcome = std::panic::catch_unwind(|| args::parse(&argv).and_then(commands::run));
+    // Only an argument error is followed by the usage text.
+    let outcome = std::panic::catch_unwind(|| match args::parse(&argv) {
+        Ok(command) => commands::run(command),
+        Err(e) => Err(format!("{e}\n\n{}", args::USAGE)),
+    });
     match outcome {
         Ok(Ok(())) => ExitCode::SUCCESS,
         Ok(Err(e)) => {
             eprintln!("error: {e}");
-            eprintln!("\n{}", args::USAGE);
             ExitCode::FAILURE
         }
         Err(panic) => {

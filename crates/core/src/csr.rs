@@ -1,4 +1,5 @@
-//! The CSR inverted index: for each item, the input sets containing it.
+//! The CSR inverted index: for each item, the input sets (or the tree
+//! categories) containing it.
 //!
 //! The per-item posting lists live in one flat `ids` buffer addressed by an
 //! `offsets` array, so building the index is two passes over the input (no
@@ -8,7 +9,7 @@
 //! read it (see *Efficient tree-structured categorical retrieval*,
 //! PAPERS.md).
 
-use crate::itemset::{ItemId, ItemSet};
+use crate::itemset::ItemId;
 
 /// A compressed-sparse-row inverted index: for each item, the ascending list
 /// of input-set indices containing it, stored as one flat `ids` buffer
@@ -23,16 +24,16 @@ pub struct CsrIndex {
 }
 
 impl CsrIndex {
-    /// Builds the index from `(set index, member items)` rows over a universe
-    /// of `num_items`. Rows must be supplied in ascending set order (the
-    /// natural iteration order of `Instance::sets`), which makes every
-    /// posting list ascending.
-    pub fn build<'a>(num_items: u32, rows: impl Iterator<Item = &'a ItemSet> + Clone) -> Self {
+    /// Builds the index from member-item rows over a universe of
+    /// `num_items`; row `r`'s items post `r`. Rows are supplied in ascending
+    /// id order (the natural iteration order of `Instance::sets`, or of a
+    /// tree's category slots), which makes every posting list ascending.
+    pub fn build<'a>(num_items: u32, rows: impl Iterator<Item = &'a [ItemId]> + Clone) -> Self {
         let n = num_items as usize;
         // Pass 1: posting-list lengths.
         let mut offsets = vec![0u32; n + 1];
-        for set in rows.clone() {
-            for item in set.iter() {
+        for row in rows.clone() {
+            for &item in row {
                 offsets[item as usize + 1] += 1;
             }
         }
@@ -42,8 +43,8 @@ impl CsrIndex {
         // Pass 2: fill. `cursor` tracks the next free slot per item.
         let mut ids = vec![0u32; offsets[n] as usize];
         let mut cursor = offsets.clone();
-        for (s, set) in rows.enumerate() {
-            for item in set.iter() {
+        for (s, row) in rows.enumerate() {
+            for &item in row {
                 let slot = &mut cursor[item as usize];
                 ids[*slot as usize] = s as u32;
                 *slot += 1;
@@ -99,6 +100,7 @@ impl std::ops::Index<usize> for CsrIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::itemset::ItemSet;
 
     #[test]
     fn csr_matches_nested_shape() {
@@ -107,7 +109,7 @@ mod tests {
             ItemSet::new(vec![1, 3]),
             ItemSet::new(vec![0, 3, 4]),
         ];
-        let index = CsrIndex::build(6, sets.iter());
+        let index = CsrIndex::build(6, sets.iter().map(ItemSet::as_slice));
         assert_eq!(index.num_items(), 6);
         assert_eq!(index.num_postings(), 8);
         assert_eq!(index.sets_of(0), &[0, 2]);

@@ -142,7 +142,7 @@ impl Instance {
     /// indices containing it, in CSR form (one flat posting buffer instead
     /// of a `Vec` per item — see [`CsrIndex`]).
     pub fn inverted_index(&self) -> CsrIndex {
-        CsrIndex::build(self.num_items, self.sets.iter().map(|s| &s.items))
+        CsrIndex::build(self.num_items, self.sets.iter().map(|s| s.items.as_slice()))
     }
 
     /// `true` when `index` has the shape of this instance's inverted index:

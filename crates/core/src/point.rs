@@ -4,9 +4,12 @@
 //! instance — the right shape for evaluation runs, and entirely the wrong
 //! shape for a serving daemon that answers one query at a time against a
 //! long-lived tree. This module splits that work: a [`PointIndex`] is built
-//! once per tree (materialized category sizes plus an `item → categories`
-//! inverted index) and then answers each query in
-//! `O(Σ_{i∈q} #categories(i))` — proportional to the query, not the tree.
+//! once per tree (each item's direct categories, the parent array, category
+//! sizes and depths). A query's `|q ∩ C|` counts come from walking its
+//! items' direct categories up their parent chains, with the chain counter
+//! repair's candidate search also uses: the cost is the sum of the items'
+//! chain lengths, proportional to the query, not the tree, and no
+//! category's item set is materialized.
 //!
 //! Every lookup scores candidates with [`Cover::new`] and folds them
 //! with [`Cover::beats`], the order batch scoring uses, so a point query
@@ -22,32 +25,33 @@
 
 use oct_resilience::Budget;
 
+use crate::csr::CsrIndex;
+use crate::itemset::ItemId;
 use crate::score::{category_depths, Cover, SetCover, DEADLINE_STRIDE};
 use crate::similarity::Similarity;
-use crate::tree::{CatId, CategoryTree};
-use crate::util::FxHashMap;
+use crate::tree::{CatId, CategoryTree, ChainCounter};
 use crate::vector::{VectorIndex, DEFAULT_EF_SEARCH};
 
 /// Candidate pool floor for top-k navigation: reranking a few extra
 /// candidates is cheap and buys recall headroom when k is small.
 pub const TOPK_POOL_FLOOR: usize = 32;
 
-/// Immutable per-tree index answering single-set cover queries.
+/// Immutable per-tree index answering single-set cover queries. It keeps
+/// only the tree's shape (each item's direct categories, each category's
+/// parent) and counts a query's intersections up the parent chains.
 ///
 /// Build once per tree snapshot ([`PointIndex::build`]), then share freely:
 /// lookups take `&self`, so a serving daemon can hand one `Arc`'d index to
 /// every worker and swap in a fresh one atomically when the tree rebuilds.
 #[derive(Debug, Clone)]
 pub struct PointIndex {
-    /// `item → categories whose materialized subtree contains it`,
-    /// ascending by category id.
-    item_cats: Vec<Vec<CatId>>,
-    /// Materialized (deduplicated-subtree) size per category slot.
+    /// `item → live categories it is directly assigned to`, ascending.
+    direct: CsrIndex,
+    /// Parent per category slot (`None` for the root and removed slots).
+    parents: Vec<Option<CatId>>,
+    /// Full (deduplicated-subtree) size per category slot, 0 for removed
+    /// slots — counted by one chain walk over every item at build time.
     cat_sizes: Vec<u32>,
-    /// Materialized item set per category slot, ascending (empty for
-    /// removed slots) — the candidate reranker intersects against these
-    /// directly instead of walking every posting list.
-    cat_items: Vec<Vec<u32>>,
     /// Depth per category slot (root = 0).
     depths: Vec<u32>,
     /// Number of live categories indexed.
@@ -100,32 +104,27 @@ impl PointIndex {
     /// Indexes `tree` for point lookups. `num_items` sizes the inverted
     /// index; items assigned in the tree beyond it extend it automatically.
     pub fn build(tree: &CategoryTree, num_items: u32) -> Self {
-        let full = tree.materialize();
-        let live = tree.live_categories();
-        let max_assigned = full
-            .iter()
-            .flat_map(|set| set.as_slice().last().copied())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut item_cats = vec![Vec::new(); num_items.max(max_assigned) as usize];
+        let live_items = |c| (!tree.is_removed(c)).then(|| tree.direct_items(c));
+        let rows: Vec<&[ItemId]> = tree
+            .category_ids()
+            .map(|c| live_items(c).unwrap_or_default())
+            .collect();
+        let max_assigned = rows.iter().flat_map(|r| r.iter().max()).max();
+        let slots = num_items.max(max_assigned.map_or(0, |&m| m + 1));
+        let direct = CsrIndex::build(slots, rows.iter().copied());
+        let parents: Vec<Option<CatId>> = tree.category_ids().map(|c| tree.parent(c)).collect();
+        // With every item as the query, the counter yields `|full(C)|`.
         let mut cat_sizes = vec![0u32; tree.len()];
-        let mut cat_items = vec![Vec::new(); tree.len()];
-        for &cat in &live {
-            let set = &full[cat as usize];
-            cat_sizes[cat as usize] = set.len() as u32;
-            for item in set.iter() {
-                item_cats[item as usize].push(cat);
-            }
-            cat_items[cat as usize] = set.as_slice().to_vec();
+        let every_item = direct.entries().map(|(_, cats)| cats);
+        for (cat, n) in ChainCounter::new(tree.len()).count(every_item, |c| parents[c as usize]) {
+            cat_sizes[cat as usize] = n as u32;
         }
-        // `live` ascends, so each item's category list is already sorted —
-        // the deterministic evaluation order lookups rely on.
         Self {
-            item_cats,
+            direct,
+            parents,
             cat_sizes,
-            cat_items,
             depths: category_depths(tree),
-            live_categories: live.len(),
+            live_categories: tree.live_categories().len(),
         }
     }
 
@@ -141,7 +140,7 @@ impl PointIndex {
 
     /// Number of item slots in the inverted index.
     pub fn num_items(&self) -> u32 {
-        self.item_cats.len() as u32
+        self.direct.num_items() as u32
     }
 
     /// Best cover of `items` (treated as a set; duplicates are ignored)
@@ -159,25 +158,8 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
-        let query = dedup(items);
-        // Intersection counts over exactly the categories the query
-        // touches. Unknown items (beyond the inverted index) count in the
-        // query size but cannot touch any posting list.
-        let mut counts: FxHashMap<CatId, u32> = FxHashMap::default();
-        for &item in &query {
-            let Some(cats) = self.item_cats.get(item as usize) else {
-                continue;
-            };
-            for &cat in cats {
-                *counts.entry(cat).or_insert(0) += 1;
-            }
-        }
-        // Deterministic evaluation order (and a deterministic degraded
-        // prefix): ascending category id.
-        let mut candidates: Vec<(CatId, u32)> = counts.into_iter().collect();
-        candidates.sort_unstable_by_key(|&(cat, _)| cat);
-        let pairs = candidates.into_iter().map(|(cat, n)| (cat, n as usize));
-        self.best_of(query.len(), pairs, similarity, budget)
+        let (q_len, counts) = self.query_counts(items);
+        self.best_of(q_len, counts.into_iter(), similarity, budget)
     }
 
     /// Best cover of `items` evaluated over `candidates` only — the exact
@@ -320,22 +302,31 @@ impl PointIndex {
     }
 
     /// The deduplicated query size (unknown items included — see
-    /// [`best_cover`](Self::best_cover)) and lazily computed
-    /// `(cat, |C ∩ q|)` pairs over the valid candidate slots, ascending and
-    /// deduplicated. Each intersection walks the materialized category
-    /// against a query bitmap: `O(|C|)` with no hashing.
-    fn candidate_pairs<'a>(
-        &'a self,
+    /// [`best_cover`](Self::best_cover)) and `(cat, |C ∩ q|)` for every
+    /// category sharing an item with the query, ascending by category id.
+    fn query_counts(&self, items: &[u32]) -> (usize, Vec<(CatId, usize)>) {
+        let mut query = items.to_vec();
+        query.sort_unstable();
+        query.dedup();
+        // Unknown items, beyond the index, have no categories to walk.
+        let known = query.partition_point(|&i| (i as usize) < self.direct.num_items());
+        let placements = query[..known].iter().map(|&i| self.direct.sets_of(i));
+        let parent = |c: CatId| self.parents[c as usize];
+        (
+            query.len(),
+            ChainCounter::new(self.parents.len()).count(placements, parent),
+        )
+    }
+
+    /// The deduplicated query size and `(cat, |C ∩ q|)` pairs over the
+    /// valid candidate slots, ascending and deduplicated. Each candidate
+    /// looks its count up in the query's chain walk, 0 when not reached.
+    fn candidate_pairs(
+        &self,
         items: &[u32],
         candidates: &[CatId],
-    ) -> (usize, impl Iterator<Item = (CatId, usize)> + 'a) {
-        let query = dedup(items);
-        let mut in_query = vec![0u64; self.item_cats.len().div_ceil(64)];
-        for &item in &query {
-            if (item as usize) < self.item_cats.len() {
-                in_query[item as usize / 64] |= 1u64 << (item % 64);
-            }
-        }
+    ) -> (usize, impl Iterator<Item = (CatId, usize)>) {
+        let (q_len, counts) = self.query_counts(items);
         let mut ordered: Vec<CatId> = candidates
             .iter()
             .copied()
@@ -344,20 +335,11 @@ impl PointIndex {
         ordered.sort_unstable();
         ordered.dedup();
         let pairs = ordered.into_iter().map(move |cat| {
-            let hit = |&&i: &&u32| in_query[i as usize / 64] & (1u64 << (i % 64)) != 0;
-            let inter = self.cat_items[cat as usize].iter().filter(hit).count();
-            (cat, inter)
+            let found = counts.binary_search_by_key(&cat, |&(c, _)| c);
+            (cat, found.map_or(0, |i| counts[i].1))
         });
-        (query.len(), pairs)
+        (q_len, pairs)
     }
-}
-
-/// `items` as a set: sorted and deduplicated.
-fn dedup(items: &[u32]) -> Vec<u32> {
-    let mut query = items.to_vec();
-    query.sort_unstable();
-    query.dedup();
-    query
 }
 
 #[cfg(test)]
@@ -580,6 +562,50 @@ mod tests {
             full.similarity >= cover.similarity,
             "degraded is a lower bound"
         );
+    }
+
+    #[test]
+    fn item_in_sibling_branches_counts_once_at_common_ancestor() {
+        // Item 0 is direct in siblings a and b and in their parent p, so
+        // `|{0} ∩ full(C)|` is 1 at p and at the root; counting every
+        // placement would report 3 there.
+        let mut tree = CategoryTree::new();
+        let p = tree.add_category(ROOT);
+        let a = tree.add_category(p);
+        let b = tree.add_category(p);
+        let c = tree.add_category(ROOT);
+        tree.assign_items(a, [0]);
+        tree.assign_items(b, [0, 5]);
+        tree.assign_items(p, [0, 7]);
+        tree.assign_items(c, [1, 2]);
+        let index = PointIndex::build(&tree, 8);
+        let full = tree.materialize();
+        let similarity = Similarity::jaccard_cutoff(0.1);
+        let all = tree.live_categories();
+        let (top, _) = index.top_covers_among(&[0], &all, 10, &similarity, &Budget::unlimited());
+        for cat in [p, ROOT] {
+            let cover = top
+                .iter()
+                .find(|r| r.cat == cat)
+                .expect("cat intersects {0}");
+            let inter = cover.precision * full[cat as usize].len() as f64;
+            assert!((inter - 1.0).abs() < 1e-12, "cat {cat}: {cover:?}");
+        }
+        // The exhaustive lookup agrees with batch scoring, whose winners
+        // here are a ({0}), p ({0, 7}) and the root (every item).
+        let sets = [vec![0], vec![0, 5], vec![0, 7], vec![0, 1, 2, 5, 7]];
+        let sets = sets.map(|s| InputSet::new(ItemSet::new(s), 1.0));
+        let instance = Instance::new(8, sets.to_vec(), similarity);
+        let batch = score_tree(&instance, &tree);
+        for (s, set) in instance.sets.iter().enumerate() {
+            let point = index.best_cover(set.items.as_slice(), &similarity, &Budget::unlimited());
+            let expect = &batch.per_set[s];
+            assert_eq!(point.best_category, expect.best_category, "set {s}");
+            assert_eq!(point.similarity.to_bits(), expect.similarity.to_bits());
+            assert_eq!(point.precision.to_bits(), expect.precision.to_bits());
+        }
+        let winners: Vec<_> = batch.per_set.iter().map(|c| c.best_category).collect();
+        assert_eq!(winners, [Some(a), Some(b), Some(p), Some(ROOT)]);
     }
 
     #[test]

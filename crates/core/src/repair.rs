@@ -22,15 +22,16 @@
 //! already applied for the set stay committed even when the set ends below
 //! its threshold. The tree stays valid and no protected cover breaks.
 //!
-//! The candidate search is one pass per set: each item of the set walks its
-//! locations up the parent chain, counting every category it reaches once,
-//! so only categories that share an item with the set are ever scored.
+//! The candidate search is one pass per set of the [`ChainCounter`] that
+//! point queries also use: each item of the set walks its locations up the
+//! parent chain, counting every category it reaches once, so only
+//! categories that share an item with the set are ever scored.
 
 use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::{ItemId, ItemSet};
 use crate::score::{score_tree_indexed, ScoreOptions};
-use crate::tree::{CatId, CategoryTree, ROOT};
+use crate::tree::{CatId, CategoryTree, ChainCounter, ROOT};
 use crate::util::FxHashMap;
 
 /// Outcome of a repair pass.
@@ -61,17 +62,8 @@ struct RepairState<'a> {
     /// Protections indexed by category.
     protections: Vec<Protection>,
     by_cat: FxHashMap<CatId, Vec<usize>>,
-    /// Candidate-search scratch, indexed by category: the q-item that last
-    /// reached the category (as a running stamp) and the number of q-items
-    /// in its subtree. `hits` is all zero between searches.
-    stamp: Vec<u32>,
-    hits: Vec<usize>,
-    epoch: u32,
-}
-
-/// `cat` followed by its ancestors up to the root.
-fn chain(tree: &CategoryTree, cat: CatId) -> impl Iterator<Item = CatId> + '_ {
-    std::iter::successors(Some(cat), |&c| tree.parent(c))
+    /// Candidate-search scratch over the tree's category slots.
+    counter: ChainCounter,
 }
 
 impl RepairState<'_> {
@@ -97,7 +89,7 @@ impl RepairState<'_> {
     /// covered. An added item must be globally unassigned, so it is in no
     /// affected full set yet.
     fn is_safe(&self, item: ItemId, node: CatId, sign: i64) -> bool {
-        chain(self.tree, node).all(|a| {
+        self.tree.path_to_root(node).all(|a| {
             self.by_cat.get(&a).is_none_or(|ids| {
                 ids.iter().all(|&pi| {
                     let p = &self.protections[pi];
@@ -112,7 +104,7 @@ impl RepairState<'_> {
     /// `item` in (`sign` = +1) or out (−1) below `node`.
     fn shift_counts(&mut self, item: ItemId, node: CatId, sign: isize) {
         let shift = |count: usize| count.checked_add_signed(sign).expect("count stays ≥ 0");
-        for a in chain(self.tree, node) {
+        for a in self.tree.path_to_root(node) {
             self.node_size[a as usize] = shift(self.node_size[a as usize]);
             for &pi in self.by_cat.get(&a).map_or(&[][..], Vec::as_slice) {
                 let p = &mut self.protections[pi];
@@ -148,36 +140,16 @@ impl RepairState<'_> {
 
     /// The non-root category with the highest `J(q, full(cat))` and its
     /// intersection size; ties go to the lowest `CatId`. `inter(q, cat)`
-    /// counts the q-items with a location in `cat`'s subtree, so each
-    /// q-item walks its locations up the parent chain and stamps what it
-    /// reaches: an item placed in two branches counts once at their common
-    /// ancestors. Cost: the q-items' chain lengths, not `|live| × |q|`.
+    /// counts the q-items with a location in `cat`'s subtree (the chain
+    /// counter: an item placed in two branches counts once at their common
+    /// ancestors). Cost: the q-items' chain lengths, not `|live| × |q|`.
     fn best_candidate(&mut self, q: &ItemSet) -> Option<(CatId, usize)> {
-        let mut touched: Vec<CatId> = Vec::new();
-        for item in q.iter() {
-            let Some(locs) = self.locations.get(&item) else {
-                continue;
-            };
-            self.epoch += 1;
-            for &loc in locs {
-                // Stop at the root or where an earlier location of this
-                // item already stamped the rest of the chain.
-                for cat in chain(self.tree, loc) {
-                    if cat == ROOT || self.stamp[cat as usize] == self.epoch {
-                        break;
-                    }
-                    self.stamp[cat as usize] = self.epoch;
-                    if self.hits[cat as usize] == 0 {
-                        touched.push(cat);
-                    }
-                    self.hits[cat as usize] += 1;
-                }
-            }
-        }
-        touched.sort_unstable();
+        let placements = q
+            .iter()
+            .map(|item| self.locations.get(&item).map_or(&[][..], Vec::as_slice));
+        let counts = self.counter.count(placements, |c| self.tree.parent(c));
         let mut best: Option<(f64, CatId, usize)> = None;
-        for cat in touched {
-            let inter = std::mem::take(&mut self.hits[cat as usize]);
+        for (cat, inter) in counts.into_iter().filter(|&(cat, _)| cat != ROOT) {
             let union = q.len() + self.node_size[cat as usize] - inter;
             let j = inter as f64 / union as f64;
             if best.is_none_or(|(bj, _, _)| j > bj) {
@@ -234,9 +206,7 @@ pub(crate) fn repair_indexed(
     }
     let mut state = RepairState {
         instance,
-        stamp: vec![0; tree.len()],
-        hits: vec![0; tree.len()],
-        epoch: 0,
+        counter: ChainCounter::new(tree.len()),
         tree,
         node_size,
         locations,

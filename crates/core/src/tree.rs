@@ -155,39 +155,25 @@ impl CategoryTree {
         0..self.nodes.len() as CatId
     }
 
-    /// `true` when `a` is an ancestor of `b` (strict) — walks parent links,
-    /// `O(depth)`.
+    /// `cat` followed by its ancestors up to the root — the parent-link
+    /// walk, `O(depth)`.
+    pub(crate) fn path_to_root(&self, cat: CatId) -> impl Iterator<Item = CatId> + '_ {
+        std::iter::successors(Some(cat), |&c| self.parent(c))
+    }
+
+    /// `true` when `a` is an ancestor of `b` (strict).
     pub fn is_ancestor(&self, a: CatId, b: CatId) -> bool {
-        let mut cur = self.parent(b);
-        while let Some(p) = cur {
-            if p == a {
-                return true;
-            }
-            cur = self.parent(p);
-        }
-        false
+        self.path_to_root(b).skip(1).any(|c| c == a)
     }
 
     /// Depth of `cat` (root = 0).
     pub fn depth(&self, cat: CatId) -> usize {
-        let mut d = 0;
-        let mut cur = self.parent(cat);
-        while let Some(p) = cur {
-            d += 1;
-            cur = self.parent(p);
-        }
-        d
+        self.path_to_root(cat).count() - 1
     }
 
     /// Ancestors of `cat` from its parent up to the root.
     pub fn ancestors(&self, cat: CatId) -> Vec<CatId> {
-        let mut out = Vec::new();
-        let mut cur = self.parent(cat);
-        while let Some(p) = cur {
-            out.push(p);
-            cur = self.parent(p);
-        }
-        out
+        self.path_to_root(cat).skip(1).collect()
     }
 
     /// Category ids in the subtree rooted at `cat` (including `cat`),
@@ -363,6 +349,60 @@ impl CategoryTree {
     }
 }
 
+/// Counts `|q ∩ full(C)|` for every category `C` whose subtree holds an
+/// item of a query `q`, with no materialized `full(C)`: each item walks its
+/// *direct* categories up the parent chain, stamping what it reaches and
+/// stopping where it already stamped, so an item placed in two branches
+/// counts once at their common ancestors. A query costs the sum of its
+/// items' chain lengths. `hits` is all zero between queries.
+pub(crate) struct ChainCounter {
+    hits: Vec<u32>,
+    /// The item (as a running epoch) that last reached each category.
+    stamp: Vec<u32>,
+    epoch: u32,
+}
+
+impl ChainCounter {
+    /// A counter for a tree with `slots` category slots.
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            hits: vec![0; slots],
+            stamp: vec![0; slots],
+            epoch: 0,
+        }
+    }
+
+    /// `(cat, |q ∩ full(cat)|)` for every category reached, ascending by
+    /// `cat`. `placements` yields, per item of the deduplicated query, the
+    /// categories it is directly assigned to; `parent` walks up the tree.
+    pub(crate) fn count<'a>(
+        &mut self,
+        placements: impl IntoIterator<Item = &'a [CatId]>,
+        parent: impl Fn(CatId) -> Option<CatId>,
+    ) -> Vec<(CatId, usize)> {
+        let mut touched = Vec::new();
+        for direct in placements {
+            self.epoch += 1;
+            for &cat in direct {
+                for c in std::iter::successors(Some(cat), |&c| parent(c)) {
+                    if self.stamp[c as usize] == self.epoch {
+                        break;
+                    }
+                    self.stamp[c as usize] = self.epoch;
+                    if self.hits[c as usize] == 0 {
+                        touched.push(c);
+                    }
+                    self.hits[c as usize] += 1;
+                }
+            }
+        }
+        touched.sort_unstable();
+        let hits = &mut self.hits;
+        let count = |cat: CatId| (cat, std::mem::take(&mut hits[cat as usize]) as usize);
+        touched.into_iter().map(count).collect()
+    }
+}
+
 /// Receipt of a category removal.
 #[derive(Debug, Clone, Copy)]
 pub struct RemovedCategory {
@@ -476,6 +516,39 @@ mod tests {
         t.assign_item(b, 5);
         let full = t.materialize();
         assert_eq!(full[ROOT as usize].len(), 1);
+    }
+
+    #[test]
+    fn chain_counter_matches_materialized_intersections() {
+        // Item 5 sits in two sibling branches and in their parent.
+        let mut t = CategoryTree::new();
+        let p = t.add_category(ROOT);
+        let a = t.add_category(p);
+        let b = t.add_category(p);
+        let c = t.add_category(ROOT);
+        t.assign_items(a, [1, 5]);
+        t.assign_items(b, [2, 5]);
+        t.assign_item(p, 5);
+        t.assign_item(c, 3);
+        let mut direct: Vec<Vec<CatId>> = vec![Vec::new(); 6];
+        for cat in t.live_categories() {
+            for &item in t.direct_items(cat) {
+                direct[item as usize].push(cat);
+            }
+        }
+        let full = t.materialize();
+        let mut counter = ChainCounter::new(t.len());
+        for query in [vec![5u32], vec![1, 2, 5], vec![1, 3], vec![4], vec![]] {
+            let placements = query.iter().map(|&i| direct[i as usize].as_slice());
+            let counts = counter.count(placements, |c| t.parent(c));
+            let q = ItemSet::new(query.clone());
+            let expect: Vec<(CatId, usize)> = t
+                .category_ids()
+                .map(|cat| (cat, q.intersection_size(&full[cat as usize])))
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            assert_eq!(counts, expect, "query {query:?}");
+        }
     }
 
     #[test]

@@ -6,24 +6,33 @@
 //! same totals, same per-set best categories, same similarities — on random
 //! instances and random tree shapes at 1, 2, and 4 threads. The point
 //! queries (`PointIndex::best_cover` and `best_cover_among` over every
-//! slot) must report the same cover per set, bit for bit.
+//! slot) must report the same cover per set, bit for bit. Random trees
+//! place items in several branches and carry removed (tombstone) slots.
 
 use oct_core::prelude::*;
 use oct_core::score::{score_tree_with, ScoreOptions};
 use oct_resilience::Budget;
 use proptest::prelude::*;
 
-/// Builds a random tree the same way the model proptests do: each op either
-/// adds a category under a random live parent or assigns an item to one.
+/// Builds a random tree the same way the model proptests do: each op adds a
+/// category under a random live parent, assigns an item to one, or removes
+/// a random live non-root category (splicing its children and items to its
+/// parent and leaving a tombstone slot).
 fn tree_from_ops(ops: &[(u8, u32, u32)]) -> CategoryTree {
     let mut tree = CategoryTree::new();
     for &(op, target, item) in ops {
         let live = tree.live_categories();
         let parent = live[(target as usize) % live.len()];
-        if op == 0 {
-            tree.add_category(parent);
-        } else {
-            tree.assign_item(parent, item);
+        match op {
+            0 => {
+                tree.add_category(parent);
+            }
+            1 => tree.assign_item(parent, item),
+            _ => {
+                if live.len() > 1 {
+                    tree.remove_category(live[1 + (target as usize) % (live.len() - 1)]);
+                }
+            }
         }
     }
     tree
@@ -42,7 +51,7 @@ proptest! {
 
     #[test]
     fn score_parallel_matches_serial(
-        ops in prop::collection::vec((0u8..2, 0u32..20, 0u32..100), 1..80),
+        ops in prop::collection::vec((0u8..3, 0u32..20, 0u32..100), 1..80),
         raw_sets in prop::collection::vec(
             (prop::collection::vec(0u32..100, 1..15), 0.1f64..50.0), 1..12),
         delta10 in 1u32..=10,

@@ -112,6 +112,11 @@ impl Replica {
         }
     }
 
+    /// Closes every pooled connection, so none holds a backend worker.
+    pub(crate) fn empty_pool(&self) {
+        self.pool.lock().unwrap_or_else(|e| e.into_inner()).clear();
+    }
+
     fn dial(&self, request: &Request, timeout: Duration) -> io::Result<Client> {
         let mut client = Client::connect(self.addr.as_str(), timeout)?;
         client.send(request)?;

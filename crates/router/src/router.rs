@@ -301,8 +301,9 @@ impl Router {
         }
     }
 
-    /// Runs accept → scatter-gather → drain to completion and returns the
-    /// final metrics report (written to `metrics_out` if configured).
+    /// Runs accept → scatter-gather → drain to completion, closes every
+    /// pooled backend connection, and returns the final metrics report
+    /// (written to `metrics_out` if configured).
     pub fn run(self) -> io::Result<PipelineReport> {
         let Self { listener, shared } = self;
         let workers: Vec<_> = (0..shared.config.workers.max(1))
@@ -352,6 +353,11 @@ impl Router {
             let _ = w.join();
         }
         let _ = prober.join();
+        // A live `DrainHandle` keeps the replicas alive; their idle pooled
+        // connections must not keep holding backend workers.
+        for replica in shared.topology.all() {
+            replica.empty_pool();
+        }
 
         let report = shared.metrics.report();
         if let Some(path) = &shared.config.metrics_out {

@@ -74,6 +74,12 @@ fn start_fleet_with(
         .iter()
         .map(|&n| (0..n).map(|_| start_backend("127.0.0.1:0")).collect())
         .collect();
+    let router = bind_router(&fleet, tweak);
+    (fleet, router)
+}
+
+/// A router fronting `fleet`, with its config adjusted by `tweak`.
+fn bind_router(fleet: &[Vec<Backend>], tweak: impl FnOnce(&mut RouterConfig)) -> Router {
     let shards: Vec<Vec<String>> = fleet
         .iter()
         .map(|replicas| replicas.iter().map(|b| b.addr.to_string()).collect())
@@ -95,8 +101,7 @@ fn start_fleet_with(
         ..RouterConfig::default()
     };
     tweak(&mut config);
-    let router = Router::bind(config).expect("bind router");
-    (fleet, router)
+    Router::bind(config).expect("bind router")
 }
 
 fn spawn_router(router: Router) -> (SocketAddr, oct_router::DrainHandle, JoinHandle<()>) {
@@ -577,5 +582,44 @@ fn router_shed_connection_closes_cleanly_after_an_unread_request() {
     drop(held2);
     drain.drain();
     join.join().expect("router exits");
+    kill_fleet(fleet);
+}
+
+#[test]
+fn a_drained_router_releases_its_pooled_backend_workers() {
+    // Both backends run 2 workers. Two clients at once make router A pool
+    // two connections per replica, one on each backend worker.
+    let (fleet, router_a) = start_fleet(&[1, 1]);
+    let (addr_a, drain_a, join_a) = spawn_router(router_a);
+    let items: Vec<String> = spanning_items(2).iter().map(u32::to_string).collect();
+    let query = format!("CATEGORIZE {}", items.join(","));
+    let clients: Vec<_> = (0..2)
+        .map(|_| {
+            let query = query.clone();
+            thread::spawn(move || {
+                let mut c = RawClient::connect(addr_a);
+                for _ in 0..20 {
+                    let answer = c.roundtrip(&query);
+                    assert!(answer.starts_with("OK COVER"), "{answer}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client of router A");
+    }
+    drain_a.drain();
+    join_a.join().expect("router A exits");
+
+    // `drain_a` still holds router A's state, but its pools are empty, so
+    // router B over the same backends gets their workers.
+    let (addr_b, drain_b, join_b) = spawn_router(bind_router(&fleet, |_| {}));
+    let answer = RawClient::connect(addr_b).roundtrip(&query);
+    assert!(answer.starts_with("OK COVER"), "{answer}");
+    assert!(!answer.contains("partial="), "{answer}");
+
+    drain_b.drain();
+    join_b.join().expect("router B exits");
+    drop(drain_a);
     kill_fleet(fleet);
 }
