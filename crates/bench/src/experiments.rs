@@ -193,6 +193,10 @@ pub struct ScalePoint {
 
 /// Figure 8f: CTCR running time over the four private-style datasets
 /// (threshold Jaccard δ = 0.8, parallel conflict enumeration).
+///
+/// "CTCR time" is the median of three runs. The stage columns are the
+/// last run's span totals, summed over all of its reemployment attempts
+/// (`attempts` counts them), so they add up to one run's time.
 pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
     let mut points = Vec::new();
     let mut table = Table::new(vec![
@@ -200,6 +204,7 @@ pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
         "queries",
         "items",
         "CTCR time (s)",
+        "attempts",
         "conflicts (s)",
         "MIS (s)",
         "assign (s)",
@@ -215,31 +220,44 @@ pub fn fig8f(scale: f64) -> (Vec<ScalePoint>, Table) {
         DatasetName::D,
     ] {
         let ds = generate(name, scale, Similarity::jaccard_threshold(0.8));
-        let (sample, result) = measure(MeasureSpec { warmup: 1, reps: 3 }, || {
-            ctcr::run(&ds.instance, &CtcrConfig::default())
+        let (sample, report) = measure(MeasureSpec { warmup: 1, reps: 3 }, || {
+            let metrics = oct_obs::Metrics::enabled();
+            let config = CtcrConfig {
+                metrics: metrics.clone(),
+                ..CtcrConfig::default()
+            };
+            ctcr::run(&ds.instance, &config);
+            metrics.report()
         });
-        let seconds = sample.median_s();
+        let stage = |name: &str| report.span_secs(&format!("ctcr/{name}"));
         let point = ScalePoint {
             dataset: name.as_str(),
             queries: ds.instance.num_sets(),
             items: ds.catalog.len(),
-            seconds,
-            conflict_seconds: result.stats.conflict_time.as_secs_f64(),
-            mis_seconds: result.stats.mis_time.as_secs_f64(),
+            seconds: sample.median_s(),
+            conflict_seconds: stage("conflict"),
+            mis_seconds: stage("mis"),
         };
-        table.row(vec![
+        let attempts = report.counter("ctcr/attempts").unwrap_or(0);
+        let mut row = vec![
             point.dataset.to_string(),
             point.queries.to_string(),
             point.items.to_string(),
             format!("{:.3}", point.seconds),
-            format!("{:.3}", point.conflict_seconds),
-            format!("{:.3}", point.mis_seconds),
-            format!("{:.3}", result.stats.assign_time.as_secs_f64()),
-            format!("{:.3}", result.stats.intermediate_time.as_secs_f64()),
-            format!("{:.3}", result.stats.repair_time.as_secs_f64()),
-            format!("{:.3}", result.stats.condense_time.as_secs_f64()),
-            format!("{:.3}", result.stats.score_time.as_secs_f64()),
-        ]);
+            attempts.to_string(),
+        ];
+        for name in [
+            "conflict",
+            "mis",
+            "assign",
+            "intermediate",
+            "repair",
+            "condense",
+            "score",
+        ] {
+            row.push(format!("{:.3}", stage(name)));
+        }
+        table.row(row);
         points.push(point);
     }
     (points, table)

@@ -382,6 +382,12 @@ impl ChainCounter {
     ) -> Vec<(CatId, usize)> {
         let mut touched = Vec::new();
         for direct in placements {
+            if self.epoch == u32::MAX {
+                // Stamps only stop the walk of the item that set them, so
+                // clearing them between items is safe.
+                self.stamp.fill(0);
+                self.epoch = 0;
+            }
             self.epoch += 1;
             for &cat in direct {
                 for c in std::iter::successors(Some(cat), |&c| parent(c)) {
@@ -537,17 +543,22 @@ mod tests {
             }
         }
         let full = t.materialize();
-        let mut counter = ChainCounter::new(t.len());
-        for query in [vec![5u32], vec![1, 2, 5], vec![1, 3], vec![4], vec![]] {
-            let placements = query.iter().map(|&i| direct[i as usize].as_slice());
-            let counts = counter.count(placements, |c| t.parent(c));
-            let q = ItemSet::new(query.clone());
-            let expect: Vec<(CatId, usize)> = t
-                .category_ids()
-                .map(|cat| (cat, q.intersection_size(&full[cat as usize])))
-                .filter(|&(_, n)| n > 0)
-                .collect();
-            assert_eq!(counts, expect, "query {query:?}");
+        // The second pass starts at `u32::MAX`, so its first item wraps the
+        // epoch; an epoch of 0 would match every unstamped category.
+        for start in [0, u32::MAX] {
+            let mut counter = ChainCounter::new(t.len());
+            counter.epoch = start;
+            for query in [vec![5u32], vec![1, 2, 5], vec![1, 3], vec![4], vec![]] {
+                let placements = query.iter().map(|&i| direct[i as usize].as_slice());
+                let counts = counter.count(placements, |c| t.parent(c));
+                let q = ItemSet::new(query.clone());
+                let expect: Vec<(CatId, usize)> = t
+                    .category_ids()
+                    .map(|cat| (cat, q.intersection_size(&full[cat as usize])))
+                    .filter(|&(_, n)| n > 0)
+                    .collect();
+                assert_eq!(counts, expect, "query {query:?} from epoch {start}");
+            }
         }
     }
 
