@@ -4,10 +4,8 @@
 //! and fill them from `std::thread::scope` workers, so large matrices build
 //! on every core. The output is bit-identical for every thread count: each
 //! condensed entry is computed by exactly one worker with the same
-//! per-entry arithmetic, and the sparse builder accumulates dot products
-//! over coordinate-sorted postings in a fixed order.
-
-use std::collections::HashMap;
+//! per-entry arithmetic, and the sparse builder sums each row's dot products
+//! in ascending coordinate order inside the worker that owns the row.
 
 use oct_obs::Metrics;
 use oct_resilience::run_isolated;
@@ -110,11 +108,15 @@ impl CondensedMatrix {
 
     /// [`CondensedMatrix::euclidean_sparse`] with an explicit worker count
     /// (`0` = auto, `1` = serial) and telemetry (`matrix/build` span,
-    /// `matrix/entries` / `matrix/dot_pairs` counters).
+    /// `matrix/entries` counter).
     ///
-    /// Dot products accumulate over coordinate-sorted postings split into
-    /// contiguous chunks merged in order, so every thread count produces the
-    /// same floating-point sums.
+    /// Dot products are computed row by row inside the fill workers: row
+    /// `i` walks its coordinates in ascending order and scatters `vᵢ·vⱼ`
+    /// into a dense accumulator for every later row `j` in that
+    /// coordinate's posting list, then fills its condensed row and resets
+    /// the accumulator. Every pair's sum is added in ascending coordinate
+    /// order whichever worker owns the row, so every thread count produces
+    /// the same floating-point sums.
     ///
     /// # Errors
     /// Returns [`ClusterError::WorkerPanicked`] if a worker panics; see
@@ -126,53 +128,25 @@ impl CondensedMatrix {
     ) -> Result<Self, ClusterError> {
         let _span = metrics.span("matrix/build");
         let n = rows.len();
-        let entries = n * n.saturating_sub(1) / 2;
-        let threads = resolve_threads(threads, entries);
         let norms: Vec<f64> = rows
             .iter()
             .map(|r| r.iter().map(|&(_, v)| (v as f64) * (v as f64)).sum())
             .collect();
-        // Inverted index: coordinate -> [(row, value)], coordinate-sorted so
-        // chunked accumulation is deterministic.
-        let mut index: HashMap<u32, Vec<(u32, f32)>> = HashMap::new();
-        for (i, row) in rows.iter().enumerate() {
-            for &(c, v) in row {
-                index.entry(c).or_default().push((i as u32, v));
-            }
-        }
-        let mut postings: Vec<(u32, Vec<(u32, f32)>)> = index.into_iter().collect();
-        postings.sort_unstable_by_key(|&(c, _)| c);
-
-        let dot = |lo: usize, hi: usize| {
-            let mut dots = Dots::new();
-            for (_, posting) in &postings[lo..hi] {
-                for (a, &(i, vi)) in posting.iter().enumerate() {
-                    for &(j, vj) in &posting[a + 1..] {
-                        *dots.entry((i, j)).or_insert(0.0) += (vi as f64) * (vj as f64);
-                    }
-                }
-            }
-            dots
-        };
-        // Contiguous chunks merged in order: per-key addition order matches
-        // the serial pass (a single partial) exactly.
-        let dots = dot_chunks(postings.len(), threads, &dot)?
-            .into_iter()
-            .reduce(|mut merged, partial| {
-                for (key, dot) in partial {
-                    *merged.entry(key).or_insert(0.0) += dot;
-                }
-                merged
-            })
-            .unwrap_or_default();
-        metrics.add("matrix/dot_pairs", dots.len() as u64);
-
+        let postings = Postings::build(rows);
         let mut m = Self::zeros(n);
         let fill = |out: &mut [f32], lo: usize, hi: usize| {
+            let mut dots = vec![0.0f64; n];
             let mut k = 0;
             for i in lo..hi {
+                for &(c, vi) in &rows[i] {
+                    let posting = postings.of(c);
+                    let later = posting.partition_point(|&(j, _)| j as usize <= i);
+                    for &(j, vj) in &posting[later..] {
+                        dots[j as usize] += (vi as f64) * (vj as f64);
+                    }
+                }
                 for j in (i + 1)..n {
-                    let dot = dots.get(&(i as u32, j as u32)).copied().unwrap_or(0.0);
+                    let dot = std::mem::take(&mut dots[j]);
                     let sq = (norms[i] + norms[j] - 2.0 * dot).max(0.0);
                     out[k] = sq.sqrt() as f32;
                     k += 1;
@@ -293,40 +267,68 @@ fn row_chunks(n: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Sparse dot products keyed by `(i, j)` row pairs with `i < j`.
-type Dots = HashMap<(u32, u32), f64>;
+/// The sparse rows' inverted index: for each coordinate, the `(row, value)`
+/// entries holding it in ascending row order, in one flat buffer addressed
+/// through `offsets`.
+struct Postings {
+    /// The distinct coordinates, ascending, when they are spread over many
+    /// more slots than there are entries; otherwise a coordinate is its own
+    /// slot.
+    columns: Option<Vec<u32>>,
+    offsets: Vec<usize>,
+    entries: Vec<(u32, f32)>,
+}
 
-/// Runs `dot(lo, hi)` over contiguous chunks of the `len` coordinate-sorted
-/// postings, in parallel when `threads > 1`, and returns the partial sums
-/// in chunk order (one partial on the serial path).
-///
-/// Like [`fill_row_chunks`], every call — the serial one included — runs
-/// under `catch_unwind`, so a panicking worker surfaces as
-/// [`ClusterError::WorkerPanicked`].
-fn dot_chunks<F>(len: usize, threads: usize, dot: &F) -> Result<Vec<Dots>, ClusterError>
-where
-    F: Fn(usize, usize) -> Dots + Sync,
-{
-    if threads <= 1 || len < 2 {
-        return Ok(vec![run_isolated("matrix dot workers", || dot(0, len))?]);
+impl Postings {
+    /// Indexes `rows`.
+    fn build(rows: &[Vec<(u32, f32)>]) -> Self {
+        let nnz: usize = rows.iter().map(|r| r.len()).sum();
+        let width = rows
+            .iter()
+            .flatten()
+            .map(|&(c, _)| c as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let columns = (width > 2 * nnz).then(|| {
+            let mut columns: Vec<u32> = rows.iter().flatten().map(|&(c, _)| c).collect();
+            columns.sort_unstable();
+            columns.dedup();
+            columns
+        });
+        let mut postings = Self {
+            offsets: vec![0; columns.as_ref().map_or(width, Vec::len) + 1],
+            columns,
+            entries: vec![(0, 0.0); nnz],
+        };
+        for &(c, _) in rows.iter().flatten() {
+            let slot = postings.slot(c);
+            postings.offsets[slot + 1] += 1;
+        }
+        for s in 1..postings.offsets.len() {
+            postings.offsets[s] += postings.offsets[s - 1];
+        }
+        let mut cursor = postings.offsets.clone();
+        for (i, row) in rows.iter().enumerate() {
+            for &(c, v) in row {
+                let next = &mut cursor[postings.slot(c)];
+                postings.entries[*next] = (i as u32, v);
+                *next += 1;
+            }
+        }
+        postings
     }
-    let chunk = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .filter_map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(len);
-                (lo < hi).then(|| {
-                    scope.spawn(move || run_isolated("matrix dot workers", || dot(lo, hi)))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect::<Result<Vec<_>, _>>()
-    })
-    .map_err(ClusterError::from)
+
+    fn slot(&self, c: u32) -> usize {
+        self.columns.as_ref().map_or(c as usize, |columns| {
+            columns.binary_search(&c).expect("an indexed coordinate")
+        })
+    }
+
+    /// The entries holding coordinate `c` (an indexed coordinate).
+    fn of(&self, c: u32) -> &[(u32, f32)] {
+        let slot = self.slot(c);
+        &self.entries[self.offsets[slot]..self.offsets[slot + 1]]
+    }
 }
 
 /// Runs `fill(chunk_storage, lo, hi)` over disjoint row chunks of the
@@ -510,6 +512,68 @@ mod tests {
         }
     }
 
+    /// Every pair's dot product summed over the shared coordinates in
+    /// ascending order, one pair at a time: the serial order the row-wise
+    /// scatter must reproduce bit for bit.
+    fn serial_order_reference(rows: &[Vec<(u32, f32)>]) -> Vec<f32> {
+        let norm =
+            |r: &[(u32, f32)]| -> f64 { r.iter().map(|&(_, v)| (v as f64) * (v as f64)).sum() };
+        let mut out = Vec::new();
+        for i in 0..rows.len() {
+            for j in (i + 1)..rows.len() {
+                let mut dot = 0.0f64;
+                for &(c, vi) in &rows[i] {
+                    if let Ok(at) = rows[j].binary_search_by_key(&c, |&(c, _)| c) {
+                        dot += (vi as f64) * (rows[j][at].1 as f64);
+                    }
+                }
+                let sq = (norm(&rows[i]) + norm(&rows[j]) - 2.0 * dot).max(0.0);
+                out.push(sq.sqrt() as f32);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sparse_matches_the_serial_order_reference_at_every_thread_count() {
+        // Irregular values and supports, so sums of three or more products
+        // round differently in different orders.
+        let rows: Vec<Vec<(u32, f32)>> = (0..90u64)
+            .map(|i| {
+                let mut row: Vec<(u32, f32)> = (0..12u64)
+                    .map(|j| {
+                        let h = (i * 131 + j * 17).wrapping_mul(0x9E3779B97F4A7C15);
+                        (
+                            (h >> 40) as u32 % 60,
+                            ((h >> 8) % 10_007) as f32 / 997.0 + 1e-3,
+                        )
+                    })
+                    .collect();
+                row.sort_unstable_by_key(|&(c, _)| c);
+                row.dedup_by_key(|&mut (c, _)| c);
+                row
+            })
+            .collect();
+        let reference = serial_order_reference(&rows);
+        for threads in 1..=4 {
+            let m = CondensedMatrix::euclidean_sparse_with(&rows, threads, &Metrics::disabled())
+                .expect("no worker panics");
+            let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&m.data), bits(&reference), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sparse_takes_far_apart_coordinates() {
+        let rows = vec![
+            vec![(3u32, 1.5f32), (4_000_000_000, 2.0)],
+            vec![(3, 0.5), (70, 1.0), (4_000_000_000, 0.25)],
+            vec![(70, 3.0)],
+        ];
+        let m = CondensedMatrix::euclidean_sparse(&rows).expect("no worker panics");
+        assert_eq!(m.data, serial_order_reference(&rows));
+    }
+
     #[test]
     fn row_chunks_cover_all_rows_disjointly() {
         for n in [0usize, 1, 2, 3, 10, 67] {
@@ -579,25 +643,6 @@ mod tests {
             };
             let result = fill_row_chunks(n, &mut data, threads, &fill);
             assert_worker_panicked(result, "matrix fill workers", threads);
-        }
-    }
-
-    /// The sparse builder's dot-product phase, isolated the same way.
-    #[test]
-    fn panicking_dot_worker_becomes_typed_error() {
-        let len = 20;
-        for threads in [1, 4] {
-            let dot = |_: usize, hi: usize| -> Dots {
-                if hi == len {
-                    panic!("last chunk");
-                }
-                Dots::new()
-            };
-            assert_worker_panicked(
-                dot_chunks(len, threads, &dot),
-                "matrix dot workers",
-                threads,
-            );
         }
     }
 

@@ -159,13 +159,11 @@ impl<'a> AssignState<'a> {
             cat_of_set[s as usize] = c;
         }
         // Parents precede children in preorder, so one forward pass fills
-        // the top-down arrays and one backward pass the subtree ends.
-        let order = tree.subtree(ROOT);
-        let mut enter = vec![0; len];
+        // the top-down arrays.
+        let (order, enter, end) = tree.preorder_intervals();
         let mut target_parent = vec![NONE; len];
         let mut target_ancestors = vec![0; len];
-        for (pos, &c) in order.iter().enumerate() {
-            enter[c as usize] = pos as u32;
+        for &c in &order {
             if let Some(p) = tree.parent(c) {
                 let (c, p) = (c as usize, p as usize);
                 let p_is_target = target_of_cat[p] != NONE;
@@ -175,12 +173,6 @@ impl<'a> AssignState<'a> {
                     target_parent[p]
                 };
                 target_ancestors[c] = target_ancestors[p] + u32::from(p_is_target);
-            }
-        }
-        let mut end: Vec<u32> = enter.iter().map(|&e| e + 1).collect();
-        for &c in order.iter().rev() {
-            if let Some(p) = tree.parent(c) {
-                end[p as usize] = end[p as usize].max(end[c as usize]);
             }
         }
         Self {
@@ -438,7 +430,9 @@ impl<'a> AssignState<'a> {
                     (gain, outside, item, node)
                 })
                 .collect();
-            debug_assert_eq!(available[t], scored.len(), "stale availability");
+            // A count above what the round finds would pick `t` again
+            // every round with nothing placed: fail instead of spinning.
+            assert_eq!(available[t], scored.len(), "stale availability");
             scored.sort_by(|a, b| {
                 b.0.total_cmp(&a.0)
                     .then(a.1.total_cmp(&b.1))
@@ -1133,7 +1127,7 @@ mod oracle {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::input::{InputSet, Instance};
     use crate::itemset::ItemSet;
@@ -1323,7 +1317,7 @@ mod tests {
     /// Perfect-Recall instance, which runs stage 1 only); item bounds of
     /// 1..=3 in half the cases; and a random subset of the sets as targets,
     /// each on its own category of a flat, nested or dendrogram-shaped tree.
-    fn random_case(seed: u64) -> (Instance, CategoryTree, Vec<(u32, CatId)>, bool) {
+    pub(crate) fn random_case(seed: u64) -> (Instance, CategoryTree, Vec<(u32, CatId)>, bool) {
         let mut rng = StdRng::seed_from_u64(seed);
         let num_items = rng.gen_range(2u32..30);
         let num_sets = rng.gen_range(1usize..14);

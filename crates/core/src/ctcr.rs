@@ -19,15 +19,14 @@
 
 use std::time::Duration;
 
-use oct_mis::{Graph, Hypergraph, SolveBudget, Solver};
-use oct_obs::{Counter, Metrics};
+use oct_mis::{Graph, Hypergraph, MisSolution, SolveBudget, Solver};
+use oct_obs::{Counter, Metrics, Span};
 use oct_resilience::Budget;
 
 use crate::assign::{assign_items_indexed, AssignStats};
-use crate::conflict::{analyze, analyze_indexed, ConflictAnalysis};
+use crate::conflict::{analyze, analyze_indexed, CoCounter, ConflictAnalysis};
 use crate::csr::CsrIndex;
 use crate::input::Instance;
-use crate::itemset::ItemSet;
 use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
 use crate::similarity::SimilarityKind;
 use crate::tree::{CatId, CategoryTree, ROOT};
@@ -102,9 +101,11 @@ pub struct CtcrStats {
     pub selected: usize,
     /// Item-assignment statistics.
     pub assign: AssignStats,
-    /// Wall-clock spent in conflict enumeration.
+    /// Wall-clock spent in conflict enumeration (once per run; every
+    /// reemployment attempt shares it).
     pub conflict_time: Duration,
-    /// Wall-clock spent in the MWIS solve.
+    /// Wall-clock spent in the MWIS solve (once per run, like
+    /// `conflict_time`).
     pub mis_time: Duration,
     /// Wall-clock spent in item assignment (Algorithm 2).
     pub assign_time: Duration,
@@ -116,7 +117,8 @@ pub struct CtcrStats {
     pub condense_time: Duration,
     /// Wall-clock spent in the final scoring pass.
     pub score_time: Duration,
-    /// Total wall-clock of the run.
+    /// Wall-clock of the attempt that built the tree: the whole run up to
+    /// it for the first attempt, stages 4–8 only for a reemployment one.
     pub total_time: Duration,
     /// `true` when the wall-clock budget expired mid-run and some stage
     /// fell back to a degraded mode (truncated conflict scan, heuristic
@@ -148,13 +150,18 @@ pub struct CtcrResult {
 /// For the binary variants, a failed *heavy* cover (a selected set whose
 /// category ended below threshold because of aggregate precision pollution
 /// from lighter covered descendants — the §3.2 residual error) triggers one
-/// selection-level reemployment: the cheap polluters are excluded and the
-/// pipeline re-runs; the better-scoring tree wins. This mirrors the
-/// taxonomists' reemployment workflow of §5.4, automated.
+/// selection-level reemployment: the cheap polluters are excluded from the
+/// MWIS selection and stages 4–8 re-run on the rest; the better-scoring
+/// tree wins. This mirrors the taxonomists' reemployment workflow of §5.4,
+/// automated.
 pub fn run(instance: &Instance, config: &CtcrConfig) -> CtcrResult {
-    // One inverted index serves every stage of every attempt.
+    // One inverted index, one conflict analysis and one MWIS solve serve
+    // every attempt: a ban list only filters the solve's selection.
     let index = instance.inverted_index();
-    let mut best = run_attempt(instance, &index, config, &FxHashSet::default());
+    let run_span = config.metrics.span("ctcr");
+    let solved = Solved::new(instance, &index, config, &run_span);
+    let no_bans = FxHashSet::default();
+    let mut best = run_attempt(instance, &index, config, &solved, &no_bans, run_span);
     if !instance.similarity.kind.is_binary() {
         return best;
     }
@@ -162,7 +169,7 @@ pub fn run(instance: &Instance, config: &CtcrConfig) -> CtcrResult {
     let mut latest = best.clone();
     for _ in 0..3 {
         // Out of time: keep the best tree so far instead of starting
-        // another full attempt.
+        // another attempt.
         if config.budget.expired() {
             config.metrics.incr("budget/expired");
             config.metrics.mark_degraded();
@@ -174,7 +181,8 @@ pub fn run(instance: &Instance, config: &CtcrConfig) -> CtcrResult {
         if banned.len() == before {
             break;
         }
-        latest = run_attempt(instance, &index, config, &banned);
+        let span = config.metrics.span("ctcr");
+        latest = run_attempt(instance, &index, config, &solved, &banned, span);
         if latest.score.total > best.score.total {
             best = latest.clone();
         }
@@ -259,53 +267,96 @@ fn polluter_ban_list(instance: &Instance, result: &CtcrResult) -> FxHashSet<u32>
     banned
 }
 
+/// Stages 1–3 of a run (lines 1–10): the ranking, the conflicts and the
+/// MWIS solve, which every reemployment attempt shares.
+struct Solved {
+    analysis: ConflictAnalysis,
+    /// The analysis's must-together and nestable pairs, as sets.
+    must: FxHashSet<(u32, u32)>,
+    nestable: FxHashSet<(u32, u32)>,
+    mis: MisSolution,
+    conflict_time: Duration,
+    mis_time: Duration,
+}
+
+impl Solved {
+    /// Runs stages 1–3 under the `conflict` and `mis` children of
+    /// `run_span`.
+    fn new(
+        instance: &Instance,
+        index: &CsrIndex,
+        config: &CtcrConfig,
+        run_span: &Span<'_>,
+    ) -> Self {
+        let metrics = &config.metrics;
+        let kind = instance.similarity.kind;
+        let with_triples = kind != SimilarityKind::Exact && config.use_three_conflicts;
+
+        // Stages 1-2: ranking + conflicts (lines 1-9).
+        let stage = run_span.child("conflict");
+        let analysis = analyze_indexed(
+            instance,
+            index,
+            config.threads,
+            with_triples,
+            metrics,
+            &config.budget,
+        );
+        let conflict_time = stage.elapsed();
+        drop(stage);
+
+        // Stage 3: MWIS (line 10). The pipeline budget caps the solve's wall
+        // clock on top of the caller's node budget.
+        let stage = run_span.child("mis");
+        let mut mis_budget = config.mis_budget.clone();
+        if config.budget.is_limited() {
+            mis_budget.wall = config.budget.clone();
+        }
+        let solver = Solver::new(mis_budget);
+        let weights: Vec<f64> = instance.sets.iter().map(|s| s.weight).collect();
+        let mis = if kind == SimilarityKind::Exact {
+            solver.solve_graph_with_metrics(&Graph::new(weights, &analysis.conflicts2), metrics)
+        } else {
+            let mut edges: Vec<Vec<u32>> = analysis
+                .conflicts2
+                .iter()
+                .map(|&(a, b)| vec![a, b])
+                .collect();
+            edges.extend(analysis.conflicts3.iter().map(|t| t.to_vec()));
+            solver.solve_hypergraph_with_metrics(&Hypergraph::new(weights, edges), metrics)
+        };
+        let mis_time = stage.elapsed();
+        Self {
+            must: analysis.must_together_set(),
+            nestable: analysis.nestable_set(),
+            analysis,
+            mis,
+            conflict_time,
+            mis_time,
+        }
+    }
+}
+
+/// Stages 4–8 over the solve's selection minus `banned`, as one attempt
+/// timed by `run_span`.
 fn run_attempt(
     instance: &Instance,
     index: &CsrIndex,
     config: &CtcrConfig,
+    solved: &Solved,
     banned: &FxHashSet<u32>,
+    run_span: Span<'_>,
 ) -> CtcrResult {
     let metrics = &config.metrics;
-    let run_span = metrics.span("ctcr");
     metrics.incr("ctcr/attempts");
-    let kind = instance.similarity.kind;
-    let with_triples = kind != SimilarityKind::Exact && config.use_three_conflicts;
-
-    // Stages 1-2: ranking + conflicts (lines 1-9).
-    let stage = run_span.child("conflict");
-    let analysis = analyze_indexed(
-        instance,
-        index,
-        config.threads,
-        with_triples,
-        metrics,
-        &config.budget,
-    );
-    let conflict_time = stage.elapsed();
-    drop(stage);
-
-    // Stage 3: MWIS (line 10). The pipeline budget caps the solve's wall
-    // clock on top of the caller's node budget.
-    let stage = run_span.child("mis");
-    let mut mis_budget = config.mis_budget.clone();
-    if config.budget.is_limited() {
-        mis_budget.wall = config.budget.clone();
-    }
-    let solver = Solver::new(mis_budget);
-    let weights: Vec<f64> = instance.sets.iter().map(|s| s.weight).collect();
-    let mis = if kind == SimilarityKind::Exact {
-        solver.solve_graph_with_metrics(&Graph::new(weights, &analysis.conflicts2), metrics)
-    } else {
-        let mut edges: Vec<Vec<u32>> = analysis
-            .conflicts2
-            .iter()
-            .map(|&(a, b)| vec![a, b])
-            .collect();
-        edges.extend(analysis.conflicts3.iter().map(|t| t.to_vec()));
-        solver.solve_hypergraph_with_metrics(&Hypergraph::new(weights, edges), metrics)
-    };
-    let mis_time = stage.elapsed();
-    drop(stage);
+    let Solved {
+        analysis,
+        must,
+        nestable,
+        mis,
+        conflict_time,
+        mis_time,
+    } = solved;
 
     // Stages 4-8: shared with the incremental engine.
     let selection: Vec<u32> = mis
@@ -314,12 +365,10 @@ fn run_attempt(
         .copied()
         .filter(|s| !banned.contains(s))
         .collect();
-    let must = analysis.must_together_set();
-    let nestable = analysis.nestable_set();
     let ctx = SelectionContext {
         ranks: &analysis.ranks,
-        must: &must,
-        nestable: &nestable,
+        must,
+        nestable,
     };
     let stages = build_from_selection(instance, index, &ctx, &selection, config, &run_span);
 
@@ -336,8 +385,8 @@ fn run_attempt(
         mis_weight: mis.weight,
         selected: stages.selection.len(),
         assign: stages.assign,
-        conflict_time,
-        mis_time,
+        conflict_time: *conflict_time,
+        mis_time: *mis_time,
         assign_time: stages.assign_time,
         intermediate_time: stages.intermediate_time,
         repair_time: stages.repair_time,
@@ -456,6 +505,7 @@ pub(crate) fn build_from_selection(
     if greedy_duplicates && config.add_intermediates {
         add_intermediates_counted(
             instance,
+            index,
             &mut tree,
             &targets,
             &metrics.counter("ctcr/intermediate_categories"),
@@ -529,128 +579,295 @@ pub fn conflicts(instance: &Instance, threads: usize) -> ConflictAnalysis {
 /// sets share the largest fraction of the smaller set, until two children
 /// remain or no two child sets intersect. The intermediate's associated set
 /// is the union of its children's.
+///
+/// Each target names its own input set and its own category.
 pub fn add_intermediate_categories(
     instance: &Instance,
     tree: &mut CategoryTree,
     targets: &[(u32, CatId)],
 ) {
-    add_intermediates_counted(instance, tree, targets, &Counter::default());
+    let index = instance.inverted_index();
+    add_intermediates_counted(instance, &index, tree, targets, &Counter::default());
 }
 
-/// [`add_intermediate_categories`] with a telemetry counter incremented once
-/// per intermediate category created.
+/// [`add_intermediate_categories`] over `index`, the inverted index of
+/// `instance`, with a telemetry counter incremented once per intermediate
+/// category created.
 fn add_intermediates_counted(
     instance: &Instance,
+    index: &CsrIndex,
     tree: &mut CategoryTree,
     targets: &[(u32, CatId)],
     merges: &Counter,
 ) {
-    let mut assoc: FxHashMap<CatId, ItemSet> = targets
-        .iter()
-        .map(|&(s, c)| (c, instance.sets[s as usize].items.clone()))
-        .collect();
+    let mut set_of_cat = vec![NO_SET; tree.len()];
+    for &(s, c) in targets {
+        debug_assert_eq!(
+            set_of_cat[c as usize], NO_SET,
+            "two targets on category {c}"
+        );
+        set_of_cat[c as usize] = s;
+    }
     let parents: Vec<CatId> = tree
         .live_categories()
         .into_iter()
         .filter(|&c| tree.children(c).len() > 2)
         .collect();
+    let mut siblings = Siblings {
+        instance,
+        index,
+        counter: CoCounter::new(instance, index),
+        leaf_of_set: vec![NO_SET; instance.num_sets()],
+    };
     for parent in parents {
-        merge_intersecting_children(tree, parent, &mut assoc, merges);
+        siblings.merge_intersecting_children(tree, parent, &set_of_cat, merges);
     }
 }
 
-/// Heap-driven implementation of the lines 21–23 loop for one parent.
-///
-/// Associated sets are immutable per node (merges create new nodes), so
-/// heap entries stay valid exactly while both endpoints are still children
-/// of `parent` — invalidation is a cheap liveness check on pop. New nodes
-/// only need intersections with the *partners* of their constituents
-/// (anything disjoint from both parts is disjoint from the union), keeping
-/// the update sparse.
-fn merge_intersecting_children(
-    tree: &mut CategoryTree,
-    parent: CatId,
-    assoc: &mut FxHashMap<CatId, ItemSet>,
-    merges: &Counter,
-) {
-    let children: Vec<CatId> = tree
-        .children(parent)
-        .iter()
-        .copied()
-        .filter(|c| assoc.contains_key(c))
-        .collect();
-    if children.len() < 2 {
-        return;
-    }
-    // Seed pairwise intersections through an inverted index.
-    let mut containing: FxHashMap<u32, Vec<CatId>> = FxHashMap::default();
-    for &c in &children {
-        for item in assoc[&c].iter() {
-            containing.entry(item).or_default().push(c);
-        }
-    }
-    let mut inter: FxHashMap<(CatId, CatId), u32> = FxHashMap::default();
-    for cats in containing.values() {
-        for (i, &a) in cats.iter().enumerate() {
-            for &b in &cats[i + 1..] {
-                let key = (a.min(b), a.max(b));
-                *inter.entry(key).or_insert(0) += 1;
-            }
-        }
-    }
-    // Partner lists (sparse intersection graph) and the fraction heap.
-    let mut partners: FxHashMap<CatId, Vec<CatId>> = FxHashMap::default();
-    let mut heap: std::collections::BinaryHeap<(ordered::F64, CatId, CatId)> =
-        std::collections::BinaryHeap::new();
-    let frac_of = |i: u32, a: usize, b: usize| ordered::F64(i as f64 / a.min(b).max(1) as f64);
-    for (&(a, b), &i) in &inter {
-        partners.entry(a).or_default().push(b);
-        partners.entry(b).or_default().push(a);
-        heap.push((frac_of(i, assoc[&a].len(), assoc[&b].len()), a, b));
-    }
-    let mut alive: FxHashSet<CatId> = children.iter().copied().collect();
+/// No input set, no cluster.
+const NO_SET: u32 = u32::MAX;
 
-    while tree.children(parent).len() > 2 {
-        let Some((_, a, b)) = heap.pop() else {
-            return;
-        };
-        if !alive.contains(&a) || !alive.contains(&b) {
-            continue;
-        }
-        let merged_set = assoc[&a].union(&assoc[&b]);
-        let merged = tree.add_category(parent);
-        merges.incr();
-        tree.reparent(a, merged);
-        tree.reparent(b, merged);
-        alive.remove(&a);
-        alive.remove(&b);
-        // New node intersects exactly the live partners of its parts.
-        let mut candidates: Vec<CatId> = partners
-            .remove(&a)
-            .unwrap_or_default()
-            .into_iter()
-            .chain(partners.remove(&b).unwrap_or_default())
-            .filter(|c| alive.contains(c))
+/// A heap entry of the lines 21–23 loop: the key `(i / min(|a|, |b|), a,
+/// b)` over categories, then the cluster indices of `a` and `b` and `i = |a
+/// ∩ b|`. No two entries share a pair, so the trailing fields never decide
+/// the order.
+type Candidate = (ordered::F64, CatId, CatId, u32, u32, u32);
+
+/// The intermediate-category stage of one construction: the co-occurrence
+/// kernel that seeds sibling intersections and, while a parent is being
+/// processed, the cluster of each of its children's input sets.
+struct Siblings<'a> {
+    instance: &'a Instance,
+    index: &'a CsrIndex,
+    counter: CoCounter<'a>,
+    /// Leaf cluster of each input set under the current parent; `NO_SET`
+    /// elsewhere and between parents.
+    leaf_of_set: Vec<u32>,
+}
+
+impl Siblings<'_> {
+    /// Heap-driven implementation of the lines 21–23 loop for one parent.
+    ///
+    /// Clusters are the parent's target children (the leaves, in child
+    /// order) and the merges made so far. A cluster's item set never
+    /// changes (a merge makes a new cluster), so a heap entry stays valid
+    /// exactly while both its clusters are live, and only counts are kept:
+    /// [`CoCounter`] seeds the leaf pairs, and a merge `M = A ∪ B` gets `|M|
+    /// = |A| + |B| − |A ∩ B|` and, for every live partner `C` of `A` or `B`,
+    /// `|M ∩ C| = |A ∩ C| + |B ∩ C| − |A ∩ B ∩ C|`, the triple counts from
+    /// one walk over the items of the smaller part. These are the integers
+    /// a union-and-intersect implementation computes, so the heap keys, the
+    /// merge order and the tree are the same.
+    fn merge_intersecting_children(
+        &mut self,
+        tree: &mut CategoryTree,
+        parent: CatId,
+        set_of_cat: &[u32],
+        merges: &Counter,
+    ) {
+        let leaves: Vec<(CatId, u32)> = tree
+            .children(parent)
+            .iter()
+            .map(|&c| (c, set_of_cat.get(c as usize).copied().unwrap_or(NO_SET)))
+            .filter(|&(_, s)| s != NO_SET)
             .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        let mut merged_partners = Vec::with_capacity(candidates.len());
-        for c in candidates {
-            let i = merged_set.intersection_size(&assoc[&c]);
-            if i > 0 {
-                heap.push((
-                    frac_of(i as u32, merged_set.len(), assoc[&c].len()),
-                    merged,
-                    c,
-                ));
-                merged_partners.push(c);
-                partners.entry(c).or_default().push(merged);
+        if leaves.len() < 2 {
+            return;
+        }
+        for (leaf, &(_, s)) in leaves.iter().enumerate() {
+            debug_assert_eq!(
+                self.leaf_of_set[s as usize], NO_SET,
+                "set {s} on two siblings"
+            );
+            self.leaf_of_set[s as usize] = leaf as u32;
+        }
+        let mut clusters = Clusters::new(self.instance, &leaves);
+        let mut heap = std::collections::BinaryHeap::new();
+        let leaf_of_set = &self.leaf_of_set;
+        for (a, &(_, s)) in leaves.iter().enumerate() {
+            let a = a as u32;
+            // Each pair once, from its lower leaf.
+            let skip = |o: u32| leaf_of_set[o as usize] == NO_SET || leaf_of_set[o as usize] < a;
+            self.counter.partners(s, skip, |o, inter, _| {
+                let b = leaf_of_set[o as usize];
+                heap.push(if leaves[a as usize].0 < leaves[b as usize].0 {
+                    clusters.link(a, b, inter)
+                } else {
+                    clusters.link(b, a, inter)
+                });
+            });
+        }
+
+        while tree.children(parent).len() > 2 {
+            let Some((_, a_cat, b_cat, a, b, inter)) = heap.pop() else {
+                break;
+            };
+            if !clusters.is_live(a) || !clusters.is_live(b) {
+                continue;
+            }
+            let merged = tree.add_category(parent);
+            merges.incr();
+            tree.reparent(a_cat, merged);
+            tree.reparent(b_cat, merged);
+            // The new cluster intersects exactly the live partners of its
+            // parts.
+            let partners = clusters.sum_partners(a, b);
+            self.subtract_triples(&mut clusters, a, b);
+            let m = clusters.merge(a, b, inter, merged);
+            for c in partners {
+                let inter = std::mem::take(&mut clusters.shared[c as usize]);
+                heap.push(clusters.link(m, c, inter));
             }
         }
-        partners.insert(merged, merged_partners);
-        alive.insert(merged);
-        assoc.insert(merged, merged_set);
+        for &(_, s) in &leaves {
+            self.leaf_of_set[s as usize] = NO_SET;
+        }
     }
+
+    /// Subtracts `|A ∩ B ∩ C|` from `clusters.shared[C]` for every live
+    /// cluster `C` other than `A` and `B`, walking the items of the smaller
+    /// part once: an item's live clusters are the roots of the leaves
+    /// holding it.
+    fn subtract_triples(&self, clusters: &mut Clusters, a: u32, b: u32) {
+        let Clusters {
+            size,
+            sets,
+            root,
+            shared,
+            ..
+        } = clusters;
+        let (p, q) = if size[a as usize] <= size[b as usize] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        let mut others: Vec<u32> = Vec::new();
+        for &s in &sets[p as usize] {
+            'items: for item in self.instance.sets[s as usize].items.iter() {
+                let (mut in_p, mut in_q) = (false, false);
+                others.clear();
+                for &o in self.index.sets_of(item) {
+                    let leaf = self.leaf_of_set[o as usize];
+                    if leaf == NO_SET {
+                        continue;
+                    }
+                    let r = find(root, leaf);
+                    if r == p {
+                        // An item in several sets of `p` counts once, from
+                        // the first of them.
+                        if !in_p && o != s {
+                            continue 'items;
+                        }
+                        in_p = true;
+                    } else if r == q {
+                        in_q = true;
+                    } else if !others.contains(&r) {
+                        others.push(r);
+                    }
+                }
+                if in_q {
+                    for &c in &others {
+                        shared[c as usize] -= 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The clusters of one parent's lines 21–23 loop, indexed leaves first
+/// (in child order), then merges in creation order.
+struct Clusters {
+    cat: Vec<CatId>,
+    size: Vec<u32>,
+    /// The input sets merged into each cluster; emptied when the cluster
+    /// merges away.
+    sets: Vec<Vec<u32>>,
+    /// Union-find links: a cluster that merged away points toward the
+    /// cluster that absorbed it; a live cluster is its own root.
+    root: Vec<u32>,
+    /// Every cluster that intersected a cluster when either was made, with
+    /// the intersection size.
+    partners: Vec<Vec<(u32, u32)>>,
+    /// `|M ∩ C|` per cluster while a merge `M` is being counted; zero
+    /// between merges.
+    shared: Vec<u32>,
+}
+
+impl Clusters {
+    fn new(instance: &Instance, leaves: &[(CatId, u32)]) -> Self {
+        let k = leaves.len();
+        Self {
+            cat: leaves.iter().map(|&(c, _)| c).collect(),
+            size: leaves
+                .iter()
+                .map(|&(_, s)| instance.sets[s as usize].items.len() as u32)
+                .collect(),
+            sets: leaves.iter().map(|&(_, s)| vec![s]).collect(),
+            root: (0..k as u32).collect(),
+            partners: vec![Vec::new(); k],
+            shared: vec![0; 2 * k],
+        }
+    }
+
+    fn is_live(&self, c: u32) -> bool {
+        self.root[c as usize] == c
+    }
+
+    /// Records that `a` and `b` share `inter > 0` items and returns their
+    /// heap entry, keyed `(fraction, cat[a], cat[b])`.
+    fn link(&mut self, a: u32, b: u32, inter: u32) -> Candidate {
+        self.partners[a as usize].push((b, inter));
+        self.partners[b as usize].push((a, inter));
+        let smaller = self.size[a as usize].min(self.size[b as usize]).max(1);
+        let fraction = ordered::F64(f64::from(inter) / f64::from(smaller));
+        let (a_cat, b_cat) = (self.cat[a as usize], self.cat[b as usize]);
+        (fraction, a_cat, b_cat, a, b, inter)
+    }
+
+    /// Sums `|A ∩ C| + |B ∩ C|` into `shared[C]` for the live partners `C`
+    /// of `a` and `b` other than themselves, and returns those partners.
+    fn sum_partners(&mut self, a: u32, b: u32) -> Vec<u32> {
+        let mut touched = Vec::new();
+        for part in [a, b] {
+            for &(c, inter) in &self.partners[part as usize] {
+                if c != a && c != b && self.root[c as usize] == c {
+                    if self.shared[c as usize] == 0 {
+                        touched.push(c);
+                    }
+                    self.shared[c as usize] += inter;
+                }
+            }
+        }
+        touched
+    }
+
+    /// Merges live clusters `a` and `b` (which share `inter` items) into a
+    /// new cluster at category `cat` and returns its index.
+    fn merge(&mut self, a: u32, b: u32, inter: u32, cat: CatId) -> u32 {
+        let m = self.cat.len() as u32;
+        self.cat.push(cat);
+        self.size
+            .push(self.size[a as usize] + self.size[b as usize] - inter);
+        let mut sets = std::mem::take(&mut self.sets[a as usize]);
+        sets.append(&mut self.sets[b as usize]);
+        self.sets.push(sets);
+        self.root.push(m);
+        self.root[a as usize] = m;
+        self.root[b as usize] = m;
+        self.partners.push(Vec::new());
+        m
+    }
+}
+
+/// The live cluster that cluster `c` merged into (path halving).
+fn find(root: &mut [u32], mut c: u32) -> u32 {
+    while root[c as usize] != c {
+        let up = root[root[c as usize] as usize];
+        root[c as usize] = up;
+        c = up;
+    }
+    c
 }
 
 /// A total-ordered `f64` wrapper for heap keys (scores are finite).
@@ -667,6 +884,117 @@ mod ordered {
     impl Ord for F64 {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             self.0.total_cmp(&other.0)
+        }
+    }
+}
+
+/// The union-and-intersect implementation of lines 21–23 that the
+/// count-based one replaced: every merge materializes `A ∪ B` and
+/// intersects it with each live partner. Kept as the oracle of the
+/// differential test below.
+#[cfg(test)]
+mod reference {
+    use super::ordered;
+    use crate::input::Instance;
+    use crate::itemset::ItemSet;
+    use crate::tree::{CatId, CategoryTree};
+    use crate::util::{FxHashMap, FxHashSet};
+
+    pub(super) fn add_intermediate_categories(
+        instance: &Instance,
+        tree: &mut CategoryTree,
+        targets: &[(u32, CatId)],
+    ) {
+        let mut assoc: FxHashMap<CatId, ItemSet> = targets
+            .iter()
+            .map(|&(s, c)| (c, instance.sets[s as usize].items.clone()))
+            .collect();
+        let parents: Vec<CatId> = tree
+            .live_categories()
+            .into_iter()
+            .filter(|&c| tree.children(c).len() > 2)
+            .collect();
+        for parent in parents {
+            merge_intersecting_children(tree, parent, &mut assoc);
+        }
+    }
+
+    fn merge_intersecting_children(
+        tree: &mut CategoryTree,
+        parent: CatId,
+        assoc: &mut FxHashMap<CatId, ItemSet>,
+    ) {
+        let children: Vec<CatId> = tree
+            .children(parent)
+            .iter()
+            .copied()
+            .filter(|c| assoc.contains_key(c))
+            .collect();
+        if children.len() < 2 {
+            return;
+        }
+        let mut containing: FxHashMap<u32, Vec<CatId>> = FxHashMap::default();
+        for &c in &children {
+            for item in assoc[&c].iter() {
+                containing.entry(item).or_default().push(c);
+            }
+        }
+        let mut inter: FxHashMap<(CatId, CatId), u32> = FxHashMap::default();
+        for cats in containing.values() {
+            for (i, &a) in cats.iter().enumerate() {
+                for &b in &cats[i + 1..] {
+                    *inter.entry((a.min(b), a.max(b))).or_insert(0) += 1;
+                }
+            }
+        }
+        let mut partners: FxHashMap<CatId, Vec<CatId>> = FxHashMap::default();
+        let mut heap: std::collections::BinaryHeap<(ordered::F64, CatId, CatId)> =
+            std::collections::BinaryHeap::new();
+        let frac_of = |i: u32, a: usize, b: usize| ordered::F64(i as f64 / a.min(b).max(1) as f64);
+        for (&(a, b), &i) in &inter {
+            partners.entry(a).or_default().push(b);
+            partners.entry(b).or_default().push(a);
+            heap.push((frac_of(i, assoc[&a].len(), assoc[&b].len()), a, b));
+        }
+        let mut alive: FxHashSet<CatId> = children.iter().copied().collect();
+        while tree.children(parent).len() > 2 {
+            let Some((_, a, b)) = heap.pop() else {
+                return;
+            };
+            if !alive.contains(&a) || !alive.contains(&b) {
+                continue;
+            }
+            let merged_set = assoc[&a].union(&assoc[&b]);
+            let merged = tree.add_category(parent);
+            tree.reparent(a, merged);
+            tree.reparent(b, merged);
+            alive.remove(&a);
+            alive.remove(&b);
+            let mut candidates: Vec<CatId> = partners
+                .remove(&a)
+                .unwrap_or_default()
+                .into_iter()
+                .chain(partners.remove(&b).unwrap_or_default())
+                .filter(|c| alive.contains(c))
+                .collect();
+            candidates.sort_unstable();
+            candidates.dedup();
+            let mut merged_partners = Vec::with_capacity(candidates.len());
+            for c in candidates {
+                let i = merged_set.intersection_size(&assoc[&c]);
+                if i > 0 {
+                    heap.push((
+                        frac_of(i as u32, merged_set.len(), assoc[&c].len()),
+                        merged,
+                        c,
+                    ));
+                    merged_partners.push(c);
+                    partners.entry(c).or_default().push(merged);
+                }
+            }
+            partners.insert(merged, merged_partners);
+            alive.insert(merged);
+            assoc.insert(merged, merged_set);
         }
     }
 }
@@ -1096,5 +1424,39 @@ mod extension_tests {
         assert!(paper_result.tree.validate(&instance).is_ok());
         assert!(extended.tree.validate(&instance).is_ok());
         assert!(extended.score.total + 1e-9 >= paper_result.score.total);
+    }
+}
+
+#[cfg(test)]
+mod intermediate_tests {
+    use super::*;
+    use crate::assign::tests::random_case;
+    use crate::persist::encode_tree;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The count-based intermediates insert the same categories in the
+        /// same order as the union-and-intersect oracle: byte-equal trees
+        /// on random instances and target trees, before and after item
+        /// assignment.
+        #[test]
+        fn counted_intermediates_match_the_union_oracle(seed in any::<u64>()) {
+            let (instance, mut tree, targets, greedy) = random_case(seed);
+            if seed % 2 == 1 {
+                assign_items_indexed(&instance, &instance.inverted_index(), &mut tree, &targets, greedy);
+            }
+            let mut counted = tree.clone();
+            let mut oracle = tree;
+            add_intermediate_categories(&instance, &mut counted, &targets);
+            reference::add_intermediate_categories(&instance, &mut oracle, &targets);
+            prop_assert_eq!(
+                encode_tree(&counted).to_vec(),
+                encode_tree(&oracle).to_vec(),
+                "tree bytes (seed {})",
+                seed
+            );
+        }
     }
 }

@@ -30,7 +30,7 @@
 use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::{ItemId, ItemSet};
-use crate::score::{score_tree_indexed, ScoreOptions};
+use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
 use crate::tree::{CatId, CategoryTree, ChainCounter, ROOT};
 use crate::util::FxHashMap;
 
@@ -57,8 +57,8 @@ struct RepairState<'a> {
     tree: &'a mut CategoryTree,
     /// Full-set size per live category.
     node_size: Vec<usize>,
-    /// item → direct-assignment categories.
-    locations: FxHashMap<ItemId, Vec<CatId>>,
+    /// Each item's direct-assignment categories.
+    locations: Vec<Vec<CatId>>,
     /// Protections indexed by category.
     protections: Vec<Protection>,
     by_cat: FxHashMap<CatId, Vec<usize>>,
@@ -66,7 +66,67 @@ struct RepairState<'a> {
     counter: ChainCounter,
 }
 
-impl RepairState<'_> {
+impl<'a> RepairState<'a> {
+    /// The state of `tree` as it stands, with one protection per set that
+    /// `score` (the tree's score) finds covered. Nothing is materialized:
+    /// one chain walk per item counts every category's full-set size, and
+    /// a covered set's intersection with its best category counts the
+    /// set's items with a location inside the category's preorder
+    /// interval.
+    fn new(instance: &'a Instance, tree: &'a mut CategoryTree, score: &TreeScore) -> Self {
+        let mut locations: Vec<Vec<CatId>> = vec![Vec::new(); instance.num_items as usize];
+        for cat in tree.live_categories() {
+            for &item in tree.direct_items(cat) {
+                if item as usize >= locations.len() {
+                    locations.resize(item as usize + 1, Vec::new());
+                }
+                locations[item as usize].push(cat);
+            }
+        }
+        let mut counter = ChainCounter::new(tree.len());
+        let parent = |c: CatId| tree.parent(c);
+        let mut node_size = vec![0; tree.len()];
+        for (cat, n) in counter.count(locations.iter().map(Vec::as_slice), parent) {
+            node_size[cat as usize] = n;
+        }
+        // An item is in `full(c)` when one of its locations enters `c`'s
+        // preorder interval.
+        let (_, enter, end) = tree.preorder_intervals();
+        let mut protections = Vec::new();
+        let mut by_cat: FxHashMap<CatId, Vec<usize>> = FxHashMap::default();
+        for (idx, cover) in score.per_set.iter().enumerate() {
+            let Some(cat) = cover.best_category.filter(|_| cover.covered) else {
+                continue;
+            };
+            let subtree = enter[cat as usize]..end[cat as usize];
+            let inter = instance.sets[idx]
+                .items
+                .iter()
+                .filter(|&item| {
+                    let locations = &locations[item as usize];
+                    locations
+                        .iter()
+                        .any(|&l| subtree.contains(&enter[l as usize]))
+                })
+                .count();
+            by_cat.entry(cat).or_default().push(protections.len());
+            protections.push(Protection {
+                set: idx as u32,
+                cat,
+                inter,
+            });
+        }
+        Self {
+            instance,
+            tree,
+            node_size,
+            locations,
+            protections,
+            by_cat,
+            counter,
+        }
+    }
+
     fn threshold(&self, set: u32) -> f64 {
         self.instance.threshold_of(set as usize)
     }
@@ -119,7 +179,7 @@ impl RepairState<'_> {
     fn apply_add(&mut self, item: ItemId, node: CatId) {
         self.shift_counts(item, node, 1);
         self.tree.assign_item(node, item);
-        self.locations.entry(item).or_default().push(node);
+        self.locations[item as usize].push(node);
     }
 
     /// Commits a removal; the item returns to the unassigned pool.
@@ -131,10 +191,9 @@ impl RepairState<'_> {
         direct.remove(pos.expect("removed item is direct at node"));
         debug_assert!(!direct.contains(&item), "one occurrence per node");
         self.tree.replace_direct_items(node, direct);
-        if let Some(locs) = self.locations.get_mut(&item) {
-            if let Some(pos) = locs.iter().position(|&n| n == node) {
-                locs.swap_remove(pos);
-            }
+        let locs = &mut self.locations[item as usize];
+        if let Some(pos) = locs.iter().position(|&n| n == node) {
+            locs.swap_remove(pos);
         }
     }
 
@@ -146,7 +205,7 @@ impl RepairState<'_> {
     fn best_candidate(&mut self, q: &ItemSet) -> Option<(CatId, usize)> {
         let placements = q
             .iter()
-            .map(|item| self.locations.get(&item).map_or(&[][..], Vec::as_slice));
+            .map(|item| self.locations[item as usize].as_slice());
         let counts = self.counter.count(placements, |c| self.tree.parent(c));
         let mut best: Option<(f64, CatId, usize)> = None;
         for (cat, inter) in counts.into_iter().filter(|&(cat, _)| cat != ROOT) {
@@ -175,44 +234,7 @@ pub(crate) fn repair_indexed(
 ) -> RepairStats {
     let mut stats = RepairStats::default();
     let score = score_tree_indexed(instance, index, tree, &ScoreOptions::default());
-
-    // Build state.
-    let mut locations: FxHashMap<ItemId, Vec<CatId>> = FxHashMap::default();
-    for cat in tree.live_categories() {
-        for &item in tree.direct_items(cat) {
-            locations.entry(item).or_default().push(cat);
-        }
-    }
-    let full = tree.materialize();
-    let node_size: Vec<usize> = (0..tree.len() as CatId)
-        .map(|c| full[c as usize].len())
-        .collect();
-    let mut protections = Vec::new();
-    let mut by_cat: FxHashMap<CatId, Vec<usize>> = FxHashMap::default();
-    for (idx, cover) in score.per_set.iter().enumerate() {
-        if cover.covered {
-            if let Some(cat) = cover.best_category {
-                let inter = instance.sets[idx]
-                    .items
-                    .intersection_size(&full[cat as usize]);
-                by_cat.entry(cat).or_default().push(protections.len());
-                protections.push(Protection {
-                    set: idx as u32,
-                    cat,
-                    inter,
-                });
-            }
-        }
-    }
-    let mut state = RepairState {
-        instance,
-        counter: ChainCounter::new(tree.len()),
-        tree,
-        node_size,
-        locations,
-        protections,
-        by_cat,
-    };
+    let mut state = RepairState::new(instance, tree, &score);
 
     // Uncovered sets, heaviest first.
     let mut uncovered: Vec<u32> = score
@@ -242,7 +264,7 @@ pub(crate) fn repair_indexed(
         // removals of foreign items, until J ≥ δ or options run out.
         let adds: Vec<ItemId> = q
             .iter()
-            .filter(|i| state.locations.get(i).is_none_or(Vec::is_empty))
+            .filter(|&i| state.locations[i as usize].is_empty())
             .filter(|&i| state.is_safe(i, cat, 1))
             .collect();
         // Foreign candidates: direct items in the subtree not in q.
@@ -323,10 +345,57 @@ pub(crate) fn repair_indexed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::{assign_items_indexed, tests::random_case};
+    use crate::ctcr::add_intermediate_categories;
     use crate::input::InputSet;
     use crate::itemset::ItemSet;
     use crate::score::score_tree;
     use crate::similarity::Similarity;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The counted set-up equals the one read off materialized full
+        /// sets: every category's size and every protection's intersection
+        /// with its best category, on assigned random trees with and
+        /// without intermediate categories.
+        #[test]
+        fn counted_setup_matches_materialized_sets(seed in any::<u64>()) {
+            let (instance, mut tree, targets, greedy) = random_case(seed);
+            assign_items_indexed(&instance, &instance.inverted_index(), &mut tree, &targets, greedy);
+            if seed % 2 == 1 {
+                add_intermediate_categories(&instance, &mut tree, &targets);
+            }
+            let score = score_tree(&instance, &tree);
+            let full = tree.materialize();
+            let want: Vec<(u32, CatId, usize)> = score
+                .per_set
+                .iter()
+                .enumerate()
+                .filter(|(_, cover)| cover.covered)
+                .filter_map(|(s, cover)| {
+                    let cat = cover.best_category?;
+                    let inter = instance.sets[s].items.intersection_size(&full[cat as usize]);
+                    Some((s as u32, cat, inter))
+                })
+                .collect();
+            let mut probe = tree.clone();
+            let state = RepairState::new(&instance, &mut probe, &score);
+            prop_assert_eq!(
+                &state.node_size,
+                &full.iter().map(ItemSet::len).collect::<Vec<_>>(),
+                "sizes (seed {})",
+                seed
+            );
+            let got: Vec<(u32, CatId, usize)> = state
+                .protections
+                .iter()
+                .map(|p| (p.set, p.cat, p.inter))
+                .collect();
+            prop_assert_eq!(got, want, "protections (seed {})", seed);
+        }
+    }
 
     #[test]
     fn tops_up_with_unassigned_items() {

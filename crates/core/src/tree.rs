@@ -188,6 +188,27 @@ impl CategoryTree {
         out
     }
 
+    /// The preorder from the root and each category's interval in it: the
+    /// subtree of `c` is the categories whose `enter` falls in
+    /// `enter[c]..end[c]`, so ancestry is one comparison. Categories off
+    /// the preorder (removed ones) get `0..1`.
+    pub(crate) fn preorder_intervals(&self) -> (Vec<CatId>, Vec<u32>, Vec<u32>) {
+        let order = self.subtree(ROOT);
+        let mut enter = vec![0; self.len()];
+        for (pos, &c) in order.iter().enumerate() {
+            enter[c as usize] = pos as u32;
+        }
+        // Parents precede children in preorder, so one backward pass
+        // closes every subtree.
+        let mut end: Vec<u32> = enter.iter().map(|&e| e + 1).collect();
+        for &c in order.iter().rev() {
+            if let Some(p) = self.parent(c) {
+                end[p as usize] = end[p as usize].max(end[c as usize]);
+            }
+        }
+        (order, enter, end)
+    }
+
     /// Moves `child` (and its subtree) under `new_parent`.
     ///
     /// # Panics
