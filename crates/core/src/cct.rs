@@ -19,8 +19,8 @@
 //! read their intersection counts from
 //! [`intersecting_pairs`](crate::conflict::intersecting_pairs), the
 //! co-occurrence kernel CTCR's conflict analysis uses, so no all-pairs
-//! set intersection runs here. One inverted index serves that kernel,
-//! item assignment, condensing and scoring.
+//! set intersection runs here. One inverted index serves that kernel and
+//! item assignment; condensing and scoring read a dense view of the tree.
 
 use std::time::Duration;
 
@@ -31,9 +31,9 @@ use oct_resilience::Budget;
 use crate::assign::{assign_items_indexed, AssignStats};
 use crate::conflict::{intersecting_pairs_indexed, RankedPair};
 use crate::csr::CsrIndex;
-use crate::ctcr::condense_indexed;
+use crate::ctcr::condense;
 use crate::input::Instance;
-use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
+use crate::score::{score_tree_with, ScoreOptions, TreeScore};
 use crate::tree::{CatId, CategoryTree, ROOT};
 
 /// Tuning knobs for CCT.
@@ -210,7 +210,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
     // Stage 5-6: condense; Stage 7: C_misc.
     {
         let _stage = run_span.child("condense");
-        condense_indexed(instance, &index, &mut tree);
+        condense(instance, &mut tree);
     }
     tree.add_misc_category(instance.num_items);
 
@@ -221,7 +221,7 @@ pub fn run(instance: &Instance, config: &CctConfig) -> CctResult {
             metrics: metrics.clone(),
             ..ScoreOptions::default()
         };
-        score_tree_indexed(instance, &index, &tree, &options)
+        score_tree_with(instance, &tree, &options)
     };
     let surviving: Vec<(u32, CatId)> = targets
         .iter()

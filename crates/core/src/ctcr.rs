@@ -27,7 +27,7 @@ use crate::assign::{assign_items_indexed, AssignStats};
 use crate::conflict::{analyze, analyze_indexed, CoCounter, ConflictAnalysis};
 use crate::csr::CsrIndex;
 use crate::input::Instance;
-use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
+use crate::score::{score_tree_with, ScoreOptions, TreeScore};
 use crate::similarity::SimilarityKind;
 use crate::tree::{CatId, CategoryTree, ROOT};
 use crate::util::{FxHashMap, FxHashSet};
@@ -517,7 +517,7 @@ pub(crate) fn build_from_selection(
     // Extension: slack-aware cover repair (see `crate::repair`).
     let repair_time = if config.repair {
         let stage = parent_span.child("repair");
-        crate::repair::repair_indexed(instance, index, &mut tree);
+        crate::repair::repair(instance, &mut tree);
         stage.elapsed()
     } else {
         Duration::ZERO
@@ -526,7 +526,7 @@ pub(crate) fn build_from_selection(
     // Stage 7: condensing (lines 24-25).
     let stage = parent_span.child("condense");
     if kind != SimilarityKind::Exact {
-        condense_indexed(instance, index, &mut tree);
+        condense(instance, &mut tree);
     }
     let condense_time = stage.elapsed();
     drop(stage);
@@ -540,7 +540,7 @@ pub(crate) fn build_from_selection(
         metrics: metrics.clone(),
         budget: config.budget.clone(),
     };
-    let score = score_tree_indexed(instance, index, &tree, &score_options);
+    let score = score_tree_with(instance, &tree, &score_options);
     let score_time = stage.elapsed();
     drop(stage);
 
@@ -1003,13 +1003,7 @@ mod reference {
 /// remove every category that is not the best-precision coverer of at least
 /// one covered set.
 pub fn condense(instance: &Instance, tree: &mut CategoryTree) {
-    condense_indexed(instance, &instance.inverted_index(), tree);
-}
-
-/// [`condense`] over `index`, the inverted index of `instance`.
-pub(crate) fn condense_indexed(instance: &Instance, index: &CsrIndex, tree: &mut CategoryTree) {
-    let rescore =
-        |tree: &CategoryTree| score_tree_indexed(instance, index, tree, &ScoreOptions::default());
+    let rescore = |tree: &CategoryTree| score_tree_with(instance, tree, &ScoreOptions::default());
     // Items to keep: members of at least one covered set (or of no input
     // set at all — those are untouched catalog items).
     let before = rescore(tree);

@@ -274,7 +274,9 @@ pub struct StreamEngine {
     /// The live ids at the last rebuild, in index order: the index space of
     /// `pairs`.
     indexed: Vec<SetId>,
-    /// Every intersecting pair of the last rebuild, sorted by `(hi, lo)`.
+    /// Every intersecting pair of the last rebuild, in no particular
+    /// order: the graph built from it sorts its adjacency lists and the
+    /// other aggregates are sets, so no output depends on the order.
     pairs: Vec<CachedPair>,
     /// Component signature → selected set ids.
     components: FxHashMap<u64, Vec<SetId>>,
@@ -549,10 +551,8 @@ impl StreamEngine {
         metrics.add("incr/cached_pairs", cached as u64);
         drop(stage);
 
-        // Re-derive this batch's aggregates from the cache, in deterministic
-        // (hi, lo) index order — the same order the batch analyzer emits.
+        // Re-derive this batch's aggregates from the cache.
         let stage = span.child("derive");
-        self.pairs.sort_unstable_by_key(|p| (p.hi, p.lo));
         let mut conflicts2: Vec<(u32, u32)> = Vec::new();
         let mut must: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut nestable: FxHashSet<(u32, u32)> = FxHashSet::default();
@@ -879,6 +879,49 @@ mod tests {
         // Only pairs touching set 4 were reclassified.
         assert!(outcome.stats.reclassified_pairs <= 2);
         assert_eq!(tree_bytes(&outcome), tree_bytes(&engine.batch_rerun()));
+    }
+
+    #[test]
+    fn pair_cache_order_is_not_observable() {
+        // The cache keeps whatever order retains and recounts leave; any
+        // permutation of it must rebuild the same tree and statistics. Under
+        // Exact every partial overlap is a conflict.
+        let mut engine = StreamEngine::new(StreamConfig {
+            threads: 1,
+            ..StreamConfig::new(40, Similarity::exact())
+        });
+        engine
+            .apply_batch(&DeltaBatch::new(vec![
+                SetDelta::upsert(1, set((0..10).collect(), 3.0)),
+                SetDelta::upsert(2, set((3..13).collect(), 2.0)),
+                SetDelta::upsert(3, set((0..4).collect(), 1.0)),
+                SetDelta::upsert(4, set((14..24).collect(), 2.5)),
+                SetDelta::upsert(5, set((17..27).collect(), 1.0)),
+                SetDelta::upsert(6, set((20..30).collect(), 4.0)),
+            ]))
+            .expect("seed batch");
+        assert!(
+            engine.pairs.len() >= 5,
+            "{} cached pairs",
+            engine.pairs.len()
+        );
+        let mut reversed = engine.clone();
+        reversed.pairs.reverse();
+        let mut rotated = engine.clone();
+        rotated.pairs.rotate_left(2);
+        let batch = DeltaBatch::new(vec![
+            SetDelta::upsert(2, set((4..14).collect(), 2.0)),
+            SetDelta::upsert(6, set((20..30).collect(), 0.5)),
+            SetDelta::upsert(7, set((1..9).collect(), 1.5)),
+        ]);
+        let want = engine.apply_batch(&batch).expect("batch");
+        assert!(want.stats.conflicts2 >= 3, "{:?}", want.stats);
+        for mut permuted in [reversed, rotated] {
+            let got = permuted.apply_batch(&batch).expect("batch");
+            assert_eq!(tree_bytes(&got), tree_bytes(&want));
+            assert_eq!(got.stats, want.stats);
+            assert_eq!(got.score, want.score);
+        }
     }
 
     /// Intersecting pairs of live sets with an endpoint in `touched`.

@@ -27,10 +27,13 @@ use oct_resilience::Budget;
 
 use crate::csr::CsrIndex;
 use crate::itemset::ItemId;
-use crate::score::{category_depths, Cover, SetCover, DEADLINE_STRIDE};
+use crate::score::{category_depths, Cover, SetCover};
 use crate::similarity::Similarity;
 use crate::tree::{CatId, CategoryTree, ChainCounter};
 use crate::vector::{VectorIndex, DEFAULT_EF_SEARCH};
+
+/// How often (in categories) a point query reads the wall clock.
+const DEADLINE_STRIDE: u64 = 64;
 
 /// Candidate pool floor for top-k navigation: reranking a few extra
 /// candidates is cheap and buys recall headroom when k is small.

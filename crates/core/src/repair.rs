@@ -16,7 +16,10 @@
 //!    covered set counting on them retains its threshold (slack-aware
 //!    trimming; removed items return to the unassigned pool → `C_misc`),
 //!
-//! going ahead only when the planned moves would reach the threshold.
+//! going ahead only when the planned moves would reach the threshold. A set
+//! that no plan could bring to its threshold, even with every unassigned
+//! item added and every foreign item trimmed, is skipped before any safety
+//! check is run.
 //! Commits are per move, not per plan: each move's safety is rechecked when
 //! it is applied, a move that became unsafe is skipped, and the moves
 //! already applied for the set stay committed even when the set ends below
@@ -25,12 +28,12 @@
 //! The candidate search is one pass per set of the [`ChainCounter`] that
 //! point queries also use: each item of the set walks its locations up the
 //! parent chain, counting every category it reaches once, so only
-//! categories that share an item with the set are ever scored.
+//! categories that share an item with the set are ever scored. Category
+//! sizes and item locations come from the tree view of the opening score.
 
-use crate::csr::CsrIndex;
 use crate::input::Instance;
 use crate::itemset::{ItemId, ItemSet};
-use crate::score::{score_tree_indexed, ScoreOptions, TreeScore};
+use crate::score::{score_tree_viewed, ScoreOptions, TreeScore, TreeView};
 use crate::tree::{CatId, CategoryTree, ChainCounter, ROOT};
 use crate::util::FxHashMap;
 
@@ -52,13 +55,81 @@ struct Protection {
     inter: usize,
 }
 
+/// Each item's direct-assignment categories in one flat buffer. Item `i`
+/// owns the slots `start[i]..start[i + 1]`, as many as it had placements
+/// when repair began and at least one; the first `len[i]` are in use.
+/// Removals free slots, and an add only goes to an item with none in use,
+/// so the slots always suffice.
+struct Locations {
+    start: Vec<u32>,
+    len: Vec<u32>,
+    cats: Vec<CatId>,
+}
+
+impl Locations {
+    /// The placements `view` read off the tree.
+    fn new(view: &TreeView) -> Self {
+        let n = view.num_items();
+        let mut start = Vec::with_capacity(n + 1);
+        let mut len = Vec::with_capacity(n);
+        let mut cats = Vec::new();
+        for item in 0..n as ItemId {
+            let ranks = view.locations(item);
+            start.push(cats.len() as u32);
+            len.push(ranks.len() as u32);
+            cats.extend(ranks.iter().map(|&r| view.category(r)));
+            if ranks.is_empty() {
+                cats.push(ROOT);
+            }
+        }
+        start.push(cats.len() as u32);
+        Self { start, len, cats }
+    }
+
+    /// The categories `item` is directly assigned to.
+    fn of(&self, item: ItemId) -> &[CatId] {
+        let lo = self.start[item as usize] as usize;
+        &self.cats[lo..lo + self.len[item as usize] as usize]
+    }
+
+    fn push(&mut self, item: ItemId, cat: CatId) {
+        let i = item as usize;
+        let slot = (self.start[i] + self.len[i]) as usize;
+        assert!(
+            slot < self.start[i + 1] as usize,
+            "item {item} has a free slot"
+        );
+        self.cats[slot] = cat;
+        self.len[i] += 1;
+    }
+
+    fn remove(&mut self, item: ItemId, cat: CatId) {
+        let i = item as usize;
+        let lo = self.start[i] as usize;
+        let live = &mut self.cats[lo..lo + self.len[i] as usize];
+        if let Some(pos) = live.iter().position(|&c| c == cat) {
+            let last = live.len() - 1;
+            live.swap(pos, last);
+            self.len[i] -= 1;
+        }
+    }
+}
+
+/// The moves planned for one uncovered set: the first `a` of `adds` and
+/// the first `r` of `removals` are committed.
+struct Plan {
+    adds: Vec<ItemId>,
+    removals: Vec<(ItemId, CatId)>,
+    a: usize,
+    r: usize,
+}
+
 struct RepairState<'a> {
     instance: &'a Instance,
     tree: &'a mut CategoryTree,
-    /// Full-set size per live category.
+    /// Full-set size per category slot.
     node_size: Vec<usize>,
-    /// Each item's direct-assignment categories.
-    locations: Vec<Vec<CatId>>,
+    locations: Locations,
     /// Protections indexed by category.
     protections: Vec<Protection>,
     by_cat: FxHashMap<CatId, Vec<usize>>,
@@ -68,27 +139,18 @@ struct RepairState<'a> {
 
 impl<'a> RepairState<'a> {
     /// The state of `tree` as it stands, with one protection per set that
-    /// `score` (the tree's score) finds covered. Nothing is materialized:
-    /// one chain walk per item counts every category's full-set size, and
-    /// a covered set's intersection with its best category counts the
-    /// set's items with a location inside the category's preorder
-    /// interval.
-    fn new(instance: &'a Instance, tree: &'a mut CategoryTree, score: &TreeScore) -> Self {
-        let mut locations: Vec<Vec<CatId>> = vec![Vec::new(); instance.num_items as usize];
-        for cat in tree.live_categories() {
-            for &item in tree.direct_items(cat) {
-                if item as usize >= locations.len() {
-                    locations.resize(item as usize + 1, Vec::new());
-                }
-                locations[item as usize].push(cat);
-            }
-        }
-        let mut counter = ChainCounter::new(tree.len());
-        let parent = |c: CatId| tree.parent(c);
-        let mut node_size = vec![0; tree.len()];
-        for (cat, n) in counter.count(locations.iter().map(Vec::as_slice), parent) {
-            node_size[cat as usize] = n;
-        }
+    /// `score` (the tree's score) finds covered. Sizes and locations come
+    /// from `view`, the view that `score` was computed on; a covered set's
+    /// intersection with its best category counts the set's items with a
+    /// location inside the category's preorder interval.
+    fn new(
+        instance: &'a Instance,
+        tree: &'a mut CategoryTree,
+        score: &TreeScore,
+        view: &TreeView,
+    ) -> Self {
+        let locations = Locations::new(view);
+        let node_size = view.sizes_by_category(tree.len());
         // An item is in `full(c)` when one of its locations enters `c`'s
         // preorder interval.
         let (_, enter, end) = tree.preorder_intervals();
@@ -103,8 +165,8 @@ impl<'a> RepairState<'a> {
                 .items
                 .iter()
                 .filter(|&item| {
-                    let locations = &locations[item as usize];
                     locations
+                        .of(item)
                         .iter()
                         .any(|&l| subtree.contains(&enter[l as usize]))
                 })
@@ -116,6 +178,7 @@ impl<'a> RepairState<'a> {
                 inter,
             });
         }
+        let counter = ChainCounter::new(tree.len());
         Self {
             instance,
             tree,
@@ -179,7 +242,7 @@ impl<'a> RepairState<'a> {
     fn apply_add(&mut self, item: ItemId, node: CatId) {
         self.shift_counts(item, node, 1);
         self.tree.assign_item(node, item);
-        self.locations[item as usize].push(node);
+        self.locations.push(item, node);
     }
 
     /// Commits a removal; the item returns to the unassigned pool.
@@ -191,10 +254,7 @@ impl<'a> RepairState<'a> {
         direct.remove(pos.expect("removed item is direct at node"));
         debug_assert!(!direct.contains(&item), "one occurrence per node");
         self.tree.replace_direct_items(node, direct);
-        let locs = &mut self.locations[item as usize];
-        if let Some(pos) = locs.iter().position(|&n| n == node) {
-            locs.swap_remove(pos);
-        }
+        self.locations.remove(item, node);
     }
 
     /// The non-root category with the highest `J(q, full(cat))` and its
@@ -203,9 +263,7 @@ impl<'a> RepairState<'a> {
     /// counter: an item placed in two branches counts once at their common
     /// ancestors). Cost: the q-items' chain lengths, not `|live| × |q|`.
     fn best_candidate(&mut self, q: &ItemSet) -> Option<(CatId, usize)> {
-        let placements = q
-            .iter()
-            .map(|item| self.locations[item as usize].as_slice());
+        let placements = q.iter().map(|item| self.locations.of(item));
         let counts = self.counter.count(placements, |c| self.tree.parent(c));
         let mut best: Option<(f64, CatId, usize)> = None;
         for (cat, inter) in counts.into_iter().filter(|&(cat, _)| cat != ROOT) {
@@ -217,24 +275,100 @@ impl<'a> RepairState<'a> {
         }
         best.map(|(_, cat, inter)| (cat, inter))
     }
+
+    /// The cover predicate of a set of `q_len` items with threshold
+    /// `delta` at a category of `size` items, as a function of `a` adds of
+    /// unassigned q-items (intersection and size both grow), `r` removals
+    /// of foreign items (size shrinks) and the current intersection.
+    fn reaches(
+        &self,
+        q_len: usize,
+        delta: f64,
+        size: usize,
+    ) -> impl Fn(usize, usize, usize) -> bool + '_ {
+        move |a, r, inter| {
+            let c_len = size + a - r.min(size + a);
+            let inter = (inter + a).min(q_len).min(c_len);
+            self.instance
+                .similarity
+                .covers_with(delta, q_len, c_len, inter)
+        }
+    }
+
+    /// Whether any plan for `q` at `cat` can reach the threshold: the
+    /// predicate with every unassigned q-item added and
+    /// `min(foreign direct entries, size − inter)` removals. Up to
+    /// `size − inter` removals every move only helps; past it the
+    /// intersection is capped at the category's size and the predicate is
+    /// no longer monotone, so the bound stops there. (Removing one of an
+    /// item's two placements in a subtree lowers `node_size` as if the item
+    /// left, so `inter` can exceed it; then every removal only hurts and the
+    /// bound is 0.) Needs no safety check.
+    fn can_reach(&self, q: &ItemSet, cat: CatId, inter: usize, delta: f64) -> bool {
+        let size = self.node_size[cat as usize];
+        let unassigned = q.iter().filter(|&i| self.locations.of(i).is_empty());
+        let foreign: usize = self
+            .tree
+            .subtree(cat)
+            .into_iter()
+            .map(|node| {
+                let direct = self.tree.direct_items(node);
+                direct.iter().filter(|&&i| !q.contains(i)).count()
+            })
+            .sum();
+        let removals = foreign.min(size.saturating_sub(inter));
+        self.reaches(q.len(), delta, size)(unassigned.count(), removals, inter)
+    }
+
+    /// Plans moves for `q` at `cat`: adds of globally-unassigned q-items,
+    /// then safe removals of foreign items from the subtree, until the
+    /// cover predicate holds or options run out. `None` when it never
+    /// holds.
+    fn plan(&self, q: &ItemSet, cat: CatId, inter: usize, delta: f64) -> Option<Plan> {
+        let adds: Vec<ItemId> = q
+            .iter()
+            .filter(|&i| self.locations.of(i).is_empty())
+            .filter(|&i| self.is_safe(i, cat, 1))
+            .collect();
+        // Foreign candidates: direct items in the subtree not in q.
+        let mut removals: Vec<(ItemId, CatId)> = Vec::new();
+        for node in self.tree.subtree(cat) {
+            for &i in self.tree.direct_items(node) {
+                if !q.contains(i) && self.is_safe(i, node, -1) {
+                    removals.push((i, node));
+                }
+            }
+        }
+        let reaches = self.reaches(q.len(), delta, self.node_size[cat as usize]);
+        let (mut a, mut r) = (0, 0);
+        while !reaches(a, r, inter) && a < adds.len() {
+            a += 1;
+        }
+        while !reaches(a, r, inter) && r < removals.len() {
+            r += 1;
+        }
+        reaches(a, r, inter).then_some(Plan {
+            adds,
+            removals,
+            a,
+            r,
+        })
+    }
 }
 
 /// Runs the repair pass. Returns statistics; the tree is modified in place
 /// and stays valid (no item gains branches, some lose one).
 pub fn repair(instance: &Instance, tree: &mut CategoryTree) -> RepairStats {
-    repair_indexed(instance, &instance.inverted_index(), tree)
+    repair_with(instance, tree, true)
 }
 
-/// [`repair`] over `index`, the inverted index of `instance`, which a
-/// construction builds once and shares between its stages.
-pub(crate) fn repair_indexed(
-    instance: &Instance,
-    index: &CsrIndex,
-    tree: &mut CategoryTree,
-) -> RepairStats {
+/// The repair pass; `precheck` skips, before any safety check, the sets
+/// that [`RepairState::can_reach`] rules out. It changes no outcome.
+fn repair_with(instance: &Instance, tree: &mut CategoryTree, precheck: bool) -> RepairStats {
     let mut stats = RepairStats::default();
-    let score = score_tree_indexed(instance, index, tree, &ScoreOptions::default());
-    let mut state = RepairState::new(instance, tree, &score);
+    let (score, view) = score_tree_viewed(instance, tree, &ScoreOptions::default());
+    let mut state = RepairState::new(instance, tree, &score, &view);
+    drop(view);
 
     // Uncovered sets, heaviest first.
     let mut uncovered: Vec<u32> = score
@@ -259,63 +393,26 @@ pub(crate) fn repair_indexed(
         let Some((cat, mut inter)) = state.best_candidate(q) else {
             continue;
         };
-
-        // Plan moves: adds of globally-unassigned q-items, then safe
-        // removals of foreign items, until J ≥ δ or options run out.
-        let adds: Vec<ItemId> = q
-            .iter()
-            .filter(|&i| state.locations[i as usize].is_empty())
-            .filter(|&i| state.is_safe(i, cat, 1))
-            .collect();
-        // Foreign candidates: direct items in the subtree not in q.
-        let mut removals: Vec<(ItemId, CatId)> = Vec::new();
-        for node in state.tree.subtree(cat) {
-            for &i in state.tree.direct_items(node) {
-                if !q.contains(i) && state.is_safe(i, node, -1) {
-                    removals.push((i, node));
-                }
-            }
+        if precheck && !state.can_reach(q, cat, inter, delta) {
+            continue;
         }
-
-        // Feasibility: J = (inter + a) / (q + size − inter − r).
-        let size = state.node_size[cat as usize];
-        let mut a = 0usize;
-        let mut r = 0usize;
-        // After `a` adds (items of q: inter and size both grow) and `r`
-        // foreign removals (size shrinks), the cover predicate of the
-        // instance's variant decides feasibility.
-        let reaches = |a: usize, r: usize, inter: usize| {
-            let c_len = size + a - r.min(size + a);
-            instance.similarity.covers_with(
-                delta,
-                q.len(),
-                c_len,
-                (inter + a).min(q.len()).min(c_len),
-            )
-        };
-        while !reaches(a, r, inter) && a < adds.len() {
-            a += 1;
-        }
-        while !reaches(a, r, inter) && r < removals.len() {
-            r += 1;
-        }
-        if !reaches(a, r, inter) {
+        let Some(plan) = state.plan(q, cat, inter, delta) else {
             continue; // cannot close the gap safely
-        }
+        };
         // Commit move by move. Safety is rechecked per move because earlier
         // commits may consume slack; a move that became unsafe is skipped
         // and the set's other moves still go in, so a set can end up
         // partially repaired and still uncovered.
         let mut committed_adds = 0;
         let mut committed_removes = 0;
-        for &item in adds.iter().take(a) {
+        for &item in plan.adds.iter().take(plan.a) {
             if state.is_safe(item, cat, 1) {
                 state.apply_add(item, cat);
                 committed_adds += 1;
                 inter += 1;
             }
         }
-        for &(item, node) in removals.iter().take(r) {
+        for &(item, node) in plan.removals.iter().take(plan.r) {
             if state.is_safe(item, node, -1) {
                 state.apply_remove(item, node);
                 committed_removes += 1;
@@ -350,7 +447,7 @@ mod tests {
     use crate::input::InputSet;
     use crate::itemset::ItemSet;
     use crate::score::score_tree;
-    use crate::similarity::Similarity;
+    use crate::similarity::{Similarity, SimilarityKind};
     use proptest::prelude::*;
 
     proptest! {
@@ -380,8 +477,9 @@ mod tests {
                     Some((s as u32, cat, inter))
                 })
                 .collect();
+            let view = TreeView::new(&tree, instance.num_items);
             let mut probe = tree.clone();
-            let state = RepairState::new(&instance, &mut probe, &score);
+            let state = RepairState::new(&instance, &mut probe, &score, &view);
             prop_assert_eq!(
                 &state.node_size,
                 &full.iter().map(ItemSet::len).collect::<Vec<_>>(),
@@ -394,6 +492,40 @@ mod tests {
                 .map(|p| (p.set, p.cat, p.inter))
                 .collect();
             prop_assert_eq!(got, want, "protections (seed {})", seed);
+        }
+
+        /// Skipping the sets that no plan can bring to their threshold
+        /// changes nothing: the same trees and statistics as the planner
+        /// that runs every safety check first, under every variant, on
+        /// assigned random trees with and without intermediate categories.
+        #[test]
+        fn precheck_changes_no_outcome(seed in any::<u64>()) {
+            let (base, skeleton, targets, _) = random_case(seed);
+            for kind in [
+                SimilarityKind::JaccardCutoff,
+                SimilarityKind::JaccardThreshold,
+                SimilarityKind::F1Cutoff,
+                SimilarityKind::F1Threshold,
+                SimilarityKind::PerfectRecall,
+                SimilarityKind::Exact,
+            ] {
+                let instance = Instance {
+                    similarity: Similarity { kind, ..base.similarity },
+                    ..base.clone()
+                };
+                let index = instance.inverted_index();
+                let mut tree = skeleton.clone();
+                let greedy = !kind.requires_perfect_recall();
+                assign_items_indexed(&instance, &index, &mut tree, &targets, greedy);
+                if seed % 2 == 1 {
+                    add_intermediate_categories(&instance, &mut tree, &targets);
+                }
+                let mut exhaustive = tree.clone();
+                let stats = repair_with(&instance, &mut tree, true);
+                let want = repair_with(&instance, &mut exhaustive, false);
+                prop_assert_eq!(&stats, &want, "{:?} (seed {})", kind, seed);
+                prop_assert_eq!(format!("{tree:?}"), format!("{exhaustive:?}"));
+            }
         }
     }
 

@@ -1,32 +1,41 @@
 //! Tree scoring: `S(Q, W, T) = Σ_q W(q) · max_{C∈T} S(q, C)`.
 //!
 //! Scoring must handle two very different tree shapes: the compact trees
-//! produced by CTCR/CCT (hundreds of categories) and the enormous binary
-//! hierarchies produced by the item-clustering baselines (one node per
-//! merge over up to millions of items). The implementation therefore avoids
-//! materializing per-category item sets; it aggregates, bottom-up with
-//! small-to-large merging, a map `input set → |C ∩ q|` together with the
-//! deduplicated category size, evaluating every category against exactly
-//! the sets it intersects.
+//! produced by CTCR/CCT (hundreds of categories) and the deep binary
+//! dendrograms of the item-clustering baselines (one node per merge over up
+//! to millions of items). Nothing is materialized per category.
 //!
-//! # Parallel evaluation
+//! # A dense view, scored set by set
 //!
-//! [`score_tree_with`] splits the tree into disjoint subtrees along a
-//! *frontier* (the root's children, recursively expanded until there are
-//! enough pieces) and hands contiguous frontier chunks to
-//! `std::thread::scope` workers. Each worker aggregates and evaluates its
-//! subtrees into private best-cover arrays; the main thread merges the
-//! per-worker winners in chunk order, finishes the *spine* (the expanded
-//! ancestors, root last) from the workers' subtree aggregates, and reduces.
+//! Each pass builds one [`TreeView`]: the live categories ranked in post
+//! order, parent and depth by rank, an item → location-ranks CSR and the
+//! deduplicated `|full(C)|` of every category. The kernel then scores the
+//! input sets one at a time, the tree-structured counting of *Efficient
+//! tree-structured categorical retrieval* (PAPERS.md):
 //!
-//! The result is identical to the serial pass: aggregation is exact integer
-//! set arithmetic, per-category similarities are computed by the same
-//! [`Cover::new`] on the same integers, and the best cover of a set is the
-//! maximum under [`Cover::beats`] — a fold whose result does not depend on
-//! evaluation order when equal similarities are bit-equal (always the case
-//! for the single-division Jaccard/F1/recall values; pathological
-//! near-`EPS` spacings could in principle differ, which the EPS tie-band
-//! makes non-transitive).
+//! - an item with one location adds 1 there and stamps its chain up to the
+//!   first category the set already reached;
+//! - an item with several locations (raised bounds, or two placements on
+//!   one root path after `remove_category`) walks its chains under a stamp
+//!   of its own and takes the 1 back where a chain meets one it walked, so
+//!   it counts once at every common ancestor;
+//! - the reached categories are visited in post order: each is scored with
+//!   its now complete `|q ∩ full(C)|` and passes that count to its parent.
+//!
+//! A set costs its placements plus the categories it reaches, with a log
+//! factor for sorting them, so the deep item dendrograms stay linear in
+//! what a set intersects. Only intersecting `(set, category)` pairs are
+//! scored, and no hashing is involved.
+//!
+//! # Identical at every thread count
+//!
+//! A set's candidates reach its [`Cover::beats`] fold in post order, the
+//! order [`score_tree_reference`] offers them in, and with the same
+//! integers; the winners are the same bits by construction. Sets are
+//! independent, so a parallel pass gives each worker a contiguous range of
+//! sets and concatenates the winners in range order: the serial result at
+//! every split. A configured thread count is a cap, not an order: the pass
+//! splits only when each worker gets [`MIN_POSTINGS_PER_WORKER`] set items.
 //!
 //! # One cover order
 //!
@@ -36,38 +45,42 @@
 //! `S(q, C)` through [`Cover::new`] and pick winners with
 //! [`Cover::beats`]; top-k rankings sort with [`Cover::exact_cmp`].
 
+use std::ops::Range;
+
 use oct_obs::{Counter, Metrics};
 use oct_resilience::{run_isolated, Budget, ExecutionError};
 
 use crate::csr::CsrIndex;
 use crate::input::Instance;
+use crate::itemset::ItemId;
 use crate::similarity::{Similarity, EPS};
 use crate::tree::{CatId, CategoryTree, ROOT};
-use crate::util::{FxHashMap, FxHashSet};
+use crate::util::FxHashMap;
 
-/// Trees below this node count are scored serially under auto threading
-/// (the scoring loop is cheaper than spawning).
-pub const PARALLEL_MIN_CATEGORIES: usize = 512;
-
-/// Stop expanding the frontier beyond this many subtrees.
-const MAX_FRONTIER: usize = 4096;
-
-/// How often (in categories) scoring loops read the wall clock.
-pub(crate) const DEADLINE_STRIDE: u64 = 64;
+/// Set items (input postings) a scoring worker must get before a pass
+/// splits its sets. The kernel costs about 5 ns per posting. On a 2-vCPU
+/// VM (A@0.5's sets repeated 1–32 times over its Exact CTCR tree, median
+/// of 21 passes) a 2-way split lost or tied up to about 184k postings per
+/// worker and first won clearly at 367k (734k in all: 4.1–4.7 → 3.3–4.0
+/// ms).
+pub const MIN_POSTINGS_PER_WORKER: usize = 1 << 18;
 
 /// Knobs for [`score_tree_with`].
 #[derive(Debug, Clone)]
 pub struct ScoreOptions {
-    /// Worker threads: `0` = auto (all cores, serial for small trees),
-    /// `1` = serial, `n ≥ 2` = always partition across `n` workers.
+    /// Worker cap: `0` = all cores, `1` = serial, `n` = at most `n`. A pass
+    /// splits only when every worker gets [`MIN_POSTINGS_PER_WORKER`] set
+    /// items, so small instances score serially under any cap.
     pub threads: usize,
-    /// Telemetry sink; spans `score/aggregate` / `score/evaluate` and
-    /// counters `score/categories` / `score/candidates` are recorded here.
+    /// Telemetry sink; spans `score/aggregate` (the tree view) and
+    /// `score/evaluate` (the per-set kernel and the reduction), counters
+    /// `score/categories`, `score/candidates` (intersecting
+    /// `(set, category)` pairs scored) and `score/workers` are recorded
+    /// here.
     pub metrics: Metrics,
-    /// Wall-clock budget. On expiry the scoring pass keeps aggregating
-    /// (cheap, needed for structural consistency) but stops evaluating
-    /// further categories, so unevaluated categories simply never become a
-    /// set's best cover — a valid, pessimistic score.
+    /// Wall-clock budget. On expiry the pass stops evaluating further sets;
+    /// they keep no cover, so the score is a valid, pessimistic lower
+    /// bound.
     pub budget: Budget,
 }
 
@@ -90,7 +103,7 @@ impl ScoreOptions {
         }
     }
 
-    /// Options with an explicit worker count (`0` = auto).
+    /// Options with an explicit worker cap (`0` = all cores).
     pub fn with_threads(threads: usize) -> Self {
         Self {
             threads,
@@ -140,48 +153,6 @@ impl TreeScore {
             .map(|(_, s)| s.weight)
             .sum()
     }
-}
-
-#[derive(Default)]
-struct Agg {
-    /// Deduplicated items of the category's subtree.
-    items: FxHashSet<u32>,
-    /// `input set → |C ∩ q|`.
-    inter: FxHashMap<u32, u32>,
-}
-
-impl Agg {
-    fn insert_item(&mut self, item: u32, index: &CsrIndex) {
-        if self.items.insert(item) {
-            for &set in &index[item as usize] {
-                *self.inter.entry(set).or_insert(0) += 1;
-            }
-        }
-    }
-}
-
-/// Aggregates category `cat` from its (already aggregated) children in
-/// `pending` plus its direct items, with small-to-large merging.
-fn aggregate_node(
-    tree: &CategoryTree,
-    cat: CatId,
-    pending: &mut FxHashMap<CatId, Agg>,
-    index: &CsrIndex,
-) -> Agg {
-    let mut agg = Agg::default();
-    for &child in tree.children(cat) {
-        let mut child_agg = pending.remove(&child).expect("child processed first");
-        if child_agg.items.len() > agg.items.len() {
-            std::mem::swap(&mut agg, &mut child_agg);
-        }
-        for item in child_agg.items {
-            agg.insert_item(item, index);
-        }
-    }
-    for &item in tree.direct_items(cat) {
-        agg.insert_item(item, index);
-    }
-    agg
 }
 
 /// One category scored for one set: the value every best-cover decision
@@ -326,65 +297,6 @@ fn tree_score(instance: &Instance, best: &[Option<Cover>]) -> TreeScore {
     }
 }
 
-/// What every scoring step reads; workers share it by reference.
-struct Ctx<'a> {
-    instance: &'a Instance,
-    tree: &'a CategoryTree,
-    index: &'a CsrIndex,
-    depths: Vec<u32>,
-    budget: &'a Budget,
-    categories: Counter,
-    candidates: Counter,
-}
-
-/// One aggregation/evaluation pass over categories visited children
-/// first: the serial pass, each parallel worker, and the parallel spine.
-struct Pass<'a> {
-    ctx: &'a Ctx<'a>,
-    /// Best cover so far per input set.
-    best: Vec<Option<Cover>>,
-    /// Aggregates of visited categories whose parent is not visited yet.
-    pending: FxHashMap<CatId, Agg>,
-    seen: u64,
-    expired: bool,
-}
-
-impl<'a> Pass<'a> {
-    fn new(ctx: &'a Ctx<'a>) -> Self {
-        Self {
-            ctx,
-            best: vec![None; ctx.instance.num_sets()],
-            pending: FxHashMap::default(),
-            seen: 0,
-            expired: false,
-        }
-    }
-
-    /// The per-category step: aggregates `cat` from its children, checks
-    /// the budget and, until it expires, evaluates `cat` against every set
-    /// it intersects. After expiry the pass keeps aggregating (ancestors
-    /// need the aggregate) but evaluates nothing more.
-    fn visit(&mut self, cat: CatId) {
-        let ctx = self.ctx;
-        let agg = aggregate_node(ctx.tree, cat, &mut self.pending, ctx.index);
-        self.expired = self.expired
-            || (ctx.budget.is_limited() && ctx.budget.check_every(self.seen, DEADLINE_STRIDE));
-        self.seen += 1;
-        if !self.expired {
-            let c_len = agg.items.len();
-            let depth = ctx.depths[cat as usize];
-            ctx.candidates.add(agg.inter.len() as u64);
-            for (&set, &inter) in &agg.inter {
-                let s = set as usize;
-                let cover = set_cover(ctx.instance, s, c_len, inter as usize, cat, depth);
-                offer(&mut self.best, s, cover);
-            }
-            ctx.categories.incr();
-        }
-        self.pending.insert(cat, agg);
-    }
-}
-
 /// Depth of every live category (root = 0), computed in one top-down pass.
 pub(crate) fn category_depths(tree: &CategoryTree) -> Vec<u32> {
     let mut depth = vec![0u32; tree.len()];
@@ -398,11 +310,367 @@ pub(crate) fn category_depths(tree: &CategoryTree) -> Vec<u32> {
     depth
 }
 
-/// Scores `tree` against `instance` serially. Equivalent to
-/// [`score_tree_with`] with default options on a single-core host.
+/// Marks the root's parent in a [`TreeView`].
+const NO_PARENT: u32 = u32::MAX;
+
+/// A dense, read-only view of a tree, built once per scoring pass.
+/// Categories are addressed by *rank*, their position in post order, so
+/// children precede parents and the root comes last.
+pub(crate) struct TreeView {
+    /// Rank → category id.
+    order: Vec<CatId>,
+    /// Parent rank by rank ([`NO_PARENT`] for the root).
+    parent: Vec<u32>,
+    /// Depth by rank (root = 0).
+    depth: Vec<u32>,
+    /// Deduplicated `|full(C)|` by rank.
+    size: Vec<u32>,
+    /// Item → ranks of its direct categories, ascending; a rank repeats
+    /// when the item sits twice in one category.
+    locations: CsrIndex,
+    /// Item → its one location's rank, or [`UNPLACED`] / [`PLACED_MORE`]:
+    /// one read for the common case, the CSR only for the rest.
+    placement: Vec<u32>,
+}
+
+/// [`TreeView::placement`] of an item in no category.
+const UNPLACED: u32 = u32::MAX;
+/// [`TreeView::placement`] of an item with several locations.
+const PLACED_MORE: u32 = u32::MAX - 1;
+
+impl TreeView {
+    /// The view of `tree` over a universe of `num_items`.
+    ///
+    /// # Panics
+    /// Panics when the tree holds an item outside the universe.
+    pub(crate) fn new(tree: &CategoryTree, num_items: u32) -> Self {
+        let order = tree.post_order();
+        let mut rank = vec![NO_PARENT; tree.len()];
+        for (r, &cat) in order.iter().enumerate() {
+            rank[cat as usize] = r as u32;
+        }
+        let parent: Vec<u32> = order
+            .iter()
+            .map(|&cat| tree.parent(cat).map_or(NO_PARENT, |p| rank[p as usize]))
+            .collect();
+        // Parents follow their children, so a backward pass goes top-down.
+        let mut depth = vec![0u32; order.len()];
+        for r in (0..order.len()).rev() {
+            if parent[r] != NO_PARENT {
+                depth[r] = depth[parent[r] as usize] + 1;
+            }
+        }
+        let locations = CsrIndex::build(num_items, order.iter().map(|&c| tree.direct_items(c)));
+        let size = distinct_sizes(&parent, &locations);
+        let placement = (locations.entries())
+            .map(|(_, ranks)| match ranks {
+                [] => UNPLACED,
+                &[rank] => rank,
+                _ => PLACED_MORE,
+            })
+            .collect();
+        Self {
+            order,
+            parent,
+            depth,
+            size,
+            locations,
+            placement,
+        }
+    }
+
+    /// Number of live categories.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// `|full(C)|` of every category slot of a tree with `slots` slots;
+    /// removed categories get 0.
+    pub(crate) fn sizes_by_category(&self, slots: usize) -> Vec<usize> {
+        let mut sizes = vec![0; slots];
+        for (&cat, &size) in self.order.iter().zip(&self.size) {
+            sizes[cat as usize] = size as usize;
+        }
+        sizes
+    }
+
+    /// The categories `item` is directly assigned to, as ranks.
+    pub(crate) fn locations(&self, item: ItemId) -> &[u32] {
+        self.locations.sets_of(item)
+    }
+
+    /// The category at `rank`.
+    pub(crate) fn category(&self, rank: u32) -> CatId {
+        self.order[rank as usize]
+    }
+
+    /// Universe size.
+    pub(crate) fn num_items(&self) -> usize {
+        self.locations.num_items()
+    }
+}
+
+/// Adds one placement at `rank` of an item placed more than once: the walk
+/// up stamps each category with `stamp` and, where it meets a category the
+/// item's earlier walks stamped, takes the 1 back, so once counts flow
+/// child to parent the item counts once at every common ancestor. `reach`
+/// sees every category the walk stamps.
+fn add_placement(
+    rank: u32,
+    stamp: u32,
+    count: &mut [u32],
+    walked_by: &mut [u32],
+    parent: &[u32],
+    mut reach: impl FnMut(u32),
+) {
+    count[rank as usize] = count[rank as usize].wrapping_add(1);
+    let mut r = rank;
+    while r != NO_PARENT {
+        if walked_by[r as usize] == stamp {
+            count[r as usize] = count[r as usize].wrapping_sub(1);
+            return;
+        }
+        walked_by[r as usize] = stamp;
+        reach(r);
+        r = parent[r as usize];
+    }
+}
+
+/// Deduplicated `|full(C)|` by rank: each item adds 1 at its location, or,
+/// when it has several, goes through [`add_placement`] under its id as the
+/// stamp; then counts flow child to parent. Counts wrap, as a meeting
+/// category can dip below zero until its children's counts arrive.
+fn distinct_sizes(parent: &[u32], locations: &CsrIndex) -> Vec<u32> {
+    let mut size = vec![0u32; parent.len()];
+    let mut walked_by = vec![u32::MAX; parent.len()];
+    for (item, ranks) in locations.entries() {
+        if let &[rank] = ranks {
+            size[rank as usize] = size[rank as usize].wrapping_add(1);
+        } else {
+            for &rank in ranks {
+                add_placement(rank, item, &mut size, &mut walked_by, parent, |_| {});
+            }
+        }
+    }
+    for r in 0..parent.len() {
+        if parent[r] != NO_PARENT {
+            let p = parent[r] as usize;
+            size[p] = size[p].wrapping_add(size[r]);
+        }
+    }
+    size
+}
+
+/// Advances a running epoch, clearing `stamps` when it would wrap.
+fn next_epoch(epoch: &mut u32, stamps: &mut [u32]) -> u32 {
+    if *epoch == u32::MAX {
+        stamps.fill(0);
+        *epoch = 0;
+    }
+    *epoch += 1;
+    *epoch
+}
+
+/// One worker's scratch for the set-major kernel, sized by the view.
+struct Hits {
+    /// Pending `|q ∩ full(C)|` by rank; all zero between sets.
+    count: Vec<u32>,
+    /// The set (as a running epoch) that last reached each rank.
+    reached_by: Vec<u32>,
+    set_epoch: u32,
+    /// The multi-placement item (as a running epoch) that last walked each
+    /// rank.
+    walked_by: Vec<u32>,
+    item_epoch: u32,
+    /// The ranks the current set reached.
+    reached: Vec<u32>,
+}
+
+impl Hits {
+    fn new(view: &TreeView) -> Self {
+        Self {
+            count: vec![0; view.len()],
+            reached_by: vec![0; view.len()],
+            set_epoch: 0,
+            walked_by: vec![0; view.len()],
+            item_epoch: 0,
+            reached: Vec::new(),
+        }
+    }
+
+    /// Calls `visit(rank, |q ∩ full(C)|)` for every category whose subtree
+    /// holds an item of `items`, in post order.
+    fn for_each(&mut self, view: &TreeView, items: &[ItemId], mut visit: impl FnMut(usize, usize)) {
+        let set = next_epoch(&mut self.set_epoch, &mut self.reached_by);
+        let Self {
+            count,
+            reached_by,
+            walked_by,
+            item_epoch,
+            reached,
+            ..
+        } = self;
+        let parent = view.parent.as_slice();
+        reached.clear();
+        for &item in items {
+            match view.placement[item as usize] {
+                UNPLACED => {}
+                PLACED_MORE => {
+                    let stamp = next_epoch(item_epoch, walked_by);
+                    for &rank in view.locations(item) {
+                        add_placement(rank, stamp, count, walked_by, parent, |r| {
+                            if reached_by[r as usize] != set {
+                                reached_by[r as usize] = set;
+                                reached.push(r);
+                            }
+                        });
+                    }
+                }
+                rank => {
+                    count[rank as usize] = count[rank as usize].wrapping_add(1);
+                    let mut r = rank;
+                    while r != NO_PARENT && reached_by[r as usize] != set {
+                        reached_by[r as usize] = set;
+                        reached.push(r);
+                        r = parent[r as usize];
+                    }
+                }
+            }
+        }
+        reached.sort_unstable();
+        for &r in reached.iter() {
+            let inter = std::mem::take(&mut count[r as usize]);
+            if parent[r as usize] != NO_PARENT {
+                let p = parent[r as usize] as usize;
+                count[p] = count[p].wrapping_add(inter);
+            }
+            visit(r as usize, inter as usize);
+        }
+    }
+}
+
+/// Scores the sets of `range`: their winners, and whether the budget
+/// expired before the last of them.
+fn score_range(
+    view: &TreeView,
+    instance: &Instance,
+    range: Range<usize>,
+    budget: &Budget,
+    candidates: &Counter,
+) -> (Vec<Option<Cover>>, bool) {
+    let mut hits = Hits::new(view);
+    let mut best = vec![None; range.len()];
+    let mut scored = 0u64;
+    let mut expired = false;
+    for (winner, s) in best.iter_mut().zip(range) {
+        if budget.is_limited() && budget.expired() {
+            expired = true;
+            break;
+        }
+        let q = &instance.sets[s].items;
+        let delta = instance.threshold_of(s);
+        hits.for_each(view, q.as_slice(), |r, inter| {
+            let c_len = view.size[r] as usize;
+            let (cat, depth) = (view.order[r], view.depth[r]);
+            let cover = Cover::new(
+                &instance.similarity,
+                delta,
+                q.len(),
+                c_len,
+                inter,
+                cat,
+                depth,
+            );
+            if cover.beats(winner.as_ref()) {
+                *winner = Some(cover);
+            }
+            scored += 1;
+        });
+    }
+    candidates.add(scored);
+    (best, expired)
+}
+
+/// Scores every set, one contiguous range of `ranges` per worker, and
+/// concatenates the winners in range order, which is the serial result at
+/// every split. Returns the winners and whether the budget expired. Every
+/// worker runs under `catch_unwind`; a panic in any of them surfaces as
+/// [`ExecutionError::WorkerPanicked`].
+fn score_sets(
+    view: &TreeView,
+    instance: &Instance,
+    ranges: &[Range<usize>],
+    budget: &Budget,
+    candidates: &Counter,
+) -> Result<(Vec<Option<Cover>>, bool), ExecutionError> {
+    let work = |range: &Range<usize>| {
+        run_isolated("score workers", || {
+            score_range(view, instance, range.clone(), budget, candidates)
+        })
+    };
+    let parts: Vec<_> = if let [range] = ranges {
+        vec![work(range)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .map(|range| scope.spawn(move || work(range)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    let mut best = Vec::with_capacity(instance.num_sets());
+    let mut expired = false;
+    for part in parts {
+        let (winners, part_expired) = part?;
+        best.extend(winners);
+        expired |= part_expired;
+    }
+    Ok((best, expired))
+}
+
+/// Workers for a pass over `postings` set items: at most `threads` (`0` =
+/// all cores) and `num_sets`, and no more than give each
+/// [`MIN_POSTINGS_PER_WORKER`] items.
+fn worker_count(postings: usize, num_sets: usize, threads: usize) -> usize {
+    let cap = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        threads
+    };
+    cap.min(postings / MIN_POSTINGS_PER_WORKER)
+        .min(num_sets)
+        .max(1)
+}
+
+/// Splits the sets into at most `workers` non-empty contiguous ranges of
+/// about equal item count (one range when there are no sets).
+fn set_ranges(instance: &Instance, workers: usize) -> Vec<Range<usize>> {
+    let n = instance.num_sets();
+    let total: usize = instance.sets.iter().map(|set| set.items.len()).sum();
+    let share = total.div_ceil(workers.max(1));
+    let mut ranges = Vec::with_capacity(workers);
+    let (mut lo, mut acc) = (0, 0);
+    for (s, set) in instance.sets.iter().enumerate() {
+        acc += set.items.len();
+        if acc >= share && ranges.len() + 1 < workers && s + 1 < n {
+            ranges.push(lo..s + 1);
+            (lo, acc) = (s + 1, 0);
+        }
+    }
+    ranges.push(lo..n);
+    ranges
+}
+
+/// Scores `tree` against `instance` with default options: every core, once
+/// the instance is large enough to split.
 ///
-/// Runs in `O(Σ_i |S_i| · log V + Σ_C #intersected(C))` where `S_i` is the
-/// set list of item `i` and `V` the number of categories.
+/// Runs in `O(Σ_q (placements(q) + reached(q) · log reached(q)))` after an
+/// `O(V + Σ_C |direct(C)|)` view, where `reached(q)` counts the categories
+/// whose subtree holds an item of `q`.
 pub fn score_tree(instance: &Instance, tree: &CategoryTree) -> TreeScore {
     score_tree_with(instance, tree, &ScoreOptions::default())
 }
@@ -424,240 +692,65 @@ pub fn score_tree_with(
     try_score_tree_with(instance, tree, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`score_tree_with`] with scoring workers isolated: every scoped worker
-/// (and the serial pass) runs under `catch_unwind`, so a panic surfaces as
+/// [`score_tree_with`] with scoring isolated: the view build and every
+/// worker run under `catch_unwind`, so a panic surfaces as
 /// [`ExecutionError::WorkerPanicked`] instead of unwinding (or, with
 /// multiple panicking workers, aborting) the process.
 ///
 /// # Errors
-/// Returns [`ExecutionError::WorkerPanicked`] when any scoring worker
-/// panics.
+/// Returns [`ExecutionError::WorkerPanicked`] when scoring panics.
 pub fn try_score_tree_with(
     instance: &Instance,
     tree: &CategoryTree,
     options: &ScoreOptions,
 ) -> Result<TreeScore, ExecutionError> {
-    try_score_tree_indexed(instance, &instance.inverted_index(), tree, options)
+    try_score_tree_viewed(instance, tree, options).map(|(score, _)| score)
 }
 
-/// [`score_tree_with`] over `index`, the inverted index of `instance`,
-/// which a construction builds once and shares between its stages.
-pub(crate) fn score_tree_indexed(
+/// [`score_tree_with`] that also returns the view it scored, for a caller
+/// that reads category sizes or item locations next.
+pub(crate) fn score_tree_viewed(
     instance: &Instance,
-    index: &CsrIndex,
     tree: &CategoryTree,
     options: &ScoreOptions,
-) -> TreeScore {
-    try_score_tree_indexed(instance, index, tree, options).unwrap_or_else(|e| panic!("{e}"))
+) -> (TreeScore, TreeView) {
+    try_score_tree_viewed(instance, tree, options).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`try_score_tree_with`] over `index`, the inverted index of `instance`.
-pub(crate) fn try_score_tree_indexed(
+fn try_score_tree_viewed(
     instance: &Instance,
-    index: &CsrIndex,
     tree: &CategoryTree,
     options: &ScoreOptions,
-) -> Result<TreeScore, ExecutionError> {
-    debug_assert!(instance.is_indexed_by(index), "stale inverted index");
+) -> Result<(TreeScore, TreeView), ExecutionError> {
     let metrics = &options.metrics;
-    let threads = resolve_threads(options.threads, tree.len());
-    let ctx = Ctx {
-        instance,
-        tree,
-        index,
-        depths: category_depths(tree),
-        budget: &options.budget,
-        categories: metrics.counter("score/categories"),
-        candidates: metrics.counter("score/candidates"),
-    };
-    let (best, expired) = {
+    let view = {
         let _span = metrics.span("score/aggregate");
-        if threads <= 1 {
-            run_isolated("score workers", || {
-                let mut pass = Pass::new(&ctx);
-                for cat in tree.post_order() {
-                    pass.visit(cat);
-                    if cat == ROOT {
-                        break;
-                    }
-                }
-                (pass.best, pass.expired)
-            })?
-        } else {
-            score_parallel(&ctx, threads)?
-        }
+        run_isolated("score workers", || TreeView::new(tree, instance.num_items))?
     };
+    metrics.add("score/categories", view.len() as u64);
+    let _span = metrics.span("score/evaluate");
+    let postings = instance.sets.iter().map(|set| set.items.len()).sum();
+    let workers = worker_count(postings, instance.num_sets(), options.threads);
+    let ranges = set_ranges(instance, workers);
+    metrics.add("score/workers", ranges.len() as u64);
+    let candidates = metrics.counter("score/candidates");
+    let (best, expired) = score_sets(&view, instance, &ranges, &options.budget, &candidates)?;
     if expired {
         metrics.incr("budget/expired");
     }
-    let _span = metrics.span("score/evaluate");
-    Ok(tree_score(instance, &best))
-}
-
-/// Resolves the thread knob: `0` = auto (all cores, serial below
-/// [`PARALLEL_MIN_CATEGORIES`] nodes), otherwise the explicit count.
-fn resolve_threads(threads: usize, num_categories: usize) -> usize {
-    if threads == 0 {
-        if num_categories < PARALLEL_MIN_CATEGORIES {
-            1
-        } else {
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        }
-    } else {
-        threads
-    }
-}
-
-/// Subtree node counts per category (children before parents).
-fn subtree_sizes(tree: &CategoryTree) -> Vec<usize> {
-    let mut sizes = vec![0usize; tree.len()];
-    for cat in tree.post_order() {
-        sizes[cat as usize] = 1 + tree
-            .children(cat)
-            .iter()
-            .map(|&c| sizes[c as usize])
-            .sum::<usize>();
-        if cat == ROOT {
-            break;
-        }
-    }
-    sizes
-}
-
-/// Picks the *frontier* — disjoint subtree roots covering every non-spine
-/// node — and marks the expanded ancestors (the *spine*, always containing
-/// the root). Starts from the root's children and repeatedly expands the
-/// largest frontier subtree in place until there are at least `target`
-/// pieces (or nothing expandable remains).
-fn frontier_and_spine(
-    tree: &CategoryTree,
-    sizes: &[usize],
-    target: usize,
-) -> (Vec<CatId>, Vec<bool>) {
-    let mut is_spine = vec![false; tree.len()];
-    is_spine[ROOT as usize] = true;
-    let mut frontier: Vec<CatId> = tree.children(ROOT).to_vec();
-    while frontier.len() < target && frontier.len() < MAX_FRONTIER {
-        let expandable = frontier
-            .iter()
-            .enumerate()
-            .filter(|&(_, &f)| !tree.children(f).is_empty())
-            .max_by_key(|&(_, &f)| sizes[f as usize]);
-        let Some((pos, &node)) = expandable else {
-            break;
-        };
-        // A leaf-only frontier entry stays; splitting the biggest subtree
-        // into its children keeps the pieces disjoint and order-preserving.
-        frontier.remove(pos);
-        is_spine[node as usize] = true;
-        frontier.splice(pos..pos, tree.children(node).iter().copied());
-    }
-    (frontier, is_spine)
-}
-
-/// Splits `frontier` into at most `parts` contiguous chunks of roughly
-/// equal total subtree size.
-fn frontier_chunks(
-    frontier: &[CatId],
-    sizes: impl Fn(CatId) -> usize,
-    parts: usize,
-) -> Vec<(usize, usize)> {
-    let total: usize = frontier.iter().map(|&f| sizes(f)).sum();
-    if frontier.is_empty() {
-        return Vec::new();
-    }
-    let target = total.div_ceil(parts.max(1));
-    let mut out = Vec::new();
-    let mut lo = 0;
-    let mut acc = 0;
-    for (i, &f) in frontier.iter().enumerate() {
-        acc += sizes(f);
-        if acc >= target && i + 1 < frontier.len() && out.len() + 1 < parts {
-            out.push((lo, i + 1));
-            lo = i + 1;
-            acc = 0;
-        }
-    }
-    out.push((lo, frontier.len()));
-    out
-}
-
-/// The parallel aggregation/evaluation pass: frontier subtrees on workers,
-/// spine on the main thread, winners merged in deterministic chunk order.
-/// Returns the per-set winners and whether the budget expired. Every
-/// worker runs under `catch_unwind`; a panic in any of them surfaces as
-/// [`ExecutionError::WorkerPanicked`].
-fn score_parallel(
-    ctx: &Ctx<'_>,
-    threads: usize,
-) -> Result<(Vec<Option<Cover>>, bool), ExecutionError> {
-    let tree = ctx.tree;
-    let sizes = subtree_sizes(tree);
-    let (frontier, is_spine) = frontier_and_spine(tree, &sizes, threads * 4);
-    let chunks = frontier_chunks(&frontier, |f| sizes[f as usize], threads);
-
-    // Each worker passes over whole frontier subtrees. A finished subtree
-    // leaves only its root's aggregate pending, which is what the spine
-    // pass needs.
-    let workers: Vec<Result<Pass<'_>, ExecutionError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|&(lo, hi)| {
-                let chunk = &frontier[lo..hi];
-                scope.spawn(move || {
-                    run_isolated("score workers", || {
-                        let mut pass = Pass::new(ctx);
-                        for &f in chunk {
-                            // Reversed pre-order: children before parents.
-                            for cat in tree.subtree(f).into_iter().rev() {
-                                pass.visit(cat);
-                            }
-                        }
-                        pass
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-
-    let mut spine = Pass::new(ctx);
-    for worker in workers {
-        let worker = worker?;
-        for (s, cover) in worker.best.into_iter().enumerate() {
-            if let Some(cover) = cover {
-                offer(&mut spine.best, s, cover);
-            }
-        }
-        spine.expired |= worker.expired;
-        spine.pending.extend(worker.pending);
-    }
-    // Finish the spine bottom-up: every spine child is spine or frontier,
-    // so its aggregate is already pending.
-    for cat in tree.post_order() {
-        if is_spine[cat as usize] {
-            spine.visit(cat);
-        }
-        if cat == ROOT {
-            break;
-        }
-    }
-    Ok((spine.best, spine.expired))
+    Ok((tree_score(instance, &best), view))
 }
 
 /// A deliberately naive reference scorer over plain [`ItemSet`]s: per
 /// category it materializes the full subtree item set with scalar unions
 /// and computes every `|C ∩ q|` with [`ItemSet::intersection_size`] — no
-/// inverted index, no hash-map aggregation, no threads.
+/// inverted index, no tree view, no threads.
 ///
 /// Similarities and winners come from the same [`Cover::new`] and
-/// [`Cover::beats`] on the same integers, so the result is bit-identical to
-/// [`score_tree`]; the scalar-vs-packed differential suite pins the
-/// production path (CSR index + hashed aggregation) against this. Quadratic
-/// in practice — test-sized inputs only.
+/// [`Cover::beats`] on the same integers, offered in the same post order,
+/// so the result is bit-identical to [`score_tree`]; the differential
+/// suites pin the production kernel against this. Quadratic in practice —
+/// test-sized inputs only.
 pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeScore {
     use crate::itemset::ItemSet;
     let depths = category_depths(tree);
@@ -673,9 +766,9 @@ pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeSco
         for (s, set) in instance.sets.iter().enumerate() {
             let inter = items.intersection_size(&set.items);
             if inter == 0 {
-                // The aggregating path only ever evaluates (category, set)
-                // pairs that intersect; skip likewise so empty categories
-                // and disjoint sets cannot diverge.
+                // The kernel only ever evaluates (category, set) pairs that
+                // intersect; skip likewise so empty categories and disjoint
+                // sets cannot diverge.
                 continue;
             }
             let cover = set_cover(instance, s, c_len, inter, cat, depths[cat as usize]);
@@ -690,31 +783,21 @@ pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeSco
 }
 
 /// Computes, per live category, which input sets it covers (similarity
-/// passes the set's threshold). Used by category labeling and rendering.
+/// passes the set's threshold), ascending. Used by category labeling and
+/// rendering.
 pub fn covering_map(instance: &Instance, tree: &CategoryTree) -> FxHashMap<CatId, Vec<u32>> {
-    let index = instance.inverted_index();
+    let view = TreeView::new(tree, instance.num_items);
+    let mut hits = Hits::new(&view);
     let mut covers: FxHashMap<CatId, Vec<u32>> = FxHashMap::default();
-    let mut pending: FxHashMap<CatId, Agg> = FxHashMap::default();
-    for cat in tree.post_order() {
-        let agg = aggregate_node(tree, cat, &mut pending, &index);
-        let c_len = agg.items.len();
-        // Depth only breaks ties, so it plays no part in this test.
-        let mut covered: Vec<u32> = agg
-            .inter
-            .iter()
-            .filter(|&(&set, &inter)| {
-                set_cover(instance, set as usize, c_len, inter as usize, cat, 0).similarity > 0.0
-            })
-            .map(|(&set, _)| set)
-            .collect();
-        covered.sort_unstable();
-        if !covered.is_empty() {
-            covers.insert(cat, covered);
-        }
-        pending.insert(cat, agg);
-        if cat == ROOT {
-            break;
-        }
+    for (s, set) in instance.sets.iter().enumerate() {
+        let delta = instance.threshold_of(s);
+        let q_len = set.items.len();
+        hits.for_each(&view, set.items.as_slice(), |r, inter| {
+            let c_len = view.size[r] as usize;
+            if instance.similarity.covers_with(delta, q_len, c_len, inter) {
+                covers.entry(view.order[r]).or_default().push(s as u32);
+            }
+        });
     }
     covers
 }
@@ -722,10 +805,30 @@ pub fn covering_map(instance: &Instance, tree: &CategoryTree) -> FxHashMap<CatId
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::assign::{assign_items_indexed, tests::random_case};
     use crate::input::{figure2_instance, InputSet, Instance};
     use crate::itemset::ItemSet;
     use crate::similarity::Similarity;
     use crate::tree::CategoryTree;
+    use proptest::prelude::*;
+
+    /// Scores through the crate-private split: one worker per range.
+    fn score_split(instance: &Instance, tree: &CategoryTree, ranges: &[Range<usize>]) -> TreeScore {
+        let view = TreeView::new(tree, instance.num_items);
+        let candidates = Metrics::disabled().counter("score/candidates");
+        let (best, expired) =
+            score_sets(&view, instance, ranges, &Budget::unlimited(), &candidates)
+                .expect("no worker panics");
+        assert!(!expired);
+        tree_score(instance, &best)
+    }
+
+    /// `parts` contiguous ranges over `n` sets, as even as they divide.
+    fn even_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+        (0..parts)
+            .map(|p| p * n / parts..(p + 1) * n / parts)
+            .collect()
+    }
 
     /// Builds the paper's Figure 2 tree `T1` (Perfect-Recall optimum).
     fn figure2_t1() -> CategoryTree {
@@ -962,9 +1065,9 @@ mod tests {
             let inst = figure2_instance(similarity);
             for t in [figure2_t1(), figure2_t2()] {
                 let serial = score_tree_with(&inst, &t, &ScoreOptions::serial());
-                for threads in [2, 3, 4] {
-                    let parallel = score_tree_with(&inst, &t, &ScoreOptions::with_threads(threads));
-                    assert_eq!(serial, parallel, "threads={threads}");
+                for parts in [2, 3, 4] {
+                    let parallel = score_split(&inst, &t, &even_ranges(inst.num_sets(), parts));
+                    assert_eq!(serial, parallel, "parts={parts}");
                 }
             }
         }
@@ -972,19 +1075,104 @@ mod tests {
 
     #[test]
     fn parallel_handles_deep_single_chains() {
-        // A path tree has a one-element frontier at every expansion step —
-        // the degenerate case for subtree partitioning.
-        let sets = vec![InputSet::new(ItemSet::new(vec![0, 1, 2]), 1.0)];
-        let inst = Instance::new(8, sets, Similarity::jaccard_cutoff(0.1));
+        // A path tree: every set reaches most of the chain, and an item
+        // placed twice on the one root path must count once.
+        let sets = vec![
+            InputSet::new(ItemSet::new(vec![0, 1, 2]), 1.0),
+            InputSet::new(ItemSet::new(vec![5, 7]), 2.0),
+            InputSet::new(ItemSet::new(vec![3, 4, 5, 6]), 1.0).with_threshold(0.5),
+        ];
+        let inst = Instance::new(8, sets, Similarity::jaccard_cutoff(0.1))
+            .with_item_bounds(vec![1, 1, 1, 1, 1, 2, 1, 1]);
         let mut t = CategoryTree::new();
         let mut parent = ROOT;
         for item in 0..8 {
             parent = t.add_category(parent);
             t.assign_item(parent, item);
         }
-        let serial = score_tree_with(&inst, &t, &ScoreOptions::serial());
-        let parallel = score_tree_with(&inst, &t, &ScoreOptions::with_threads(4));
-        assert_eq!(serial, parallel);
+        t.assign_item(2, 5);
+        let reference = score_tree_reference(&inst, &t);
+        assert_eq!(
+            score_tree_with(&inst, &t, &ScoreOptions::serial()),
+            reference
+        );
+        for parts in [2, 3] {
+            assert_eq!(score_split(&inst, &t, &even_ranges(3, parts)), reference);
+        }
+    }
+
+    #[test]
+    fn work_is_bounded_by_the_intersecting_pairs() {
+        // A 10,000-deep path with an item every 50 levels. Each set is
+        // scored at exactly the categories it intersects, however deep.
+        const DEPTH: usize = 10_000;
+        let mut t = CategoryTree::new();
+        let mut parent = ROOT;
+        for level in 1..=DEPTH {
+            parent = t.add_category(parent);
+            if level % 50 == 1 {
+                t.assign_item(parent, (level / 50) as ItemId);
+            }
+        }
+        let sets = vec![
+            InputSet::new(ItemSet::new(vec![0]), 1.0),
+            InputSet::new(ItemSet::new(vec![3, 150, 199]), 1.0),
+            InputSet::new(ItemSet::new((0..200).collect()), 2.0),
+            InputSet::new(ItemSet::new(vec![7, 8]), 1.0).with_threshold(0.01),
+        ];
+        let inst = Instance::new(200, sets, Similarity::jaccard_cutoff(0.005));
+        let full = t.materialize();
+        let intersecting: usize = inst
+            .sets
+            .iter()
+            .map(|set| {
+                let meets = |items: &&ItemSet| items.intersection_size(&set.items) > 0;
+                full.iter().filter(meets).count()
+            })
+            .sum();
+        let metrics = Metrics::enabled();
+        let options = ScoreOptions {
+            metrics: metrics.clone(),
+            ..ScoreOptions::serial()
+        };
+        let score = score_tree_with(&inst, &t, &options);
+        assert_eq!(score, score_tree_reference(&inst, &t));
+        let candidates = metrics.report().counter("score/candidates");
+        assert_eq!(candidates, Some(intersecting as u64));
+        assert!(
+            intersecting > 2 * DEPTH,
+            "the sets reach deep: {intersecting}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every split of the sets into contiguous worker ranges scores
+        /// bit-identically to the reference, on assigned random trees
+        /// (every variant, per-set thresholds, raised item bounds) with an
+        /// item placed twice in one category and a removed category whose
+        /// items join their parent's.
+        #[test]
+        fn split_matches_reference(seed in any::<u64>(), cut in any::<u64>()) {
+            let (instance, mut tree, targets, greedy) = random_case(seed);
+            assign_items_indexed(&instance, &instance.inverted_index(), &mut tree, &targets, greedy);
+            let live = tree.live_categories();
+            let pick = live[(cut as usize) % live.len()];
+            if let Some(&item) = tree.direct_items(pick).first() {
+                tree.assign_item(pick, item);
+            }
+            if live.len() > 1 {
+                tree.remove_category(live[1 + (cut as usize / 7) % (live.len() - 1)]);
+            }
+            let reference = score_tree_reference(&instance, &tree);
+            let n = instance.num_sets();
+            prop_assert_eq!(&score_split(&instance, &tree, &even_ranges(n, 1)), &reference);
+            for parts in [2, 4] {
+                let split = score_split(&instance, &tree, &even_ranges(n, parts));
+                prop_assert_eq!(&split, &reference, "parts={}", parts);
+            }
+        }
     }
 
     #[test]
@@ -1000,19 +1188,41 @@ mod tests {
         let report = metrics.report();
         assert!(report.span("score/aggregate").is_some());
         assert!(report.span("score/evaluate").is_some());
-        // All five categories (incl. root) evaluated exactly once.
+        // All five categories (incl. root) are in the view.
         assert_eq!(report.counter("score/categories"), Some(5));
         assert!(report.counter("score/candidates").unwrap_or(0) > 0);
+        // Two threads are a cap: five sets are far too few to split.
+        assert_eq!(report.counter("score/workers"), Some(1));
     }
 
     #[test]
-    fn frontier_covers_tree_disjointly() {
-        let t = figure2_t1();
-        let (frontier, is_spine) = frontier_and_spine(&t, &subtree_sizes(&t), 8);
-        let mut seen: Vec<CatId> = frontier.iter().flat_map(|&f| t.subtree(f)).collect();
-        seen.extend(t.category_ids().filter(|&c| is_spine[c as usize]));
-        seen.sort_unstable();
-        assert_eq!(seen, t.live_categories(), "frontier + spine partition");
+    fn set_ranges_partition_the_sets() {
+        let sizes = [3usize, 1, 4, 1, 5, 9, 2, 6];
+        let sets: Vec<InputSet> = sizes
+            .iter()
+            .map(|&n| InputSet::new(ItemSet::new((0..n as u32).collect()), 1.0))
+            .collect();
+        let inst = Instance::new(10, sets, Similarity::jaccard_cutoff(0.5));
+        // Below the per-worker cutoff every cap scores serially; above it
+        // the cap holds, and no more workers than sets are asked for.
+        let min = MIN_POSTINGS_PER_WORKER;
+        for threads in [0, 1, 2, 8] {
+            assert_eq!(worker_count(min - 1, 8, threads), 1, "threads={threads}");
+        }
+        assert_eq!(worker_count(4 * min, 8, 2), 2);
+        assert_eq!(worker_count(4 * min, 8, 3), 3);
+        assert_eq!(worker_count(3 * min, 8, 8), 3);
+        assert_eq!(worker_count(64 * min, 8, 64), 8);
+        assert_eq!(worker_count(64 * min, 0, 64), 1);
+        // The ranges tile the sets in order, none empty.
+        for workers in 1..=10 {
+            let ranges = set_ranges(&inst, workers);
+            assert!(ranges.len() <= workers, "workers={workers}");
+            assert_eq!(ranges.first().map(|r| r.start), Some(0));
+            assert_eq!(ranges.last().map(|r| r.end), Some(8));
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start));
+            assert!(ranges.iter().all(|r| !r.is_empty()));
+        }
     }
 
     #[test]
