@@ -31,6 +31,10 @@
 //!    function the batch pipeline uses, over the one inverted index the
 //!    batch builds for its kernel.
 //!
+//! The accumulated state is itself the batch [`Instance`] (sets in
+//! ascending-id order) beside the ids that label it. A batch edits it in
+//! place and the rebuild borrows it, so no batch copies the live sets.
+//!
 //! Because every cache is a pure function of the accumulated set state, the
 //! incremental result is **bit-identical** to rebuilding from scratch over
 //! the same state (asserted by the differential suite) — the caches only
@@ -43,7 +47,6 @@
 //! state — caches are re-derived on resume), so a `kill -9` mid-stream
 //! resumes bit-identically.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use oct_mis::{local, Graph, SolveBudget, Solver};
@@ -52,7 +55,7 @@ use oct_obs::Metrics;
 use crate::conflict::{classify_pair, CoCounter, PairClass};
 use crate::ctcr::{build_from_selection, CtcrConfig, SelectionContext};
 use crate::input::{InputSet, Instance};
-use crate::persist::{self, StreamCheckpoint};
+use crate::persist;
 use crate::score::TreeScore;
 use crate::similarity::{Similarity, EPS};
 use crate::tree::CategoryTree;
@@ -269,11 +272,12 @@ pub struct BatchOutcome {
 #[derive(Debug, Clone)]
 pub struct StreamEngine {
     config: StreamConfig,
-    sets: BTreeMap<SetId, InputSet>,
+    /// The live sets in ascending-id order, edited in place by each batch.
+    instance: Instance,
+    /// The live ids, ascending: `ids[i]` labels `instance.sets[i]`, and is
+    /// the index space of `pairs`.
+    ids: Vec<SetId>,
     applied_batches: u64,
-    /// The live ids at the last rebuild, in index order: the index space of
-    /// `pairs`.
-    indexed: Vec<SetId>,
     /// Every intersecting pair of the last rebuild, in no particular
     /// order: the graph built from it sorts its adjacency lists and the
     /// other aggregates are sets, so no output depends on the order.
@@ -290,10 +294,10 @@ impl StreamEngine {
             clean_stray_temps(path);
         }
         Self {
+            instance: Instance::new(config.num_items, Vec::new(), config.similarity),
             config,
-            sets: BTreeMap::new(),
+            ids: Vec::new(),
             applied_batches: 0,
-            indexed: Vec::new(),
             pairs: Vec::new(),
             components: FxHashMap::default(),
         }
@@ -335,12 +339,8 @@ impl StreamEngine {
         }
         let mut engine = Self::new(config);
         engine.applied_batches = cp.applied_batches;
-        engine.sets = cp
-            .ids
-            .iter()
-            .copied()
-            .zip(cp.instance.sets.iter().cloned())
-            .collect();
+        engine.instance.sets = cp.instance.sets;
+        engine.ids = cp.ids;
         let outcome = engine.rebuild();
         Ok((engine, Some(outcome)))
     }
@@ -357,27 +357,23 @@ impl StreamEngine {
 
     /// Number of live sets.
     pub fn live_sets(&self) -> usize {
-        self.sets.len()
+        self.ids.len()
     }
 
     /// `true` when a set with this id is live.
     pub fn contains(&self, id: SetId) -> bool {
-        self.sets.contains_key(&id)
+        self.ids.binary_search(&id).is_ok()
     }
 
     /// The live ids, ascending.
     pub fn ids(&self) -> Vec<SetId> {
-        self.sets.keys().copied().collect()
+        self.ids.clone()
     }
 
-    /// The accumulated state as a batch [`Instance`] (sets in ascending-id
-    /// order — the engine's canonical index order).
+    /// A copy of the accumulated state as a batch [`Instance`] (sets in
+    /// ascending-id order — the engine's canonical index order).
     pub fn instance(&self) -> Instance {
-        Instance::new(
-            self.config.num_items,
-            self.sets.values().cloned().collect(),
-            self.config.similarity,
-        )
+        self.instance.clone()
     }
 
     /// Applies one batch: updates the state, repairs the caches, rebuilds
@@ -390,65 +386,120 @@ impl StreamEngine {
     /// deltas; [`StreamError::Io`] when the checkpoint write fails (the
     /// in-memory state *has* advanced in that case — retry or abort).
     pub fn apply_batch(&mut self, batch: &DeltaBatch) -> Result<BatchOutcome, StreamError> {
-        // Validate the whole batch against (current ∪ in-batch) state before
-        // touching anything.
-        let mut present: FxHashSet<SetId> = self.sets.keys().copied().collect();
-        for delta in &batch.deltas {
-            match delta {
-                SetDelta::Upsert { id, set } => {
-                    validate_set(self.config.num_items, *id, set)?;
-                    present.insert(*id);
-                }
-                SetDelta::Retire { id } => {
-                    if !present.remove(id) {
-                        return Err(StreamError::UnknownSet(*id));
-                    }
-                }
-            }
-        }
-
-        let mut touched: FxHashMap<SetId, Touch> = FxHashMap::default();
+        // The batch's net effect per id: its touch, judged against the
+        // state at the batch's start by the id's first delta, and its last
+        // content (`None` once retired). The whole batch is validated
+        // against it before anything is touched.
+        let mut net: FxHashMap<SetId, (Touch, Option<&InputSet>)> = FxHashMap::default();
         let (mut upserts, mut retires) = (0usize, 0usize);
         for delta in &batch.deltas {
-            let same_items = match delta {
-                SetDelta::Upsert { id, set } => {
+            let id = delta.id();
+            let last = match delta {
+                SetDelta::Upsert { set, .. } => {
+                    validate_set(self.config.num_items, id, set)?;
                     upserts += 1;
-                    let prev = self.sets.insert(*id, set.clone());
-                    prev.is_some_and(|prev| prev.items == set.items)
+                    Some(set)
                 }
-                SetDelta::Retire { id } => {
+                SetDelta::Retire { .. } => {
+                    let live = net
+                        .get(&id)
+                        .map_or_else(|| self.contains(id), |(_, last)| last.is_some());
+                    if !live {
+                        return Err(StreamError::UnknownSet(id));
+                    }
                     retires += 1;
-                    self.sets.remove(id);
-                    false
+                    None
                 }
             };
-            // Only a set's first delta compares against the batch's start.
-            touched
-                .entry(delta.id())
-                .and_modify(|touch| *touch = Touch::Recount)
-                .or_insert(if same_items {
-                    Touch::SameItems
-                } else {
-                    Touch::Recount
+            net.entry(id)
+                .and_modify(|entry| *entry = (Touch::Recount, last))
+                .or_insert_with(|| {
+                    let prev = self.ids.binary_search(&id).ok();
+                    let same_items = last
+                        .zip(prev)
+                        .is_some_and(|(set, i)| self.instance.sets[i].items == set.items);
+                    let touch = if same_items {
+                        Touch::SameItems
+                    } else {
+                        Touch::Recount
+                    };
+                    (touch, last)
                 });
         }
+
+        let metrics = self.config.metrics.clone();
+        let span = metrics.span("incr");
+        let stage = span.child("derive");
+        let new_index = self.apply_net(&net);
+        let mut touches = vec![Touch::Untouched; self.ids.len()];
+        for (&id, &(touch, _)) in &net {
+            if let Ok(i) = self.ids.binary_search(&id) {
+                touches[i] = touch;
+            }
+        }
+        drop(stage);
         self.applied_batches += 1;
-        let outcome = self.rebuild_with(
-            |id| touched.get(&id).copied().unwrap_or(Touch::Untouched),
-            upserts,
-            retires,
-        );
+        let outcome = self.rebuild_with(&span, &new_index, &touches, upserts, retires);
+        drop(span);
         self.write_checkpoint()?;
         Ok(outcome)
+    }
+
+    /// Edits the state in place to the batch's net effect and returns the
+    /// map from each index before the edit to its index after it, or to
+    /// [`RETIRED`]. Replacements are assigned in place; retires and new ids
+    /// merge into the ascending id list in one pass that moves the kept
+    /// sets rather than copying them.
+    fn apply_net(&mut self, net: &FxHashMap<SetId, (Touch, Option<&InputSet>)>) -> Vec<u32> {
+        let mut retired = Vec::new();
+        let mut added: Vec<(SetId, &InputSet)> = Vec::new();
+        for (&id, &(_, last)) in net {
+            match (self.ids.binary_search(&id), last) {
+                (Ok(i), Some(set)) => self.instance.sets[i] = set.clone(),
+                (Ok(i), None) => retired.push(i),
+                (Err(_), Some(set)) => added.push((id, set)),
+                (Err(_), None) => {}
+            }
+        }
+        retired.sort_unstable();
+        added.sort_unstable_by_key(|&(id, _)| id);
+        let old_ids = std::mem::take(&mut self.ids);
+        let old_sets = std::mem::take(&mut self.instance.sets);
+        let len = old_ids.len() - retired.len() + added.len();
+        self.ids.reserve(len);
+        self.instance.sets.reserve(len);
+        let mut new_index = Vec::with_capacity(old_ids.len());
+        let (mut retired, mut added) =
+            (retired.into_iter().peekable(), added.into_iter().peekable());
+        for (i, (id, set)) in old_ids.into_iter().zip(old_sets).enumerate() {
+            while let Some((new_id, new_set)) = added.next_if(|&(new_id, _)| new_id < id) {
+                self.ids.push(new_id);
+                self.instance.sets.push(new_set.clone());
+            }
+            if retired.next_if_eq(&i).is_some() {
+                new_index.push(RETIRED);
+                continue;
+            }
+            new_index.push(self.ids.len() as u32);
+            self.ids.push(id);
+            self.instance.sets.push(set);
+        }
+        for (new_id, new_set) in added {
+            self.ids.push(new_id);
+            self.instance.sets.push(new_set.clone());
+        }
+        new_index
     }
 
     /// Rebuilds from the current state treating *every* pair as dirty —
     /// used after [`StreamEngine::resume`] and by [`StreamEngine::batch_rerun`].
     pub fn rebuild(&mut self) -> BatchOutcome {
-        self.indexed.clear();
         self.pairs.clear();
         self.components.clear();
-        self.rebuild_with(|_| Touch::Recount, 0, 0)
+        let metrics = self.config.metrics.clone();
+        let span = metrics.span("incr");
+        let touches = vec![Touch::Recount; self.ids.len()];
+        self.rebuild_with(&span, &[], &touches, 0, 0)
     }
 
     /// The from-scratch reference: clones the accumulated state into a fresh
@@ -460,35 +511,34 @@ impl StreamEngine {
             metrics: Metrics::disabled(),
             ..self.config.clone()
         });
-        fresh.sets = self.sets.clone();
+        fresh.instance = self.instance.clone();
+        fresh.ids = self.ids.clone();
         fresh.applied_batches = self.applied_batches;
         fresh.rebuild()
     }
 
-    /// The shared rebuild: repair the pair cache around the sets `touch`
-    /// reports, re-derive aggregates, solve the conflict graph
-    /// component-wise with solution reuse, and run stages 4–8.
+    /// The shared rebuild over the edited state: repair the pair cache
+    /// (over the indices before the edit, which `new_index` maps onto the
+    /// current ones) around the sets `touches` flags by current index,
+    /// re-derive aggregates, solve the conflict graph component-wise with
+    /// solution reuse, and run stages 4–8.
+    ///
+    /// The whole-state work around classify and mis (the edit, the
+    /// per-index flags and the index map before it, and the re-derivation
+    /// of the aggregates here) records under one `derive` span, entered
+    /// twice per applied batch and once by a full rebuild.
     fn rebuild_with(
         &mut self,
-        touch: impl Fn(SetId) -> Touch,
+        span: &oct_obs::Span<'_>,
+        new_index: &[u32],
+        touches: &[Touch],
         upserts: usize,
         retires: usize,
     ) -> BatchOutcome {
-        let metrics = self.config.metrics.clone();
-        let span = metrics.span("incr");
+        let metrics = &self.config.metrics;
         metrics.add("incr/upserts", upserts as u64);
         metrics.add("incr/retires", retires as u64);
-
-        // The whole-state work around classify and mis (the instance, the
-        // per-index flags and index map here, and the re-derivation of the
-        // aggregates below) records under one `derive` span, entered twice
-        // per batch.
-        let stage = span.child("derive");
-        let ids: Vec<SetId> = self.sets.keys().copied().collect();
-        let instance = self.instance();
-        let touches: Vec<Touch> = ids.iter().map(|&id| touch(id)).collect();
-        let new_index = index_map(&self.indexed, &ids);
-        drop(stage);
+        let (instance, ids) = (&self.instance, &self.ids);
 
         // Classify every pair with a touched endpoint. Cached pairs whose
         // endpoints kept their items keep their counts and are re-oriented
@@ -509,16 +559,16 @@ impl StreamEngine {
                 (p.hi, p.lo) = (a, b);
                 cached += 1;
             } else {
-                let (hi, lo) = pair_orientation(&instance, a, b);
+                let (hi, lo) = pair_orientation(instance, a, b);
                 let inter = p.inter as usize;
-                p.class = classify_pair(&instance, hi as usize, lo as usize, inter, inter);
+                p.class = classify_pair(instance, hi as usize, lo as usize, inter, inter);
                 (p.hi, p.lo) = (hi, lo);
                 reoriented += 1;
             }
             true
         });
         let index = instance.inverted_index();
-        let mut counter = CoCounter::new(&instance, &index);
+        let mut counter = CoCounter::new(instance, &index);
         let before = self.pairs.len();
         for ci in (0..ids.len() as u32).filter(|&ci| recount(ci)) {
             // A pair of two recounted sets is counted from its lower index
@@ -528,9 +578,9 @@ impl StreamEngine {
                 // Stream instances raise no item bound, so the cache keeps
                 // one count.
                 debug_assert_eq!(inter, eff_inter, "no raised item bounds");
-                let (hi, lo) = pair_orientation(&instance, ci, other);
+                let (hi, lo) = pair_orientation(instance, ci, other);
                 let class = classify_pair(
-                    &instance,
+                    instance,
                     hi as usize,
                     lo as usize,
                     inter as usize,
@@ -573,16 +623,23 @@ impl StreamEngine {
         // Component-wise MWIS with solution reuse: untouched components keep
         // their previous selection verbatim; the rest are re-solved by a
         // pure function of the component, so reuse never changes the result.
+        // `mis/graph` builds the graph, its components and their
+        // signatures; `mis/solve` looks them up and solves the misses.
         let stage = span.child("mis");
+        let part = stage.child("graph");
         let weights: Vec<f64> = instance.sets.iter().map(|s| s.weight).collect();
-        let graph = Graph::new(weights, &conflicts2);
-        let comps = graph.connected_components();
+        let comps: Vec<(u64, Vec<u32>, Graph)> = Graph::new(weights, &conflicts2)
+            .connected_components()
+            .into_iter()
+            .map(|(members, sub)| (component_signature(ids, &members, &sub), members, sub))
+            .collect();
+        drop(part);
+        let part = stage.child("solve");
         let num_components = comps.len();
         let mut next_components: FxHashMap<u64, Vec<SetId>> = FxHashMap::default();
         let mut selection_ids: Vec<SetId> = Vec::new();
         let (mut reused, mut solved) = (0usize, 0usize);
-        for (members, sub) in comps {
-            let sig = component_signature(&ids, &members, &sub);
+        for (sig, members, sub) in comps {
             let selected: Vec<SetId> = match self.components.get(&sig) {
                 Some(prev) => {
                     reused += 1;
@@ -607,6 +664,7 @@ impl StreamEngine {
         self.components = next_components;
         metrics.add("incr/components_reused", reused as u64);
         metrics.add("incr/components_solved", solved as u64);
+        drop(part);
         drop(stage);
 
         // Stages 4–8, shared with the batch pipeline.
@@ -629,10 +687,9 @@ impl StreamEngine {
             metrics: metrics.clone(),
             ..CtcrConfig::default()
         };
-        let stages = build_from_selection(&instance, &index, &ctx, &selection, &ctcr_config, &span);
+        let stages = build_from_selection(instance, &index, &ctx, &selection, &ctcr_config, span);
         let live_sets = ids.len();
         metrics.gauge("incr/live_sets", live_sets as f64);
-        self.indexed = ids;
         let stats = BatchStats {
             upserts,
             retires,
@@ -660,12 +717,7 @@ impl StreamEngine {
         let Some(path) = &self.config.checkpoint else {
             return Ok(());
         };
-        let cp = StreamCheckpoint {
-            applied_batches: self.applied_batches,
-            ids: self.ids(),
-            instance: self.instance(),
-        };
-        let encoded = persist::encode_stream_checkpoint(&cp);
+        let encoded = persist::encode_stream_state(self.applied_batches, &self.ids, &self.instance);
         atomic_write(path, &encoded)
             .map_err(|e| StreamError::Io(format!("{}: {e}", path.display())))
     }
@@ -698,25 +750,6 @@ fn validate_set(num_items: u32, id: SetId, set: &InputSet) -> Result<(), StreamE
 
 /// Marks an id of the last rebuild that is no longer live.
 const RETIRED: u32 = u32::MAX;
-
-/// Maps each index of `old` to the index of the same id in `new`, or to
-/// [`RETIRED`]. Both lists ascend, so the map is one merge walk and keeps
-/// the order of the indices it keeps.
-fn index_map(old: &[SetId], new: &[SetId]) -> Vec<u32> {
-    let mut j = 0;
-    old.iter()
-        .map(|id| {
-            while new.get(j).is_some_and(|n| n < id) {
-                j += 1;
-            }
-            if new.get(j) == Some(id) {
-                j as u32
-            } else {
-                RETIRED
-            }
-        })
-        .collect()
-}
 
 /// Orients an intersecting index pair as `(hi, lo)` exactly like the global
 /// ranking ([`Instance::ranks`]): size descending, weight ascending, index
@@ -1032,6 +1065,69 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_bytes_equal_the_owned_encoding() {
+        // The engine edits its state in place and encodes it borrowed; the
+        // file must hold the bytes of `encode_stream_checkpoint` over the
+        // state replayed into an id-ordered map, after every batch.
+        let path = scratch_path("owned.stream");
+        let _ = std::fs::remove_file(&path);
+        let mut engine = StreamEngine::new(StreamConfig {
+            checkpoint: Some(path.clone()),
+            ..config(30)
+        });
+        let batches = [
+            DeltaBatch::new(vec![
+                SetDelta::upsert(20, set((0..6).collect(), 2.0)),
+                SetDelta::upsert(5, set((4..9).collect(), 1.0)),
+                SetDelta::upsert(12, set((10..14).collect(), 3.0)),
+            ]),
+            // New ids before, between and after the live ones, a retire, a
+            // same-items upsert, and a new id retired in its own batch.
+            DeltaBatch::new(vec![
+                SetDelta::upsert(1, set(vec![0, 1], 1.0)),
+                SetDelta::upsert(15, set((12..18).collect(), 1.5)),
+                SetDelta::retire(12),
+                SetDelta::upsert(30, set((20..25).collect(), 2.0)),
+                SetDelta::upsert(5, set((4..9).collect(), 4.0)),
+                SetDelta::upsert(7, set(vec![3], 1.0)),
+                SetDelta::retire(7),
+            ]),
+            // A retire and re-upsert, two upserts of one id, and retires at
+            // both ends.
+            DeltaBatch::new(vec![
+                SetDelta::retire(20),
+                SetDelta::upsert(20, set((1..7).collect(), 2.0)),
+                SetDelta::upsert(15, set((12..16).collect(), 1.5)),
+                SetDelta::upsert(15, set((12..16).collect(), 2.5)),
+                SetDelta::retire(1),
+                SetDelta::retire(30),
+            ]),
+        ];
+        let mut replayed: std::collections::BTreeMap<SetId, InputSet> = Default::default();
+        for batch in &batches {
+            engine.apply_batch(batch).expect("valid batch");
+            for delta in &batch.deltas {
+                match delta {
+                    SetDelta::Upsert { id, set } => replayed.insert(*id, set.clone()),
+                    SetDelta::Retire { id } => replayed.remove(id),
+                };
+            }
+            let owned = persist::StreamCheckpoint {
+                applied_batches: engine.applied_batches(),
+                ids: replayed.keys().copied().collect(),
+                instance: Instance::new(
+                    30,
+                    replayed.values().cloned().collect(),
+                    engine.config().similarity,
+                ),
+            };
+            let written = std::fs::read(&path).expect("checkpoint written");
+            assert_eq!(written, persist::encode_stream_checkpoint(&owned).to_vec());
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn resume_without_checkpoint_starts_fresh() {
         let path = scratch_path("absent.stream");
         let _ = std::fs::remove_file(&path);
@@ -1133,6 +1229,8 @@ mod tests {
             "incr/derive",
             "incr/classify",
             "incr/mis",
+            "incr/mis/graph",
+            "incr/mis/solve",
             "incr/skeleton",
             "incr/score",
         ] {

@@ -504,13 +504,20 @@ pub struct StreamCheckpoint {
 
 /// Encodes a streaming-engine checkpoint.
 pub fn encode_stream_checkpoint(cp: &StreamCheckpoint) -> Bytes {
+    encode_stream_state(cp.applied_batches, &cp.ids, &cp.instance)
+}
+
+/// [`encode_stream_checkpoint`] over borrowed parts, so that the engine
+/// checkpoints its live state without copying it into a
+/// [`StreamCheckpoint`].
+pub(crate) fn encode_stream_state(applied_batches: u64, ids: &[u64], instance: &Instance) -> Bytes {
     let mut buf = header(TAG_STREAM);
-    buf.put_u64_le(cp.applied_batches);
-    buf.put_u32_le(cp.ids.len() as u32);
-    for &id in &cp.ids {
+    buf.put_u64_le(applied_batches);
+    buf.put_u32_le(ids.len() as u32);
+    for &id in ids {
         buf.put_u64_le(id);
     }
-    encode_instance_payload(&cp.instance, &mut buf);
+    encode_instance_payload(instance, &mut buf);
     seal(buf)
 }
 

@@ -133,6 +133,11 @@ struct RepairState<'a> {
     /// Protections indexed by category.
     protections: Vec<Protection>,
     by_cat: FxHashMap<CatId, Vec<usize>>,
+    /// Preorder intervals of the categories (repair moves items, never
+    /// categories): `b` is in `a`'s subtree iff `enter[b]` is in
+    /// `enter[a]..end[a]`.
+    enter: Vec<u32>,
+    end: Vec<u32>,
     /// Candidate-search scratch over the tree's category slots.
     counter: ChainCounter,
 }
@@ -186,6 +191,8 @@ impl<'a> RepairState<'a> {
             locations,
             protections,
             by_cat,
+            enter,
+            end,
             counter,
         }
     }
@@ -223,11 +230,32 @@ impl<'a> RepairState<'a> {
         })
     }
 
+    /// The lowest ancestor of `node` (itself included) whose subtree holds
+    /// another placement of `item`, if any. From there up, the full sets
+    /// keep `item` whether or not it is placed at `node`.
+    fn shared_ancestor(&self, item: ItemId, node: CatId) -> Option<CatId> {
+        let others = self.locations.of(item).iter().filter(|&&l| l != node);
+        others
+            .filter_map(|&l| {
+                self.tree.path_to_root(node).find(|&a| {
+                    (self.enter[a as usize]..self.end[a as usize]).contains(&self.enter[l as usize])
+                })
+            })
+            .max_by_key(|&a| self.enter[a as usize])
+    }
+
     /// Applies the size and protection-intersection changes of moving
-    /// `item` in (`sign` = +1) or out (−1) below `node`.
+    /// `item` in (`sign` = +1) or out (−1) at `node`: along `node`'s chain
+    /// strictly below [`Self::shared_ancestor`], as full sets count an item
+    /// once however many placements it has in them.
     fn shift_counts(&mut self, item: ItemId, node: CatId, sign: isize) {
         let shift = |count: usize| count.checked_add_signed(sign).expect("count stays ≥ 0");
-        for a in self.tree.path_to_root(node) {
+        let stop = self.shared_ancestor(item, node);
+        for a in self
+            .tree
+            .path_to_root(node)
+            .take_while(|&a| Some(a) != stop)
+        {
             self.node_size[a as usize] = shift(self.node_size[a as usize]);
             for &pi in self.by_cat.get(&a).map_or(&[][..], Vec::as_slice) {
                 let p = &mut self.protections[pi];
@@ -243,6 +271,10 @@ impl<'a> RepairState<'a> {
         self.shift_counts(item, node, 1);
         self.tree.assign_item(node, item);
         self.locations.push(item, node);
+        debug_assert!(
+            self.sizes_are_fresh(),
+            "sizes after adding {item} at {node}"
+        );
     }
 
     /// Commits a removal; the item returns to the unassigned pool.
@@ -255,6 +287,17 @@ impl<'a> RepairState<'a> {
         debug_assert!(!direct.contains(&item), "one occurrence per node");
         self.tree.replace_direct_items(node, direct);
         self.locations.remove(item, node);
+        debug_assert!(
+            self.sizes_are_fresh(),
+            "sizes after removing {item} at {node}"
+        );
+    }
+
+    /// Whether `node_size` equals the deduplicated full-set sizes counted
+    /// afresh from the tree.
+    fn sizes_are_fresh(&self) -> bool {
+        let view = TreeView::new(self.tree, self.instance.num_items);
+        self.node_size == view.sizes_by_category(self.tree.len())
     }
 
     /// The non-root category with the highest `J(q, full(cat))` and its
@@ -300,10 +343,7 @@ impl<'a> RepairState<'a> {
     /// `min(foreign direct entries, size − inter)` removals. Up to
     /// `size − inter` removals every move only helps; past it the
     /// intersection is capped at the category's size and the predicate is
-    /// no longer monotone, so the bound stops there. (Removing one of an
-    /// item's two placements in a subtree lowers `node_size` as if the item
-    /// left, so `inter` can exceed it; then every removal only hurts and the
-    /// bound is 0.) Needs no safety check.
+    /// no longer monotone, so the bound stops there. Needs no safety check.
     fn can_reach(&self, q: &ItemSet, cat: CatId, inter: usize, delta: f64) -> bool {
         let size = self.node_size[cat as usize];
         let unassigned = q.iter().filter(|&i| self.locations.of(i).is_empty());
@@ -449,9 +489,57 @@ mod tests {
     use crate::score::score_tree;
     use crate::similarity::{Similarity, SimilarityKind};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Every committed move leaves each category's size and each
+        /// protection's intersection equal to a fresh deduplicated count of
+        /// the tree, also when the moved item keeps another placement in
+        /// the subtree (random_case raises item bounds up to 3). Random
+        /// removals and adds, not the planner's, so that both happen next
+        /// to other placements of the same item.
+        #[test]
+        fn moves_keep_deduplicated_counts(seed in any::<u64>()) {
+            let (instance, mut tree, targets, greedy) = random_case(seed);
+            assign_items_indexed(&instance, &instance.inverted_index(), &mut tree, &targets, greedy);
+            if seed % 2 == 1 {
+                add_intermediate_categories(&instance, &mut tree, &targets);
+            }
+            let (score, view) = score_tree_viewed(&instance, &tree, &ScoreOptions::default());
+            let categories: Vec<CatId> = tree.subtree(ROOT).into_iter().filter(|&c| c != ROOT).collect();
+            let mut state = RepairState::new(&instance, &mut tree, &score, &view);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..40 {
+                let item = rng.gen_range(0..instance.num_items);
+                let placed = state.locations.of(item).to_vec();
+                let slots = state.locations.start[item as usize + 1] - state.locations.start[item as usize];
+                if !placed.is_empty() && rng.gen_bool(0.5) {
+                    state.apply_remove(item, placed[rng.gen_range(0..placed.len())]);
+                } else if let Some(&node) = categories.get(rng.gen_range(0..categories.len().max(1))) {
+                    if placed.len() >= slots as usize || placed.contains(&node) {
+                        continue;
+                    }
+                    state.apply_add(item, node);
+                } else {
+                    continue;
+                }
+                let fresh = TreeView::new(state.tree, instance.num_items);
+                prop_assert_eq!(
+                    &state.node_size,
+                    &fresh.sizes_by_category(state.tree.len()),
+                    "sizes (seed {})",
+                    seed
+                );
+                let full = state.tree.materialize();
+                for p in &state.protections {
+                    let want = instance.sets[p.set as usize].items.intersection_size(&full[p.cat as usize]);
+                    prop_assert_eq!(p.inter, want, "protection of set {} (seed {})", p.set, seed);
+                }
+            }
+        }
 
         /// The counted set-up equals the one read off materialized full
         /// sets: every category's size and every protection's intersection

@@ -1,21 +1,26 @@
 //! Compact weighted undirected graphs used as MWIS instances.
 
 /// An undirected vertex-weighted graph with sorted, deduplicated adjacency
-/// lists and no self-loops.
+/// lists and no self-loops, stored in compressed sparse row (CSR) form: the
+/// neighbours of `v` are `adj[offsets[v]..offsets[v + 1]]`.
 ///
 /// Vertices are dense `u32` indices in `0..len()`. Weights are non-negative
 /// `f64` values (input-set weights in the OCT reduction).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
-    adj: Vec<Vec<u32>>,
+    offsets: Vec<usize>,
+    adj: Vec<u32>,
     weights: Vec<f64>,
-    num_edges: usize,
 }
 
 impl Graph {
     /// Builds a graph over `weights.len()` vertices from an edge list.
     ///
-    /// Self-loops are rejected; duplicate edges are collapsed.
+    /// Self-loops are rejected; duplicate edges are collapsed. Runs in
+    /// `O(n + m)` without a comparison sort: every edge is scattered both
+    /// ways into an unsorted CSR, and one transposition pass over the
+    /// sources in ascending order writes each list sorted, duplicates next
+    /// to each other, to be collapsed in place.
     ///
     /// # Panics
     /// Panics if an endpoint is out of range, if an edge is a self-loop, or
@@ -28,26 +33,58 @@ impl Graph {
                 "vertex {i} has invalid weight {w}"
             );
         }
-        let mut adj = vec![Vec::new(); n];
+        let mut offsets = vec![0usize; n + 1];
         for &(a, b) in edges {
             assert!(
                 (a as usize) < n && (b as usize) < n,
                 "edge ({a},{b}) out of range"
             );
             assert_ne!(a, b, "self-loop at vertex {a}");
-            adj[a as usize].push(b);
-            adj[b as usize].push(a);
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
         }
-        let mut num_edges = 0;
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-            num_edges += list.len();
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
+        // Scatter each edge both ways, in edge-list order.
+        let mut cursor = offsets[..n].to_vec();
+        let mut scattered = vec![0u32; offsets[n]];
+        for &(a, b) in edges {
+            scattered[cursor[a as usize]] = b;
+            cursor[a as usize] += 1;
+            scattered[cursor[b as usize]] = a;
+            cursor[b as usize] += 1;
+        }
+        // Transpose: `u` appears in `v`'s list as often as `v` in `u`'s, so
+        // the lists keep their lengths, and with the sources visited in
+        // ascending order each list fills in ascending order.
+        cursor.copy_from_slice(&offsets[..n]);
+        let mut adj = vec![0u32; offsets[n]];
+        for u in 0..n {
+            for &v in &scattered[offsets[u]..offsets[u + 1]] {
+                adj[cursor[v as usize]] = u as u32;
+                cursor[v as usize] += 1;
+            }
+        }
+        // Collapse adjacent duplicates in place, list by list.
+        let mut write = 0;
+        let mut start = 0;
+        for v in 0..n {
+            let end = offsets[v + 1];
+            for read in start..end {
+                if read == start || adj[read] != adj[read - 1] {
+                    adj[write] = adj[read];
+                    write += 1;
+                }
+            }
+            start = end;
+            offsets[v + 1] = write;
+        }
+        adj.truncate(write);
         Self {
+            offsets,
             adj,
             weights,
-            num_edges: num_edges / 2,
         }
     }
 
@@ -66,7 +103,7 @@ impl Graph {
     /// Number of (undirected) edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.adj.len() / 2
     }
 
     /// Weight of vertex `v`.
@@ -78,18 +115,18 @@ impl Graph {
     /// Sorted neighbor list of `v`.
     #[inline]
     pub fn neighbors(&self, v: u32) -> &[u32] {
-        &self.adj[v as usize]
+        &self.adj[self.offsets[v as usize]..self.offsets[v as usize + 1]]
     }
 
     /// Degree of `v`.
     #[inline]
     pub fn degree(&self, v: u32) -> usize {
-        self.adj[v as usize].len()
+        self.offsets[v as usize + 1] - self.offsets[v as usize]
     }
 
     /// `true` when `{a, b}` is an edge.
     pub fn has_edge(&self, a: u32, b: u32) -> bool {
-        self.adj[a as usize].binary_search(&b).is_ok()
+        self.neighbors(a).binary_search(&b).is_ok()
     }
 
     /// Total weight of all vertices.
@@ -104,55 +141,59 @@ impl Graph {
     /// (`component[i] ↦ i`).
     pub fn connected_components(&self) -> Vec<(Vec<u32>, Graph)> {
         let n = self.len();
-        let mut comp = vec![u32::MAX; n];
-        let mut components: Vec<Vec<u32>> = Vec::new();
-        let mut stack = Vec::new();
+        // The members of every component, one run after another, each run
+        // sorted once its search is done; a run doubles as its search's
+        // queue.
+        let mut members: Vec<u32> = Vec::with_capacity(n);
+        let mut bounds = vec![0];
+        let mut seen = vec![false; n];
         for start in 0..n as u32 {
-            if comp[start as usize] != u32::MAX {
+            if seen[start as usize] {
                 continue;
             }
-            let id = components.len() as u32;
-            let mut members = vec![start];
-            comp[start as usize] = id;
-            stack.push(start);
-            while let Some(v) = stack.pop() {
+            let first = members.len();
+            seen[start as usize] = true;
+            members.push(start);
+            let mut next = first;
+            while let Some(&v) = members.get(next) {
+                next += 1;
                 for &u in self.neighbors(v) {
-                    if comp[u as usize] == u32::MAX {
-                        comp[u as usize] = id;
+                    if !seen[u as usize] {
+                        seen[u as usize] = true;
                         members.push(u);
-                        stack.push(u);
                     }
                 }
             }
-            members.sort_unstable();
-            components.push(members);
+            members[first..].sort_unstable();
+            bounds.push(members.len());
         }
         // One local-index map serves every component: an induced edge never
         // leaves its component, so only the current members' entries are read.
         // `local` ascends over the sorted members, so mapping a sorted,
-        // deduplicated neighbor list keeps it sorted and deduplicated.
+        // deduplicated neighbor list keeps it sorted and deduplicated, and
+        // the mapped lists, concatenated in member order, are the
+        // subgraph's CSR.
         let mut local = vec![0u32; n];
-        components
-            .into_iter()
-            .map(|members| {
+        bounds
+            .windows(2)
+            .map(|run| {
+                let members = &members[run[0]..run[1]];
                 for (i, &v) in members.iter().enumerate() {
                     local[v as usize] = i as u32;
                 }
-                let adj: Vec<Vec<u32>> = members
-                    .iter()
-                    .map(|&v| {
-                        self.neighbors(v)
-                            .iter()
-                            .map(|&u| local[u as usize])
-                            .collect()
-                    })
-                    .collect();
+                let mut offsets = Vec::with_capacity(members.len() + 1);
+                offsets.push(0);
+                let mut adj = Vec::with_capacity(members.iter().map(|&v| self.degree(v)).sum());
+                for &v in members {
+                    adj.extend(self.neighbors(v).iter().map(|&u| local[u as usize]));
+                    offsets.push(adj.len());
+                }
                 let sub = Graph {
-                    num_edges: adj.iter().map(Vec::len).sum::<usize>() / 2,
+                    offsets,
                     adj,
                     weights: members.iter().map(|&v| self.weight(v)).collect(),
                 };
-                (members, sub)
+                (members.to_vec(), sub)
             })
             .collect()
     }

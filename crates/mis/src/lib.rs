@@ -9,7 +9,8 @@
 //! Halldórsson–Losievskaja on sparse hypergraphs. This crate provides
 //! from-scratch equivalents:
 //!
-//! * [`graph::Graph`] — compact weighted undirected graphs;
+//! * [`graph::Graph`] — compact weighted undirected graphs in CSR form,
+//!   built from an edge list in `O(n + m)` without a comparison sort;
 //! * [`exact`] — branch-and-reduce exact MWIS with weighted reductions
 //!   (isolated-vertex take, degree-1 fold, neighborhood-weight take,
 //!   domination) and a greedy weighted-clique-cover upper bound;
@@ -17,7 +18,8 @@
 //!   used both for initial lower bounds and as the fallback when an instance
 //!   exceeds the exact-search budget; on dense graphs the search tests
 //!   adjacency on bit rows, a 64-bit word at a time, with the same answers
-//!   as on adjacency lists;
+//!   as on adjacency lists, and the insertion sweep skips the vertices
+//!   whose eviction a running blocked weight proves to fail;
 //! * [`hypergraph`] — MWIS on hypergraphs with edges of size ≥ 2, with an
 //!   exact hitting-set-style branch-and-bound and a greedy/local-search
 //!   fallback;

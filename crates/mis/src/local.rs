@@ -17,6 +17,18 @@
 //! every move, float sum and random draw, and thus every returned solution,
 //! is the same either way. A scratch buffer lives in the search, so its
 //! sweeps allocate nothing.
+//!
+//! Most blocked vertices are far lighter than their selected neighbors, so
+//! the insertion sweep first asks a cheaper question. Each insertion and
+//! removal already walks the vertex's neighbors to count their selected
+//! neighbors; it also keeps, per vertex, a running sum of those neighbors'
+//! weights and a bound on that sum's rounding error, both reset to exactly
+//! 0 when the count reaches 0. A vertex whose weight is below the sum minus
+//! its error, shrunk by the rounding of a `k`-term sum, provably fails the
+//! eviction test, and the sweep skips it without listing its blockers
+//! (`Search::eviction_fails` holds the proof). Every other vertex runs the
+//! exact ascending sum and its 1e-12 margin unchanged, so the skip too
+//! leaves every move and every returned solution as it was.
 
 use crate::graph::Graph;
 use rand::rngs::StdRng;
@@ -156,14 +168,16 @@ pub fn repair(g: &Graph, hint: &[u32], max_rounds: usize, seed: u64) -> Vec<u32>
     local_search(g, &kept, max_rounds, seed)
 }
 
-/// Local-search state: the selection, per-vertex selected-neighbour counts,
-/// optional bit rows, and a scratch buffer reused by every sweep, so that a
-/// sweep allocates nothing.
+/// Local-search state: the selection, per-vertex selected-neighbour counts
+/// and running blocked weights, optional bit rows, and a scratch buffer
+/// reused by every sweep, so that a sweep allocates nothing.
 struct Search<'g> {
     g: &'g Graph,
     in_sol: Vec<bool>,
     /// Number of selected neighbors per vertex.
     sel_neighbors: Vec<u32>,
+    /// Running weight of each vertex's selected neighbors.
+    blocked: Vec<Blocked>,
     weight: f64,
     /// Present when the graph passes the row rule ([`BitRows::build`]).
     rows: Option<BitRows>,
@@ -211,6 +225,26 @@ impl BitRows {
     }
 }
 
+/// A running float sum of the weights of one vertex's selected neighbors,
+/// kept in insertion and removal order, with a bound `err` on its distance
+/// from the exact real sum. Both are exactly 0 while the vertex has no
+/// selected neighbor.
+#[derive(Clone, Copy, Default)]
+struct Blocked {
+    sum: f64,
+    err: f64,
+}
+
+impl Blocked {
+    /// Adds `w` (negative to take it away). Rounding moves the new sum by at
+    /// most `ε·|sum|`; the bound grows by `2ε·(|sum| + err)`, which also
+    /// covers the rounding of the bound's own addition.
+    fn shift(&mut self, w: f64) {
+        self.sum += w;
+        self.err += 2.0 * f64::EPSILON * (self.sum.abs() + self.err);
+    }
+}
+
 fn set_bit(bits: &mut [u64], v: u32) {
     bits[v as usize / 64] |= 1 << (v % 64);
 }
@@ -237,6 +271,7 @@ impl<'g> Search<'g> {
             g,
             in_sol: vec![false; n],
             sel_neighbors: vec![0; n],
+            blocked: vec![Blocked::default(); n],
             weight: 0.0,
             rows: BitRows::build(g),
             buf: Vec::new(),
@@ -257,9 +292,11 @@ impl<'g> Search<'g> {
         debug_assert!(!self.in_sol[v as usize]);
         debug_assert_eq!(self.sel_neighbors[v as usize], 0);
         self.in_sol[v as usize] = true;
-        self.weight += self.g.weight(v);
+        let w = self.g.weight(v);
+        self.weight += w;
         for &u in self.g.neighbors(v) {
             self.sel_neighbors[u as usize] += 1;
+            self.blocked[u as usize].shift(w);
         }
         if let Some(r) = &mut self.rows {
             set_bit(&mut r.sel, v);
@@ -269,9 +306,16 @@ impl<'g> Search<'g> {
     fn remove(&mut self, v: u32) {
         debug_assert!(self.in_sol[v as usize]);
         self.in_sol[v as usize] = false;
-        self.weight -= self.g.weight(v);
+        let w = self.g.weight(v);
+        self.weight -= w;
         for &u in self.g.neighbors(v) {
-            self.sel_neighbors[u as usize] -= 1;
+            let u = u as usize;
+            self.sel_neighbors[u] -= 1;
+            if self.sel_neighbors[u] == 0 {
+                self.blocked[u] = Blocked::default();
+            } else {
+                self.blocked[u].shift(-w);
+            }
         }
         if let Some(r) = &mut self.rows {
             clear_bit(&mut r.sel, v);
@@ -295,6 +339,14 @@ impl<'g> Search<'g> {
                 if self.is_free(v) {
                     self.insert(v);
                     improved = true;
+                    continue;
+                }
+                if self.eviction_fails(v) {
+                    debug_assert!({
+                        self.collect_blockers(v);
+                        let exact: f64 = self.buf.iter().map(|&u| self.g.weight(u)).sum();
+                        self.g.weight(v) <= exact + 1e-12
+                    });
                     continue;
                 }
                 self.collect_blockers(v);
@@ -325,6 +377,26 @@ impl<'g> Search<'g> {
                 return;
             }
         }
+    }
+
+    /// `true` when the running blocked weight proves that evicting `v`'s
+    /// selected neighbors for `v` fails the sweep's test
+    /// `w(v) > T + 1e-12`, where `T` is their weights summed in ascending
+    /// order, so the sweep may skip collecting them.
+    ///
+    /// Proof. Let `S` be the exact sum of the `k` blocking weights and
+    /// `u = ε/2` the unit roundoff. [`Blocked`] keeps `|sum − S| ≤ err`.
+    /// Summing `k` non-negative terms one by one loses at most a factor
+    /// `(1 − u)^(k−1)`, so `T ≥ S·(1 − (k − 1)·u)`. The bound below is
+    /// `c = fl(fl(sum − err)·fl(1 − 4(k + 2)ε))`. When `sum − err ≤ 0`, `c ≤ 0`
+    /// and no weight is below it. Otherwise its three roundings give
+    /// `c ≤ (sum − err)·(1 + u)³·(1 − 8(k + 2)·u) ≤ S·(1 − (k + 2)·u) ≤ T`.
+    /// So `w(v) < c` gives `w(v) < T ≤ fl(T + 1e-12)`: the test fails, and
+    /// skipping it changes no move, float sum or random draw.
+    fn eviction_fails(&self, v: u32) -> bool {
+        let Blocked { sum, err } = self.blocked[v as usize];
+        let k = self.sel_neighbors[v as usize] as f64;
+        self.g.weight(v) < (sum - err) * (1.0 - 4.0 * (k + 2.0) * f64::EPSILON)
     }
 
     /// Fills `buf` with the selected neighbors of `v`, ascending: one AND

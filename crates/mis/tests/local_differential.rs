@@ -46,6 +46,39 @@ fn graph(n: usize, ratio: f64, seed: u64) -> Graph {
     Graph::new(weights, &edges)
 }
 
+/// A `G(n, p)` graph like [`graph`] whose weights span sixteen orders of
+/// magnitude: 1e16 and its thirds beside 1.0, 1.5, 1.75 and thirds. A running
+/// sum of such weights rounds, and cancels when a heavy neighbour leaves
+/// the selection, so the sweep's skip is sound only through its error
+/// bound.
+fn wide_graph(n: usize, ratio: f64, seed: u64) -> Graph {
+    const PALETTE: [f64; 9] = [
+        1e16,
+        1e16 / 3.0,
+        2e16 / 3.0,
+        1.0,
+        1.5,
+        1.75,
+        1.0 / 3.0,
+        2.0 / 3.0,
+        0.0,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let p = (ratio * rule_density(n)).min(1.0);
+    let weights = (0..n)
+        .map(|_| PALETTE[rng.gen_range(0..PALETTE.len())])
+        .collect();
+    let mut edges = Vec::new();
+    for a in 0..n as u32 {
+        for b in a + 1..n as u32 {
+            if rng.gen_bool(p) {
+                edges.push((a, b));
+            }
+        }
+    }
+    Graph::new(weights, &edges)
+}
+
 /// Runs both searches from the greedy start, and both repairs from `hint`,
 /// against the oracle.
 fn check(g: &Graph, hint: &[u32], rounds: usize, seed: u64) -> Result<(), String> {
@@ -81,6 +114,28 @@ fn boundary_sizes_match_the_oracle_on_both_sides_of_the_row_rule() {
         }
     }
     assert!(rows >= 6 && lists >= 6, "rows {rows}, lists {lists}");
+}
+
+#[test]
+fn wide_dynamic_range_weights_match_the_oracle() {
+    // The hint selects 1 and 2, so 3's running sum is fl(1e16 + 1.5) =
+    // 1e16 + 2. Then 0 evicts 1, leaving 2 as 3's only blocker, and the sum
+    // cancels to 2 against an exact 1.5: 3 (1.75) must still evict 2.
+    let g = Graph::new(vec![2e16, 1e16, 1.5, 1.75], &[(0, 1), (1, 3), (2, 3)]);
+    check(&g, &[1, 2], 0, 1).expect("cancelling running sum");
+    assert_eq!(local::repair(&g, &[1, 2], 0, 1), vec![0, 3]);
+    for (i, &n) in [8, 30, 64, 65, 129].iter().enumerate() {
+        for (j, ratio) in [0.7, 1.4, 6.0, 30.0].into_iter().enumerate() {
+            for k in 0..2u64 {
+                let seed = (i * 100 + j * 10) as u64 + k;
+                let g = wide_graph(n, ratio, seed);
+                let hint: Vec<u32> = (0..n as u32).step_by(2).collect();
+                if let Err(e) = check(&g, &hint, 20, seed) {
+                    panic!("n={n} ratio={ratio} seed={seed}: {e}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {

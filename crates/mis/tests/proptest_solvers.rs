@@ -5,6 +5,8 @@ use oct_mis::{
     Solver,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Random small graph: vertex weights and an edge list.
 fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -49,6 +51,51 @@ proptest! {
         let brute = brute_force_graph(&g);
         prop_assert!((res.weight - brute).abs() < 1e-6,
             "exact {} vs brute {}", res.weight, brute);
+    }
+
+    /// `Graph::new`'s linear-time build equals sorting and deduplicating
+    /// each vertex's list, whatever the order, orientation and repetition
+    /// of the edge list: the list as drawn, shuffled, reversed and flipped,
+    /// and followed by its own reversal. Graphs of 0 and 1 vertices and
+    /// isolated vertices are included.
+    #[test]
+    fn build_equals_the_sort_and_dedup_reference(
+        n in 0usize..40,
+        raw in prop::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+        seed in any::<u64>(),
+    ) {
+        let edges: Vec<(u32, u32)> = raw
+            .iter()
+            .map(|&(a, b)| (a % n.max(1) as u32, b % n.max(1) as u32))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let mut reference = vec![Vec::new(); n];
+        for &(a, b) in &edges {
+            reference[a as usize].push(b);
+            reference[b as usize].push(a);
+        }
+        for list in &mut reference {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut shuffled = edges.clone();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        let reversed: Vec<(u32, u32)> = edges.iter().rev().map(|&(a, b)| (b, a)).collect();
+        let doubled: Vec<(u32, u32)> = edges.iter().chain(&reversed).copied().collect();
+        let weights: Vec<f64> = (0..n).map(|v| v as f64).collect();
+        for list in [&edges, &shuffled, &reversed, &doubled] {
+            let g = Graph::new(weights.clone(), list);
+            prop_assert_eq!(g.len(), n);
+            prop_assert_eq!(g.num_edges(), reference.iter().map(Vec::len).sum::<usize>() / 2);
+            for (v, want) in reference.iter().enumerate() {
+                prop_assert_eq!(g.neighbors(v as u32), &want[..]);
+                prop_assert_eq!(g.degree(v as u32), want.len());
+                prop_assert_eq!(g.weight(v as u32), v as f64);
+            }
+        }
     }
 
     /// Each component's subgraph, built from the parent's sorted lists,
