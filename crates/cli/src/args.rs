@@ -2,6 +2,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
+use std::str::FromStr;
 
 use oct_core::similarity::{Similarity, SimilarityKind};
 
@@ -322,6 +323,38 @@ impl Flags {
         self.get(name).is_some()
     }
 
+    /// `--name` parsed as a `T`, if given; `bad --name value "v"` when it
+    /// does not parse.
+    fn value<T: FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.value_where(name, "", |_| true)
+    }
+
+    /// [`value`](Self::value) of a count that must be at least 1.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(
+        &self,
+        name: &str,
+    ) -> Result<Option<T>, String> {
+        self.value_where(name, "need >= 1", |v| *v >= T::from(1))
+    }
+
+    /// [`value`](Self::value) that must also pass `valid`; `need` describes
+    /// the valid values in the error.
+    fn value_where<T: FromStr>(
+        &self,
+        name: &str,
+        need: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.get(name) else {
+            return Ok(None);
+        };
+        match v.parse() {
+            Ok(parsed) if valid(&parsed) => Ok(Some(parsed)),
+            _ if need.is_empty() => Err(format!("bad --{name} value {v:?}")),
+            _ => Err(format!("bad --{name} value {v:?} ({need})")),
+        }
+    }
+
     /// Whether the bare switch `--name` was given.
     fn switch(&self, name: &str) -> bool {
         self.read.borrow_mut().insert(name.to_owned());
@@ -376,12 +409,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             "exact" => SimilarityKind::Exact,
             other => return Err(format!("unknown variant {other:?}")),
         };
-        let delta: f64 = match flags.get("delta") {
-            Some(d) => d.parse().map_err(|_| format!("bad delta {d:?}"))?,
-            None if kind == SimilarityKind::Exact => 1.0,
-            None => 0.8,
-        };
-        if kind == SimilarityKind::Exact && (delta - 1.0).abs() > 1e-12 {
+        let exact = kind == SimilarityKind::Exact;
+        let delta: f64 = flags
+            .value("delta")?
+            .unwrap_or(if exact { 1.0 } else { 0.8 });
+        if exact && (delta - 1.0).abs() > 1e-12 {
             return Err("the exact variant requires --delta 1".to_owned());
         }
         Ok(Similarity::new(kind, delta))
@@ -393,28 +425,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             .ok_or_else(|| format!("--{name} is required"))
     };
     let items = |flags: &Flags| -> Result<u32, String> {
-        required(flags, "items")?
-            .parse()
-            .map_err(|_| "bad --items value".to_owned())
+        (flags.value("items")?).ok_or_else(|| "--items is required".to_owned())
     };
-    let threads = |flags: &Flags| -> Result<usize, String> {
-        flags
-            .get("threads")
-            .map(|t| t.parse().map_err(|_| format!("bad --threads value {t:?}")))
-            .transpose()
-            .map(|t| t.unwrap_or(0))
-    };
-    let deadline_ms = |flags: &Flags| -> Result<Option<u64>, String> {
-        flags
-            .get("deadline-ms")
-            .map(|d| {
-                // 0 is legal and means "already expired": every stage
-                // runs its degraded path — the cheapest valid output.
-                d.parse::<u64>()
-                    .map_err(|_| format!("bad --deadline-ms value {d:?}"))
-            })
-            .transpose()
-    };
+    let threads =
+        |flags: &Flags| -> Result<usize, String> { Ok(flags.value("threads")?.unwrap_or(0)) };
+    // 0 is legal and means "already expired": every stage runs its
+    // degraded path — the cheapest valid output.
+    let deadline_ms = |flags: &Flags| flags.value::<u64>("deadline-ms");
 
     let parsed = match command.as_str() {
         "build" => Ok(Command::Build {
@@ -423,25 +440,12 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             similarity: similarity(&flags)?,
             out: flags.get("out").cloned(),
             no_merge: flags.switch("no-merge"),
-            min_frequency: flags
-                .get("min-frequency")
-                .map(|f| f.parse().map_err(|_| "bad --min-frequency".to_owned()))
-                .transpose()?
-                .unwrap_or(0.0),
+            min_frequency: flags.value("min-frequency")?.unwrap_or(0.0),
             labels: flags.switch("labels"),
             metrics: flags.get("metrics").cloned(),
             threads: threads(&flags)?,
             deadline_ms: deadline_ms(&flags)?,
-            rounds: flags
-                .get("rounds")
-                .map(|r| {
-                    r.parse::<usize>()
-                        .ok()
-                        .filter(|&r| r >= 1)
-                        .ok_or_else(|| format!("bad --rounds value {r:?} (need >= 1)"))
-                })
-                .transpose()?
-                .unwrap_or(1),
+            rounds: flags.positive("rounds")?.unwrap_or(1),
             checkpoint_dir: flags.get("checkpoint-dir").cloned(),
             resume: flags.switch("resume"),
         }),
@@ -455,28 +459,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }),
         "inspect" => Ok(Command::Inspect {
             tree: required(&flags, "tree")?,
-            depth: flags
-                .get("depth")
-                .map(|d| d.parse().map_err(|_| "bad --depth".to_owned()))
-                .transpose()?
-                .unwrap_or(3),
+            depth: flags.value("depth")?.unwrap_or(3),
         }),
         "export" => Ok(Command::Export {
             dataset: required(&flags, "dataset")?,
-            scale: flags
-                .get("scale")
-                .map(|s| s.parse().map_err(|_| "bad --scale".to_owned()))
-                .transpose()?
-                .unwrap_or(0.02),
+            scale: flags.value("scale")?.unwrap_or(0.02),
             out: flags.get("out").cloned(),
         }),
         "dot" => Ok(Command::Dot {
             tree: required(&flags, "tree")?,
-            depth: flags
-                .get("depth")
-                .map(|d| d.parse().map_err(|_| "bad --depth".to_owned()))
-                .transpose()?
-                .unwrap_or(0),
+            depth: flags.value("depth")?.unwrap_or(0),
             out: flags.get("out").cloned(),
         }),
         "diff" => Ok(Command::Diff {
@@ -490,26 +482,8 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .get("addr")
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:7171".to_owned()),
-            workers: flags
-                .get("workers")
-                .map(|w| {
-                    w.parse::<usize>()
-                        .ok()
-                        .filter(|&w| w >= 1)
-                        .ok_or_else(|| format!("bad --workers value {w:?} (need >= 1)"))
-                })
-                .transpose()?
-                .unwrap_or(4),
-            queue: flags
-                .get("queue")
-                .map(|q| {
-                    q.parse::<usize>()
-                        .ok()
-                        .filter(|&q| q >= 1)
-                        .ok_or_else(|| format!("bad --queue value {q:?} (need >= 1)"))
-                })
-                .transpose()?
-                .unwrap_or(64),
+            workers: flags.positive("workers")?.unwrap_or(4),
+            queue: flags.positive("queue")?.unwrap_or(64),
             similarity: similarity(&flags)?,
             deadline_ms: deadline_ms(&flags)?,
             metrics: flags.get("metrics").cloned(),
@@ -522,35 +496,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             send: required(&flags, "send")?,
         }),
         "index" => {
-            let positive = |name: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(name)
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --{name} value {v:?} (need >= 1)"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
+            use oct_core::vector::{DEFAULT_DIM, DEFAULT_EF_CONSTRUCTION, DEFAULT_M, DEFAULT_SEED};
             Ok(Command::Index {
                 tree: required(&flags, "tree")?,
                 out: flags.get("out").cloned(),
-                dim: positive("dim", oct_core::vector::DEFAULT_DIM)?,
-                m: positive("m", oct_core::vector::DEFAULT_M)?,
-                ef_construction: positive(
-                    "ef-construction",
-                    oct_core::vector::DEFAULT_EF_CONSTRUCTION,
-                )?,
-                seed: flags
-                    .get("seed")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad --seed value {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(oct_core::vector::DEFAULT_SEED),
+                dim: flags.positive("dim")?.unwrap_or(DEFAULT_DIM),
+                m: flags.positive("m")?.unwrap_or(DEFAULT_M),
+                ef_construction: (flags.positive("ef-construction")?)
+                    .unwrap_or(DEFAULT_EF_CONSTRUCTION),
+                seed: flags.value("seed")?.unwrap_or(DEFAULT_SEED),
             })
         }
         "navigate" => {
@@ -576,30 +530,10 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "navigate needs exactly one of --addr (remote) or --tree (offline)".to_owned(),
                 );
             }
-            let positive = |name: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(name)
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --{name} value {v:?} (need >= 1)"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
             Ok(Command::Navigate {
                 items: item_ids,
-                k: positive("k", 5)?,
-                ef: flags
-                    .get("ef")
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --ef value {v:?} (need >= 1)"))
-                    })
-                    .transpose()?,
+                k: flags.positive("k")?.unwrap_or(5),
+                ef: flags.positive("ef")?,
                 addr,
                 tree,
                 similarity: similarity(&flags)?,
@@ -623,36 +557,15 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if shards.is_empty() {
                 return Err("--shards needs at least one shard".to_owned());
             }
-            let positive = |name: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(name)
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --{name} value {v:?} (need >= 1)"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
             Ok(Command::Router {
                 addr: flags
                     .get("addr")
                     .cloned()
                     .unwrap_or_else(|| "127.0.0.1:7272".to_owned()),
                 shards,
-                workers: positive("workers", 4)?,
-                queue: positive("queue", 64)?,
-                attempt_ms: flags
-                    .get("attempt-ms")
-                    .map(|v| {
-                        v.parse::<u64>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --attempt-ms value {v:?} (need >= 1)"))
-                    })
-                    .transpose()?
-                    .unwrap_or(250),
+                workers: flags.positive("workers")?.unwrap_or(4),
+                queue: flags.positive("queue")?.unwrap_or(64),
+                attempt_ms: flags.positive("attempt-ms")?.unwrap_or(250),
                 deadline_ms: deadline_ms(&flags)?,
                 metrics: flags.get("metrics").cloned(),
             })
@@ -709,89 +622,26 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 .unwrap_or_default();
             Ok(Command::Chaos {
                 routes,
-                seed: flags
-                    .get("seed")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad --seed value {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(42),
+                seed: flags.value("seed")?.unwrap_or(42),
                 profile,
                 blackhole,
-                print_plan: flags
-                    .get("print-plan")
-                    .map(|n| {
-                        n.parse::<usize>()
-                            .map_err(|_| format!("bad --print-plan value {n:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(0),
+                print_plan: flags.value("print-plan")?.unwrap_or(0),
                 plan_only: flags.switch("plan-only"),
             })
         }
-        "loadgen" => {
-            let positive = |name: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(name)
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --{name} value {v:?} (need >= 1)"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            Ok(Command::Loadgen {
-                addr: flags
-                    .get("addr")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:7171".to_owned()),
-                items: items(&flags)?,
-                connections: positive("connections", 4)?,
-                requests: positive("requests", 200)?,
-                rps: flags
-                    .get("rps")
-                    .map(|v| {
-                        v.parse::<u32>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --rps value {v:?} (need >= 1)"))
-                    })
-                    .transpose()?,
-                zipf: flags
-                    .get("zipf")
-                    .map(|v| {
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|&s| s.is_finite() && s > 0.0)
-                            .ok_or_else(|| format!("bad --zipf value {v:?} (need > 0)"))
-                    })
-                    .transpose()?,
-                seed: flags
-                    .get("seed")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad --seed value {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(42),
-            })
-        }
+        "loadgen" => Ok(Command::Loadgen {
+            addr: flags
+                .get("addr")
+                .cloned()
+                .unwrap_or_else(|| "127.0.0.1:7171".to_owned()),
+            items: items(&flags)?,
+            connections: flags.positive("connections")?.unwrap_or(4),
+            requests: flags.positive("requests")?.unwrap_or(200),
+            rps: flags.positive("rps")?,
+            zipf: flags.value_where("zipf", "need > 0", |s: &f64| s.is_finite() && *s > 0.0)?,
+            seed: flags.value("seed")?.unwrap_or(42),
+        }),
         "watch" => {
-            let positive_usize = |name: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(name)
-                    .map(|v| {
-                        v.parse::<usize>()
-                            .ok()
-                            .filter(|&v| v >= 1)
-                            .ok_or_else(|| format!("bad --{name} value {v:?} (need >= 1)"))
-                    })
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
             let addr = flags.get("addr").cloned();
             let out = flags.get("out").cloned();
             if addr.is_some() && out.is_none() {
@@ -804,39 +654,17 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 log: required(&flags, "log")?,
                 items: items(&flags)?,
                 similarity: similarity(&flags)?,
-                days: positive_usize("days", 30)?,
-                batches: positive_usize("batches", 10)?,
-                spike_fraction: flags
-                    .get("spike-fraction")
-                    .map(|f| {
-                        f.parse::<f64>()
-                            .ok()
-                            .filter(|&f| (0.0..=1.0).contains(&f))
-                            .ok_or_else(|| {
-                                format!("bad --spike-fraction value {f:?} (need [0, 1])")
-                            })
-                    })
-                    .transpose()?
-                    .unwrap_or(0.2),
-                seed: flags
-                    .get("seed")
-                    .map(|s| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad --seed value {s:?}"))
-                    })
-                    .transpose()?
-                    .unwrap_or(42),
-                recent_days: positive_usize("recent-days", 14)?,
-                min_weight: flags
-                    .get("min-weight")
-                    .map(|w| {
-                        w.parse::<f64>()
-                            .ok()
-                            .filter(|w| w.is_finite() && *w >= 0.0)
-                            .ok_or_else(|| format!("bad --min-weight value {w:?} (need >= 0)"))
-                    })
-                    .transpose()?
-                    .unwrap_or(1.0),
+                days: flags.positive("days")?.unwrap_or(30),
+                batches: flags.positive("batches")?.unwrap_or(10),
+                spike_fraction: (flags
+                    .value_where("spike-fraction", "need [0, 1]", |f| (0.0..=1.0).contains(f))?)
+                .unwrap_or(0.2),
+                seed: flags.value("seed")?.unwrap_or(42),
+                recent_days: flags.positive("recent-days")?.unwrap_or(14),
+                min_weight: (flags.value_where("min-weight", "need >= 0", |w: &f64| {
+                    w.is_finite() && *w >= 0.0
+                })?)
+                .unwrap_or(1.0),
                 out,
                 addr,
                 checkpoint: flags.get("checkpoint").cloned(),

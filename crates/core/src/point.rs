@@ -1,64 +1,55 @@
 //! Point queries: score a *single* item set against a prebuilt tree.
 //!
-//! Batch scoring ([`crate::score`]) aggregates a whole tree against a whole
-//! instance — the right shape for evaluation runs, and entirely the wrong
-//! shape for a serving daemon that answers one query at a time against a
-//! long-lived tree. This module splits that work: a [`PointIndex`] is built
-//! once per tree (each item's direct categories, the parent array, category
-//! sizes and depths). A query's `|q ∩ C|` counts come from walking its
-//! items' direct categories up their parent chains, with the chain counter
-//! repair's candidate search also uses: the cost is the sum of the items'
-//! chain lengths, proportional to the query, not the tree, and no
-//! category's item set is materialized.
+//! Batch scoring ([`crate::score`]) scores a whole instance against a tree
+//! — the right shape for evaluation runs, and the wrong one for a serving
+//! daemon that answers one query at a time against a long-lived tree. A
+//! [`PointIndex`] is the scoring kernel's dense tree view (post-order
+//! ranks, parents, depths, an item → location CSR and deduplicated
+//! `|full(C)|`), built once per tree. A lookup is the kernel's one-set
+//! pass over the query's known items: it reaches the categories whose
+//! subtree holds a query item, in post order, and scores each with its
+//! complete `|q ∩ full(C)|`. The cost is the query's placements plus the
+//! categories it reaches; no category's item set is materialized.
 //!
-//! Every lookup scores candidates with [`Cover::new`] and folds them
-//! with [`Cover::beats`], the order batch scoring uses, so a point query
-//! over a set returns exactly the cover [`crate::score::score_tree`] would
-//! report for it; tests pin that equivalence. Top-k rankings sort with
-//! [`Cover::exact_cmp`]. Like batch scoring, only categories that share an
-//! item with the query are scored.
+//! Every lookup scores with [`Cover::new`] and folds with [`Cover::beats`]
+//! in the order batch scoring uses, so a point query over a set returns
+//! the very cover [`crate::score::score_tree`] reports for it: the two are
+//! one pass, and tests pin the bits. Top-k rankings sort with
+//! [`Cover::exact_cmp`]. Only categories that share an item with the query
+//! are scored.
 //!
-//! Point lookups are [`Budget`]-aware for serving: on expiry the candidate
-//! scan stops early and the partial best is returned flagged
-//! [`degraded`](PointCover::degraded) — pessimistic, never wrong, matching
-//! the batch path's degraded-scoring contract.
+//! Point lookups are [`Budget`]-aware for serving: the budget is checked
+//! before the first candidate and every [`DEADLINE_STRIDE`] candidates
+//! after; on expiry the rest of the pass is left unscored and the partial
+//! best is returned flagged [`degraded`](PointCover::degraded) —
+//! pessimistic, never wrong, matching the batch path's degraded-scoring
+//! contract.
 
 use oct_resilience::Budget;
 
-use crate::csr::CsrIndex;
-use crate::itemset::ItemId;
-use crate::score::{category_depths, Cover, SetCover};
+use crate::score::{Cover, Hits, SetCover, TreeView};
 use crate::similarity::Similarity;
-use crate::tree::{CatId, CategoryTree, ChainCounter};
+use crate::tree::{CatId, CategoryTree};
 use crate::vector::{VectorIndex, DEFAULT_EF_SEARCH};
 
-/// How often (in categories) a point query reads the wall clock.
+/// How often (in candidate categories) a point query reads the wall clock.
 const DEADLINE_STRIDE: u64 = 64;
 
 /// Candidate pool floor for top-k navigation: reranking a few extra
 /// candidates is cheap and buys recall headroom when k is small.
 pub const TOPK_POOL_FLOOR: usize = 32;
 
-/// Immutable per-tree index answering single-set cover queries. It keeps
-/// only the tree's shape (each item's direct categories, each category's
-/// parent) and counts a query's intersections up the parent chains.
+/// Immutable per-tree index answering single-set cover queries: the
+/// scoring kernel's view of the tree.
 ///
 /// Build once per tree snapshot ([`PointIndex::build`]), then share freely:
 /// lookups take `&self`, so a serving daemon can hand one `Arc`'d index to
 /// every worker and swap in a fresh one atomically when the tree rebuilds.
 #[derive(Debug, Clone)]
 pub struct PointIndex {
-    /// `item → live categories it is directly assigned to`, ascending.
-    direct: CsrIndex,
-    /// Parent per category slot (`None` for the root and removed slots).
-    parents: Vec<Option<CatId>>,
-    /// Full (deduplicated-subtree) size per category slot, 0 for removed
-    /// slots — counted by one chain walk over every item at build time.
-    cat_sizes: Vec<u32>,
-    /// Depth per category slot (root = 0).
-    depths: Vec<u32>,
-    /// Number of live categories indexed.
-    live_categories: usize,
+    /// The live categories in post order, over a universe that holds
+    /// every assigned item.
+    view: TreeView,
 }
 
 /// One ranked cover from a top-k query: a category with its exact
@@ -104,46 +95,30 @@ pub struct Navigation {
 }
 
 impl PointIndex {
-    /// Indexes `tree` for point lookups. `num_items` sizes the inverted
-    /// index; items assigned in the tree beyond it extend it automatically.
+    /// Indexes `tree` for point lookups over a universe of `num_items`,
+    /// extended to hold every item assigned in the tree.
     pub fn build(tree: &CategoryTree, num_items: u32) -> Self {
-        let live_items = |c| (!tree.is_removed(c)).then(|| tree.direct_items(c));
-        let rows: Vec<&[ItemId]> = tree
-            .category_ids()
-            .map(|c| live_items(c).unwrap_or_default())
-            .collect();
-        let max_assigned = rows.iter().flat_map(|r| r.iter().max()).max();
-        let slots = num_items.max(max_assigned.map_or(0, |&m| m + 1));
-        let direct = CsrIndex::build(slots, rows.iter().copied());
-        let parents: Vec<Option<CatId>> = tree.category_ids().map(|c| tree.parent(c)).collect();
-        // With every item as the query, the counter yields `|full(C)|`.
-        let mut cat_sizes = vec![0u32; tree.len()];
-        let every_item = direct.entries().map(|(_, cats)| cats);
-        for (cat, n) in ChainCounter::new(tree.len()).count(every_item, |c| parents[c as usize]) {
-            cat_sizes[cat as usize] = n as u32;
-        }
+        let live = tree.category_ids().filter(|&c| !tree.is_removed(c));
+        let max_assigned = live.flat_map(|c| tree.direct_items(c).iter().max()).max();
+        let universe = num_items.max(max_assigned.map_or(0, |&m| m + 1));
         Self {
-            direct,
-            parents,
-            cat_sizes,
-            depths: category_depths(tree),
-            live_categories: tree.live_categories().len(),
+            view: TreeView::new(tree, universe),
         }
     }
 
     /// Number of live categories indexed.
     pub fn len(&self) -> usize {
-        self.live_categories
+        self.view.len()
     }
 
     /// `true` when the indexed tree has no live categories.
     pub fn is_empty(&self) -> bool {
-        self.live_categories == 0
+        self.view.len() == 0
     }
 
     /// Number of item slots in the inverted index.
     pub fn num_items(&self) -> u32 {
-        self.direct.num_items() as u32
+        self.view.num_items() as u32
     }
 
     /// Best cover of `items` (treated as a set; duplicates are ignored)
@@ -161,8 +136,7 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
-        let (q_len, counts) = self.query_counts(items);
-        self.best_of(q_len, counts.into_iter(), similarity, budget)
+        self.best_of(items, None, similarity, budget)
     }
 
     /// Best cover of `items` evaluated over `candidates` only — the exact
@@ -175,8 +149,8 @@ impl PointIndex {
     /// every category intersecting the query (ANN recall 1 — guaranteed
     /// with a beam covering the whole index), the result equals the
     /// exhaustive scan's. Unknown, removed, or duplicate candidate ids are
-    /// skipped; evaluation order is ascending category id regardless of
-    /// input order.
+    /// skipped; evaluation order is the exhaustive scan's post order
+    /// regardless of input order.
     pub fn best_cover_among(
         &self,
         items: &[u32],
@@ -184,8 +158,7 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
-        let (q_len, pairs) = self.candidate_pairs(items, candidates);
-        self.best_of(q_len, pairs, similarity, budget)
+        self.best_of(items, Some(&sorted(candidates)), similarity, budget)
     }
 
     /// The top `k` covers of `items` among `candidates`, best first, with
@@ -196,8 +169,8 @@ impl PointIndex {
     /// replicas. Only positive-similarity categories are returned, so fewer
     /// than `k` entries means nothing else intersected. Unknown, removed or
     /// duplicate candidate ids are skipped. On budget expiry the scan stops
-    /// and the partial ranking over the evaluated prefix is returned with
-    /// `degraded = true` — pessimistic, never wrong.
+    /// and the partial ranking over the evaluated candidates is returned
+    /// with `degraded = true` — pessimistic, never wrong.
     pub fn top_covers_among(
         &self,
         items: &[u32],
@@ -206,9 +179,9 @@ impl PointIndex {
         similarity: &Similarity,
         budget: &Budget,
     ) -> (Vec<RankedCover>, bool) {
-        let (q_len, pairs) = self.candidate_pairs(items, candidates);
         let mut scored: Vec<Cover> = Vec::new();
-        let (_, degraded) = self.scan(q_len, pairs, similarity, budget, |cover| {
+        let among = sorted(candidates);
+        let (_, degraded) = self.scan(items, Some(&among), similarity, budget, |cover| {
             if cover.similarity > 0.0 {
                 scored.push(cover);
             }
@@ -246,17 +219,17 @@ impl PointIndex {
         }
     }
 
-    /// The best cover among `(cat, |C ∩ q|)` pairs for a query of `q_len`
-    /// items, folded with [`Cover::beats`].
+    /// The best cover of `items` among `among` (every category when
+    /// `None`), folded with [`Cover::beats`].
     fn best_of(
         &self,
-        q_len: usize,
-        pairs: impl Iterator<Item = (CatId, usize)>,
+        items: &[u32],
+        among: Option<&[CatId]>,
         similarity: &Similarity,
         budget: &Budget,
     ) -> PointCover {
         let mut best: Option<Cover> = None;
-        let (evaluated, degraded) = self.scan(q_len, pairs, similarity, budget, |cover| {
+        let (evaluated, degraded) = self.scan(items, among, similarity, budget, |cover| {
             if cover.beats(best.as_ref()) {
                 best = Some(cover);
             }
@@ -272,77 +245,62 @@ impl PointIndex {
         }
     }
 
-    /// Scores every pair with `|C ∩ q| > 0` in order and hands it to
-    /// `visit`, checking `budget` as it goes. Returns the number of covers
-    /// scored and whether the budget cut the scan short.
+    /// The kernel's one-set pass: scores every category that shares an
+    /// item with `items` and is in `among` (sorted; every category when
+    /// `None`), in post order, and hands it to `visit`. Returns the number
+    /// of covers scored and whether the budget cut the pass short.
+    ///
+    /// The query is deduplicated and keeps its unknown items in its size
+    /// (see [`best_cover`](Self::best_cover)); only the known ones are
+    /// walked. A candidate list is checked against the budget before its
+    /// first entry, so an expired budget degrades it even when no
+    /// candidate intersects the query.
     fn scan(
         &self,
-        q_len: usize,
-        pairs: impl Iterator<Item = (CatId, usize)>,
+        items: &[u32],
+        among: Option<&[CatId]>,
         similarity: &Similarity,
         budget: &Budget,
         mut visit: impl FnMut(Cover),
     ) -> (usize, bool) {
+        let query = sorted(items);
+        let known = query.partition_point(|&i| (i as usize) < self.view.num_items());
         let limited = budget.is_limited();
-        let mut evaluated = 0;
-        for (seen, (cat, inter)) in pairs.enumerate() {
-            if limited && budget.check_every(seen as u64, DEADLINE_STRIDE) {
-                return (evaluated, true);
-            }
-            // A category sharing no item with the query scores 0 for any
-            // non-empty query; skipping it keeps an empty query from
-            // scoring an empty category's `0/0` as 1.
-            if inter == 0 {
-                continue;
-            }
-            let (delta, depth) = (similarity.delta, self.depths[cat as usize]);
-            let c_len = self.cat_sizes[cat as usize] as usize;
-            let cover = Cover::new(similarity, delta, q_len, c_len, inter, cat, depth);
-            visit(cover);
-            evaluated += 1;
+        let mut checks = 0u64;
+        let mut expired = || {
+            checks += 1;
+            limited && budget.check_every(checks - 1, DEADLINE_STRIDE)
+        };
+        if among.is_some_and(|c| !c.is_empty()) && expired() {
+            return (0, true);
         }
-        (evaluated, false)
-    }
-
-    /// The deduplicated query size (unknown items included — see
-    /// [`best_cover`](Self::best_cover)) and `(cat, |C ∩ q|)` for every
-    /// category sharing an item with the query, ascending by category id.
-    fn query_counts(&self, items: &[u32]) -> (usize, Vec<(CatId, usize)>) {
-        let mut query = items.to_vec();
-        query.sort_unstable();
-        query.dedup();
-        // Unknown items, beyond the index, have no categories to walk.
-        let known = query.partition_point(|&i| (i as usize) < self.direct.num_items());
-        let placements = query[..known].iter().map(|&i| self.direct.sets_of(i));
-        let parent = |c: CatId| self.parents[c as usize];
-        (
-            query.len(),
-            ChainCounter::new(self.parents.len()).count(placements, parent),
-        )
-    }
-
-    /// The deduplicated query size and `(cat, |C ∩ q|)` pairs over the
-    /// valid candidate slots, ascending and deduplicated. Each candidate
-    /// looks its count up in the query's chain walk, 0 when not reached.
-    fn candidate_pairs(
-        &self,
-        items: &[u32],
-        candidates: &[CatId],
-    ) -> (usize, impl Iterator<Item = (CatId, usize)>) {
-        let (q_len, counts) = self.query_counts(items);
-        let mut ordered: Vec<CatId> = candidates
-            .iter()
-            .copied()
-            .filter(|&c| (c as usize) < self.cat_sizes.len())
-            .collect();
-        ordered.sort_unstable();
-        ordered.dedup();
-        let pairs = ordered.into_iter().map(move |cat| {
-            let found = counts.binary_search_by_key(&cat, |&(c, _)| c);
-            (cat, found.map_or(0, |i| counts[i].1))
+        let (mut evaluated, mut degraded) = (0, false);
+        let wanted =
+            |rank| among.is_none_or(|c| c.binary_search(&self.view.category(rank)).is_ok());
+        Hits::new(&self.view).for_each(&self.view, &query[..known], |rank, inter| {
+            if degraded || !wanted(rank as u32) {
+                return;
+            }
+            if expired() {
+                degraded = true;
+                return;
+            }
+            visit(
+                self.view
+                    .cover(rank, similarity, similarity.delta, query.len(), inter),
+            );
+            evaluated += 1;
         });
-        (q_len, pairs)
+        (evaluated, degraded)
     }
+}
+
+/// `ids` sorted and deduplicated.
+fn sorted(ids: &[u32]) -> Vec<u32> {
+    let mut ids = ids.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
 }
 
 #[cfg(test)]
@@ -413,14 +371,36 @@ mod tests {
             "unknown item must penalize: {noisy:?} vs {clean:?}"
         );
         assert!((noisy.similarity - 2.0 / 3.0).abs() < 1e-12, "J = 2/3");
+        // The largest id and the first id past the universe are unknown
+        // like any other, however the query orders them.
+        for unknown in [u32::MAX, 9] {
+            let cover = index.best_cover(&[unknown, 1, 0], &similarity, &Budget::unlimited());
+            assert_eq!(cover, noisy, "unknown id {unknown}");
+        }
+        let both = index.best_cover(
+            &[u32::MAX, 0, 9, 1, u32::MAX],
+            &similarity,
+            &Budget::unlimited(),
+        );
+        assert!(
+            (both.similarity - 2.0 / 4.0).abs() < 1e-12,
+            "J = 2/4: {both:?}"
+        );
     }
 
     #[test]
     fn unknown_items_match_batch_scorer_semantics() {
         // The same sets scored by the batch path, where "unknown" ids are
-        // ordinary universe items that simply belong to no category.
+        // ordinary universe items that simply belong to no category. The
+        // point queries also send each set with its id 999 replaced by
+        // `u32::MAX`, which no batch universe can hold.
         let tree = figure2_t1();
         let index = PointIndex::build(&tree, 9);
+        // Built with no universe, as `octree navigate` does: the index
+        // grows to the assigned items and must answer like the full one.
+        let bare = PointIndex::build(&tree, 0);
+        assert_eq!(bare.num_items(), 9);
+        let all = tree.live_categories();
         for similarity in [
             Similarity::jaccard_cutoff(0.3),
             Similarity::jaccard_threshold(0.5),
@@ -432,23 +412,40 @@ mod tests {
                 InputSet::new(ItemSet::new(vec![2, 3, 4, 5, 77, 78]), 1.0),
                 InputSet::new(ItemSet::new(vec![6, 7, 8]), 1.0),
                 InputSet::new(ItemSet::new(vec![900, 901]), 1.0),
+                InputSet::new(ItemSet::new(vec![5, 6, 9, 999]), 1.0),
             ];
             let instance = Instance::new(1000, sets, similarity);
             let batch = score_tree(&instance, &tree);
             for (s, set) in instance.sets.iter().enumerate() {
-                let point =
-                    index.best_cover(set.items.as_slice(), &similarity, &Budget::unlimited());
+                let items = set.items.as_slice();
+                let widened: Vec<u32> = (items.iter())
+                    .map(|&i| if i == 999 { u32::MAX } else { i })
+                    .collect();
                 let expect = &batch.per_set[s];
-                assert_eq!(
-                    point.best_category, expect.best_category,
-                    "{similarity:?} set {s}"
-                );
-                assert!(
-                    (point.similarity - expect.similarity).abs() < 1e-12,
-                    "{similarity:?} set {s}: {point:?} vs {expect:?}"
-                );
-                assert!((point.precision - expect.precision).abs() < 1e-12);
-                assert_eq!(point.covered, expect.covered);
+                for query in [items, &widened] {
+                    let point = index.best_cover(query, &similarity, &Budget::unlimited());
+                    assert_eq!(
+                        point.best_category, expect.best_category,
+                        "{similarity:?} set {s}"
+                    );
+                    assert_eq!(
+                        point.similarity.to_bits(),
+                        expect.similarity.to_bits(),
+                        "{similarity:?} set {s}: {point:?} vs {expect:?}"
+                    );
+                    assert_eq!(point.precision.to_bits(), expect.precision.to_bits());
+                    assert_eq!(point.covered, expect.covered);
+                    let unlimited = Budget::unlimited();
+                    assert_eq!(bare.best_cover(query, &similarity, &unlimited), point);
+                    assert_eq!(
+                        bare.best_cover_among(query, &all, &similarity, &unlimited),
+                        index.best_cover_among(query, &all, &similarity, &unlimited)
+                    );
+                    assert_eq!(
+                        bare.top_covers_among(query, &all, 10, &similarity, &unlimited),
+                        index.top_covers_among(query, &all, 10, &similarity, &unlimited)
+                    );
+                }
             }
         }
     }
@@ -535,6 +532,27 @@ mod tests {
         );
         assert!(degraded);
         assert!(top.is_empty(), "first strided check already expired");
+    }
+
+    #[test]
+    fn expired_budget_degrades_candidates_that_miss_the_query() {
+        // The budget is read before the first candidate, not only at the
+        // categories the query reaches: no candidate here intersects it.
+        let index = PointIndex::build(&figure2_t1(), 9);
+        let similarity = Similarity::jaccard_cutoff(0.1);
+        let (query, missing) = ([6, 7], [1, 3, 4]);
+        let cover = index.best_cover_among(&query, &missing, &similarity, &Budget::expired_now());
+        assert!(cover.degraded);
+        assert_eq!(cover.evaluated, 0);
+        assert_eq!(cover.best_category, None);
+        let (top, degraded) =
+            index.top_covers_among(&query, &missing, 3, &similarity, &Budget::expired_now());
+        assert!(degraded);
+        assert!(top.is_empty());
+        // Unlimited, the same lookups evaluate nothing and are exact.
+        let unlimited = index.best_cover_among(&query, &missing, &similarity, &Budget::unlimited());
+        assert!(!unlimited.degraded);
+        assert_eq!(unlimited.evaluated, 0);
     }
 
     #[test]

@@ -25,11 +25,13 @@
 //! already applied for the set stay committed even when the set ends below
 //! its threshold. The tree stays valid and no protected cover breaks.
 //!
-//! The candidate search is one pass per set of the [`ChainCounter`] that
-//! point queries also use: each item of the set walks its locations up the
-//! parent chain, counting every category it reaches once, so only
-//! categories that share an item with the set are ever scored. Category
-//! sizes and item locations come from the tree view of the opening score.
+//! The candidate search is one pass per set of the [`ChainCounter`]: each
+//! item of the set walks its locations up the parent chain, counting every
+//! category it reaches once, so only categories that share an item with
+//! the set are ever scored. Repair moves items as it goes, so it counts
+//! over the live tree rather than over a [`TreeView`], which is built once
+//! and never edited. Category sizes and item locations come from the tree
+//! view of the opening score.
 
 use crate::input::Instance;
 use crate::itemset::{ItemId, ItemSet};

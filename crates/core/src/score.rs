@@ -72,7 +72,7 @@ pub struct ScoreOptions {
     /// splits only when every worker gets [`MIN_POSTINGS_PER_WORKER`] set
     /// items, so small instances score serially under any cap.
     pub threads: usize,
-    /// Telemetry sink; spans `score/aggregate` (the tree view) and
+    /// Telemetry sink; spans `score/view` (the tree view build) and
     /// `score/evaluate` (the per-set kernel and the reduction), counters
     /// `score/categories`, `score/candidates` (intersecting
     /// `(set, category)` pairs scored) and `score/workers` are recorded
@@ -297,25 +297,14 @@ fn tree_score(instance: &Instance, best: &[Option<Cover>]) -> TreeScore {
     }
 }
 
-/// Depth of every live category (root = 0), computed in one top-down pass.
-pub(crate) fn category_depths(tree: &CategoryTree) -> Vec<u32> {
-    let mut depth = vec![0u32; tree.len()];
-    let order = tree.post_order();
-    // Reverse post-order visits parents before children.
-    for &cat in order.iter().rev() {
-        for &child in tree.children(cat) {
-            depth[child as usize] = depth[cat as usize] + 1;
-        }
-    }
-    depth
-}
-
 /// Marks the root's parent in a [`TreeView`].
 const NO_PARENT: u32 = u32::MAX;
 
-/// A dense, read-only view of a tree, built once per scoring pass.
-/// Categories are addressed by *rank*, their position in post order, so
-/// children precede parents and the root comes last.
+/// A dense, read-only view of a tree, built once per scoring pass (and
+/// once per tree by [`crate::point::PointIndex`]). Categories are addressed
+/// by *rank*, their position in post order, so children precede parents
+/// and the root comes last.
+#[derive(Debug, Clone)]
 pub(crate) struct TreeView {
     /// Rank → category id.
     order: Vec<CatId>,
@@ -404,6 +393,21 @@ impl TreeView {
         self.order[rank as usize]
     }
 
+    /// Scores the category at `rank` for a set of `q_len` items sharing
+    /// `inter` of them with it.
+    pub(crate) fn cover(
+        &self,
+        rank: usize,
+        similarity: &Similarity,
+        delta: f64,
+        q_len: usize,
+        inter: usize,
+    ) -> Cover {
+        let c_len = self.size[rank] as usize;
+        let (cat, depth) = (self.order[rank], self.depth[rank]);
+        Cover::new(similarity, delta, q_len, c_len, inter, cat, depth)
+    }
+
     /// Universe size.
     pub(crate) fn num_items(&self) -> usize {
         self.locations.num_items()
@@ -471,8 +475,9 @@ fn next_epoch(epoch: &mut u32, stamps: &mut [u32]) -> u32 {
     *epoch
 }
 
-/// One worker's scratch for the set-major kernel, sized by the view.
-struct Hits {
+/// One worker's (or one point query's) scratch for the set-major kernel,
+/// sized by the view.
+pub(crate) struct Hits {
     /// Pending `|q ∩ full(C)|` by rank; all zero between sets.
     count: Vec<u32>,
     /// The set (as a running epoch) that last reached each rank.
@@ -487,7 +492,7 @@ struct Hits {
 }
 
 impl Hits {
-    fn new(view: &TreeView) -> Self {
+    pub(crate) fn new(view: &TreeView) -> Self {
         Self {
             count: vec![0; view.len()],
             reached_by: vec![0; view.len()],
@@ -499,8 +504,14 @@ impl Hits {
     }
 
     /// Calls `visit(rank, |q ∩ full(C)|)` for every category whose subtree
-    /// holds an item of `items`, in post order.
-    fn for_each(&mut self, view: &TreeView, items: &[ItemId], mut visit: impl FnMut(usize, usize)) {
+    /// holds an item of `items`, in post order. `items` must be distinct
+    /// and inside the view's universe.
+    pub(crate) fn for_each(
+        &mut self,
+        view: &TreeView,
+        items: &[ItemId],
+        mut visit: impl FnMut(usize, usize),
+    ) {
         let set = next_epoch(&mut self.set_epoch, &mut self.reached_by);
         let Self {
             count,
@@ -570,17 +581,7 @@ fn score_range(
         let q = &instance.sets[s].items;
         let delta = instance.threshold_of(s);
         hits.for_each(view, q.as_slice(), |r, inter| {
-            let c_len = view.size[r] as usize;
-            let (cat, depth) = (view.order[r], view.depth[r]);
-            let cover = Cover::new(
-                &instance.similarity,
-                delta,
-                q.len(),
-                c_len,
-                inter,
-                cat,
-                depth,
-            );
+            let cover = view.cover(r, &instance.similarity, delta, q.len(), inter);
             if cover.beats(winner.as_ref()) {
                 *winner = Some(cover);
             }
@@ -724,7 +725,7 @@ fn try_score_tree_viewed(
 ) -> Result<(TreeScore, TreeView), ExecutionError> {
     let metrics = &options.metrics;
     let view = {
-        let _span = metrics.span("score/aggregate");
+        let _span = metrics.span("score/view");
         run_isolated("score workers", || TreeView::new(tree, instance.num_items))?
     };
     metrics.add("score/categories", view.len() as u64);
@@ -753,7 +754,6 @@ fn try_score_tree_viewed(
 /// test-sized inputs only.
 pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeScore {
     use crate::itemset::ItemSet;
-    let depths = category_depths(tree);
     let mut best = vec![None; instance.num_sets()];
     let mut pending: FxHashMap<CatId, ItemSet> = FxHashMap::default();
     for cat in tree.post_order() {
@@ -762,7 +762,7 @@ pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeSco
             let child_items = pending.remove(&child).expect("child processed first");
             items = items.union(&child_items);
         }
-        let c_len = items.len();
+        let (c_len, depth) = (items.len(), tree.depth(cat) as u32);
         for (s, set) in instance.sets.iter().enumerate() {
             let inter = items.intersection_size(&set.items);
             if inter == 0 {
@@ -771,7 +771,7 @@ pub fn score_tree_reference(instance: &Instance, tree: &CategoryTree) -> TreeSco
                 // sets cannot diverge.
                 continue;
             }
-            let cover = set_cover(instance, s, c_len, inter, cat, depths[cat as usize]);
+            let cover = set_cover(instance, s, c_len, inter, cat, depth);
             offer(&mut best, s, cover);
         }
         pending.insert(cat, items);
@@ -1186,7 +1186,7 @@ mod tests {
         };
         score_tree_with(&inst, &figure2_t1(), &options);
         let report = metrics.report();
-        assert!(report.span("score/aggregate").is_some());
+        assert!(report.span("score/view").is_some());
         assert!(report.span("score/evaluate").is_some());
         // All five categories (incl. root) are in the view.
         assert_eq!(report.counter("score/categories"), Some(5));

@@ -376,6 +376,11 @@ impl CategoryTree {
 /// stopping where it already stamped, so an item placed in two branches
 /// counts once at their common ancestors. A query costs the sum of its
 /// items' chain lengths. `hits` is all zero between queries.
+///
+/// Repair's candidate search is its one user: repair moves items between
+/// categories as it goes, so it walks the live tree. Scoring and point
+/// queries count over a `score::TreeView` instead, which is built once per
+/// tree and never edited.
 pub(crate) struct ChainCounter {
     hits: Vec<u32>,
     /// The item (as a running epoch) that last reached each category.

@@ -398,7 +398,8 @@ fn admit(shared: &Shared, conn: TcpStream) {
 
 /// Serves each popped connection through the backend's own loop
 /// (`oct_serve::server::serve_connection`): same framing, 1 MiB line cap,
-/// pipelined replies, idle budget, request cap and drain close.
+/// pipelined replies, idle budget, request cap, drain close, and an idle
+/// answered connection giving way to one waiting in the queue.
 fn worker_loop(shared: &Shared) {
     loop {
         match shared.queue.pop_timeout(POP_INTERVAL) {
@@ -408,6 +409,7 @@ fn worker_loop(shared: &Shared) {
                     conn,
                     &shared.connections,
                     || shared.draining(),
+                    || !shared.queue.is_empty(),
                     |request| handle_request(shared, request),
                 );
                 shared.in_flight.fetch_sub(1, Ordering::Relaxed);

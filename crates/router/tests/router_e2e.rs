@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use oct_core::{CategoryTree, ROOT};
 use oct_obs::{Metrics, PipelineReport};
-use oct_router::{HealthConfig, Router, RouterConfig, ShardMap};
+use oct_router::{HealthConfig, Replica, Router, RouterConfig, ShardMap};
 use oct_serve::prelude::*;
 
 /// Items 0..16: `left` = {0..8}, `right` = {8..16}.
@@ -622,4 +622,51 @@ fn a_drained_router_releases_its_pooled_backend_workers() {
     join_b.join().expect("router B exits");
     drop(drain_a);
     kill_fleet(fleet);
+}
+
+#[test]
+fn idle_pooled_connections_give_way_to_a_direct_client() {
+    // Both backends run 2 workers. Each replica's pool ends up holding two
+    // idle connections, one on each backend worker: the routed request's,
+    // and the probe's, dialled while the request held the first.
+    let fleet = [start_backend("127.0.0.1:0"), start_backend("127.0.0.1:0")];
+    let metrics = Metrics::new(true);
+    let replicas: Vec<Replica> = (fleet.iter())
+        .map(|b| Replica::new(b.addr.to_string(), HealthConfig::default(), &metrics))
+        .collect();
+    let timeout = Duration::from_secs(2);
+    let query = Request::Categorize {
+        items: vec![0, 1, 8],
+        shard: None,
+    };
+    for replica in &replicas {
+        let routed = replica.start(&query, timeout).expect("routed request");
+        replica.probe(timeout);
+        let answer = routed.finish(&query, None).expect("routed answer");
+        assert!(matches!(answer, Response::Cover { .. }), "{answer:?}");
+    }
+
+    // A direct client of one backend waits in its admission queue until
+    // an idle pooled connection gives way.
+    let started = Instant::now();
+    let mut direct = Client::connect(fleet[0].addr, timeout).expect("connect");
+    match direct.request(&Request::Ping) {
+        Ok(Response::Pong { .. }) => {}
+        other => panic!(
+            "direct client unanswered after {:?}: {other:?}",
+            started.elapsed()
+        ),
+    }
+
+    // The pools redial what the backend closed and keep answering.
+    for replica in &replicas {
+        let answer = replica.call(&query, timeout).expect("pooled call");
+        assert!(matches!(answer, Response::Cover { .. }), "{answer:?}");
+    }
+    let stale = format!("router/replica/{}/pool_stale", fleet[0].addr);
+    assert!(metrics.report().counter(&stale).unwrap_or(0) >= 1);
+    drop((direct, replicas));
+    for backend in fleet {
+        kill(backend);
+    }
 }

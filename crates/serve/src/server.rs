@@ -37,6 +37,18 @@
 //! requests and never reads its answers loses its connection at the idle
 //! deadline or at drain, whichever comes first, rather than pin a worker.
 //!
+//! # Giving way
+//!
+//! A connection holds its worker until it closes, so idle keep-alive
+//! connections (a router's pool, a client between requests) can hold every
+//! worker while a new connection waits in the admission queue. A
+//! connection that has been answered at least once and sits idle at a
+//! request boundary therefore gives way: when its read times out while
+//! another connection waits, it is closed with the lingering close, and
+//! the worker takes the waiting one. Pooled clients already treat such an
+//! EOF as a stale connection and redial. A connection that has not sent
+//! its first request yet keeps its worker.
+//!
 //! # Drain
 //!
 //! SIGTERM / SIGINT / the `SHUTDOWN` verb raise a flag the accept loop and
@@ -343,6 +355,7 @@ fn worker_loop(shared: &Shared) {
                     conn,
                     &shared.connections,
                     || shared.draining(),
+                    || !shared.queue.is_empty(),
                     |request| handle_request(shared, request),
                 );
                 shared.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -373,11 +386,12 @@ pub struct ConnectionPolicy {
     latency: Histogram,
     idle_closed: Counter,
     retired: Counter,
+    gave_way: Counter,
 }
 
 impl ConnectionPolicy {
     /// The policy of one daemon, counting under
-    /// `<prefix>/{requests,latency,idle_closed,conn_retired}`.
+    /// `<prefix>/{requests,latency,idle_closed,conn_retired,conn_gave_way}`.
     pub fn new(
         metrics: &Metrics,
         prefix: &str,
@@ -391,6 +405,7 @@ impl ConnectionPolicy {
             latency: metrics.histogram(&format!("{prefix}/latency")),
             idle_closed: metrics.counter(&format!("{prefix}/idle_closed")),
             retired: metrics.counter(&format!("{prefix}/conn_retired")),
+            gave_way: metrics.counter(&format!("{prefix}/conn_gave_way")),
         }
     }
 }
@@ -399,6 +414,9 @@ impl ConnectionPolicy {
 /// (`draining()` turning true), the idle budget or the request cap of
 /// `policy`, or an I/O error, answering each parsed request with `handle`.
 /// One malformed line yields `ERR bad-request`, not a dropped connection.
+/// Once answered, a connection that waits idle for its next request while
+/// `waiting()` is true (another connection waits for a worker) gives way:
+/// it is closed with a lingering close (see the module docs).
 ///
 /// Answers are buffered and written once per read chunk (see the module
 /// docs); every close writes the buffer first. A write waits under the
@@ -410,6 +428,7 @@ pub fn serve_connection(
     mut conn: TcpStream,
     policy: &ConnectionPolicy,
     draining: impl Fn() -> bool,
+    waiting: impl Fn() -> bool,
     mut handle: impl FnMut(Request) -> Response,
 ) -> io::Result<()> {
     conn.set_nonblocking(false)?;
@@ -429,11 +448,18 @@ pub fn serve_connection(
         // bytes (which resets the socket read timeout every poll) still
         // runs out of road.
         let deadline = Instant::now() + policy.idle_timeout;
-        let line = match reader.next_line_within(&mut conn, &draining, deadline)? {
+        let answered = served > 0;
+        let give_way = || answered && waiting();
+        let line = match reader.next_line_within(&mut conn, &draining, give_way, deadline)? {
             NextLine::Line(line) => line,
             NextLine::Closed => return Ok(()), // EOF or drain while idle
             NextLine::TimedOut => {
                 policy.idle_closed.incr();
+                return Ok(());
+            }
+            NextLine::GiveWay => {
+                policy.gave_way.incr();
+                close_lingering(conn);
                 return Ok(());
             }
         };
@@ -731,15 +757,17 @@ impl LineReader {
     }
 
     /// Reads until a full line, EOF, `should_stop()` turning true while
-    /// idle between timeouts, or `deadline`. The deadline is checked
-    /// between reads, so it caps *cumulative* wait — a slowloris dribbling
-    /// one byte per socket-timeout window makes progress against the
-    /// socket timeout but not against this deadline. A line already
-    /// buffered is always returned, deadline or not.
+    /// idle between timeouts, `give_way()` turning true while idle with
+    /// nothing buffered, or `deadline`. The deadline is checked between
+    /// reads, so it caps *cumulative* wait — a slowloris dribbling one
+    /// byte per socket-timeout window makes progress against the socket
+    /// timeout but not against this deadline. A line already buffered is
+    /// always returned, deadline or not.
     fn next_line_within(
         &mut self,
         conn: &mut TcpStream,
         should_stop: impl Fn() -> bool,
+        give_way: impl Fn() -> bool,
         deadline: Instant,
     ) -> io::Result<NextLine> {
         loop {
@@ -766,6 +794,9 @@ impl LineReader {
                     if should_stop() {
                         return Ok(NextLine::Closed);
                     }
+                    if self.buf.is_empty() && give_way() {
+                        return Ok(NextLine::GiveWay);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
@@ -782,6 +813,8 @@ enum NextLine {
     Closed,
     /// The deadline elapsed before a complete line arrived.
     TimedOut,
+    /// Idle at a request boundary while `give_way` held.
+    GiveWay,
 }
 
 #[cfg(test)]
@@ -816,6 +849,7 @@ mod tests {
                 conn,
                 &shared.connections,
                 || shared.draining(),
+                || false,
                 |request| match request {
                     Request::Score { .. } => {
                         answer_isolated(shared, "serve request", || panic!("cover bug"))
