@@ -202,4 +202,9 @@ grep -q 'router/fanout_latency' "$WORK/router_metrics.json" \
     || fail "fan-out latency histogram missing from the report"
 grep -q 'router/partial' "$WORK/router_metrics.json" \
     || fail "partial counter missing from the report"
+# The shared daemon lifecycle's metric names, as oct-serve writes them.
+for name in router/accepted router/queue_depth; do
+    grep -q "\"$name\"" "$WORK/router_metrics.json" \
+        || fail "$name missing from the report"
+done
 echo "router smoke: failover, hedging fleet, PARTIAL degradation, and drain all verified"

@@ -108,6 +108,8 @@ grep -q 'drained cleanly' "$WORK/serve.log" \
 [[ -s "$WORK/serve_metrics.json" ]] || { echo "serve smoke: metrics report missing"; exit 1; }
 grep -q 'serve/shed' "$WORK/serve_metrics.json" \
     || { echo "serve smoke: shed counter missing from report"; exit 1; }
+grep -q 'serve/accepted' "$WORK/serve_metrics.json" \
+    || { echo "serve smoke: accepted counter missing from report"; exit 1; }
 grep -q 'serve/latency' "$WORK/serve_metrics.json" \
     || { echo "serve smoke: latency histogram missing from report"; exit 1; }
 echo "serve smoke: graceful drain, typed shedding, and hot swap all verified"

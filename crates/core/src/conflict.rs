@@ -56,6 +56,40 @@ impl PairClass {
     pub fn must_together(self) -> bool {
         self.can_together && !self.can_separately
     }
+
+    /// The pair's bucket in the conflict analysis, given `|q_lo|`'s set
+    /// index `lo` and the pair's `inter`: the one rule both the batch
+    /// analysis and the stream engine bucket by. `None` for a pair that
+    /// can go either way without nesting.
+    #[inline]
+    pub(crate) fn role(self, instance: &Instance, lo: usize, inter: usize) -> Option<PairRole> {
+        if self.is_conflict() {
+            Some(PairRole::Conflict)
+        } else if self.must_together() {
+            Some(PairRole::MustTogether)
+        } else if self.can_together {
+            // Nesting is worthwhile once the majority of the lower set lies
+            // inside the higher one: separating would burn shared items the
+            // branch bound cannot duplicate.
+            let lo_len = instance.sets[lo].items.len();
+            ((inter as f64) + EPS >= 0.5 * lo_len as f64).then_some(PairRole::Nestable)
+        } else {
+            None
+        }
+    }
+}
+
+/// What one classified pair contributes to the conflict analysis (see
+/// [`PairClass::role`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum PairRole {
+    /// Neither placement works: a 2-conflict.
+    Conflict,
+    /// Only the same-branch placement works.
+    MustTogether,
+    /// Either placement works, and the majority of the lower set lies in
+    /// the higher one.
+    Nestable,
 }
 
 /// Classifies an intersecting pair under the instance's variant.
@@ -446,18 +480,11 @@ pub(crate) fn analyze_indexed(
             p.inter as usize,
             p.eff_inter as usize,
         );
-        if class.is_conflict() {
-            conflicts2.push((p.hi, p.lo));
-        } else if class.must_together() {
-            must_together.push((p.hi, p.lo));
-        } else if class.can_together {
-            // Nesting is worthwhile once the majority of the lower set lies
-            // inside the higher one: separating would burn shared items the
-            // branch bound cannot duplicate.
-            let lo_len = instance.sets[p.lo as usize].items.len();
-            if (p.inter as f64) + EPS >= 0.5 * lo_len as f64 {
-                nestable.push((p.hi, p.lo));
-            }
+        match class.role(instance, p.lo as usize, p.inter as usize) {
+            Some(PairRole::Conflict) => conflicts2.push((p.hi, p.lo)),
+            Some(PairRole::MustTogether) => must_together.push((p.hi, p.lo)),
+            Some(PairRole::Nestable) => nestable.push((p.hi, p.lo)),
+            None => {}
         }
     }
 

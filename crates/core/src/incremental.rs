@@ -52,7 +52,7 @@ use std::path::PathBuf;
 use oct_mis::{local, Graph, SolveBudget, Solver};
 use oct_obs::Metrics;
 
-use crate::conflict::{classify_pair, CoCounter, PairClass};
+use crate::conflict::{classify_pair, CoCounter, PairClass, PairRole};
 use crate::ctcr::{build_from_selection, CtcrConfig, SelectionContext};
 use crate::input::{InputSet, Instance};
 use crate::persist;
@@ -607,15 +607,15 @@ impl StreamEngine {
         let mut must: FxHashSet<(u32, u32)> = FxHashSet::default();
         let mut nestable: FxHashSet<(u32, u32)> = FxHashSet::default();
         for p in &self.pairs {
-            if p.class.is_conflict() {
-                conflicts2.push((p.hi, p.lo));
-            } else if p.class.must_together() {
-                must.insert((p.hi, p.lo));
-            } else if p.class.can_together {
-                let lo_len = instance.sets[p.lo as usize].items.len();
-                if (p.inter as f64) + EPS >= 0.5 * lo_len as f64 {
+            match p.class.role(instance, p.lo as usize, p.inter as usize) {
+                Some(PairRole::Conflict) => conflicts2.push((p.hi, p.lo)),
+                Some(PairRole::MustTogether) => {
+                    must.insert((p.hi, p.lo));
+                }
+                Some(PairRole::Nestable) => {
                     nestable.insert((p.hi, p.lo));
                 }
+                None => {}
             }
         }
         drop(stage);
@@ -751,19 +751,11 @@ fn validate_set(num_items: u32, id: SetId, set: &InputSet) -> Result<(), StreamE
 /// Marks an id of the last rebuild that is no longer live.
 const RETIRED: u32 = u32::MAX;
 
-/// Orients an intersecting index pair as `(hi, lo)` exactly like the global
-/// ranking ([`Instance::ranks`]): size descending, weight ascending, index
-/// ascending. Restricted to two sets the global comparator *is* this
-/// pairwise comparison, which is what makes cached orientations stable.
+/// Orients an intersecting index pair as `(hi, lo)` by the ranking
+/// comparator ([`Instance::rank_order`]), which is what makes cached
+/// orientations stable.
 fn pair_orientation(instance: &Instance, a: u32, b: u32) -> (u32, u32) {
-    let (sa, sb) = (&instance.sets[a as usize], &instance.sets[b as usize]);
-    let ord = sb
-        .items
-        .len()
-        .cmp(&sa.items.len())
-        .then(sa.weight.total_cmp(&sb.weight))
-        .then(a.cmp(&b));
-    if ord == std::cmp::Ordering::Less {
+    if instance.rank_order(a, b).is_lt() {
         (a, b)
     } else {
         (b, a)

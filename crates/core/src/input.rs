@@ -1,6 +1,8 @@
 //! `OCT` problem instances: weighted candidate categories over an item
 //! universe.
 
+use std::cmp::Ordering;
+
 use crate::csr::CsrIndex;
 use crate::itemset::{ItemId, ItemSet};
 use crate::similarity::{Similarity, EPS};
@@ -154,25 +156,31 @@ impl Instance {
             && index.num_postings() == self.sets.iter().map(|s| s.items.len()).sum::<usize>()
     }
 
-    /// The paper's ranking (§3.2): sets sorted by size descending, then by
-    /// weight ascending (heavier same-size sets rank lower in the tree),
-    /// ties broken by index. Returns `rank[set_idx] ∈ 0..n` where rank 0 is
-    /// the largest set.
+    /// The paper's ranking (§3.2): sets sorted by [`Self::rank_order`].
+    /// Returns `rank[set_idx] ∈ 0..n` where rank 0 is the largest set.
     pub fn ranks(&self) -> Vec<u32> {
         let mut order: Vec<u32> = (0..self.num_sets() as u32).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (&self.sets[a as usize], &self.sets[b as usize]);
-            sb.items
-                .len()
-                .cmp(&sa.items.len())
-                .then(sa.weight.total_cmp(&sb.weight))
-                .then(a.cmp(&b))
-        });
+        order.sort_by(|&a, &b| self.rank_order(a, b));
         let mut rank = vec![0u32; self.num_sets()];
         for (r, &idx) in order.iter().enumerate() {
             rank[idx as usize] = r as u32;
         }
         rank
+    }
+
+    /// The one ranking comparator: size descending, then weight ascending
+    /// (heavier same-size sets rank lower in the tree), ties broken by
+    /// index. `Less` means set `a` ranks before (above) set `b`. The batch
+    /// analysis sorts by it ([`Self::ranks`]); the stream engine orients
+    /// each pair by it alone, since restricted to two sets it *is* the
+    /// global order.
+    pub(crate) fn rank_order(&self, a: u32, b: u32) -> Ordering {
+        let (sa, sb) = (&self.sets[a as usize], &self.sets[b as usize]);
+        sb.items
+            .len()
+            .cmp(&sa.items.len())
+            .then(sa.weight.total_cmp(&sb.weight))
+            .then(a.cmp(&b))
     }
 }
 

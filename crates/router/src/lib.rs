@@ -23,8 +23,9 @@
 //!   error; for a fixed set of live shards the merged line is
 //!   byte-identical across runs.
 //!
-//! The router is itself an `oct-serve`-shaped citizen: bounded admission
-//! queue with typed `OVERLOADED` shedding, graceful drain, metrics
+//! The router runs `oct-serve`'s own daemon lifecycle
+//! ([`oct_serve::daemon`]): bounded admission queue with typed
+//! `OVERLOADED` shedding, the connection loop, graceful drain, metrics
 //! report on exit. See DESIGN.md §17 for the architecture discussion.
 
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ pub mod shard;
 
 pub use health::{HealthConfig, HealthState};
 pub use merge::{merge_covers, SubCover};
+pub use oct_serve::DrainHandle;
 pub use replica::Replica;
-pub use router::{DrainHandle, Router, RouterConfig};
+pub use router::{Router, RouterConfig};
 pub use shard::{rendezvous_order, request_key, ShardMap};

@@ -4,10 +4,8 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! accept ─▶ admission (BoundedQueue, typed OVERLOADED shed — same as oct-serve)
-//!              ▼
-//!           worker pops connection ─▶ oct-serve's serve_connection
-//!           (answers buffered per read chunk); per request line, on the
+//! accept ─▶ admission ─▶ worker ─▶ connection loop   (oct_serve::daemon,
+//!           the lifecycle both daemons run); per request line, on the
 //!           worker's own thread:
 //!              CATEGORIZE/SCORE ─▶ partition items by shard (consistent hash)
 //!                 │  per owning shard: candidates = replicas in rendezvous
@@ -41,28 +39,23 @@
 //! the router prefers replicas serving the newest epoch a shard has.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use oct_obs::{Counter, Histogram, Metrics, PipelineReport};
-use oct_resilience::{Budget, CancelToken};
-use oct_serve::queue::{BoundedQueue, Push};
-use oct_serve::server::{reject, serve_connection, ConnectionPolicy};
-use oct_serve::{ErrorCode, Request, Response};
+use oct_resilience::Budget;
+use oct_serve::daemon::{Daemon, Service, Settings};
+use oct_serve::{DrainHandle, ErrorCode, Request, Response};
 
 use crate::health::HealthConfig;
 use crate::merge::{merge_covers, SubCover};
 use crate::replica::{Attempt, Miss, Replica};
 use crate::shard::{rendezvous_order, request_key, ShardMap};
 
-/// Worker queue-pop poll interval (drain responsiveness).
-const POP_INTERVAL: Duration = Duration::from_millis(25);
-/// Accept-loop poll interval when no connection is pending.
-const ACCEPT_INTERVAL: Duration = Duration::from_millis(5);
 /// `SWAP` fan-out allows this many attempt-timeouts per replica (a swap
 /// loads and indexes a tree file; it is not a point query).
 const SWAP_TIMEOUT_FACTOR: u32 = 8;
@@ -125,14 +118,28 @@ impl Default for RouterConfig {
     }
 }
 
-/// The fleet as the router sees it: the item→shard ring plus per-shard
-/// replica lists.
-struct Topology {
+/// The router's own state: the item→shard ring, the per-shard replica
+/// lists, its knobs, and the routed path's metrics (handles looked up once,
+/// so a request takes no metrics lock and formats no name).
+struct Fleet {
+    config: RouterConfig,
     map: ShardMap,
     shards: Vec<Vec<Replica>>,
+    /// Covers served with a `partial=1` marker.
+    partial: Counter,
+    /// Attempts given up at their hedge deadline for the next candidate.
+    hedges: Counter,
+    /// Sub-requests sent to the next candidate after a failed attempt.
+    failovers: Counter,
+    /// Whole cover fan-outs, scatter to merge.
+    fanout_latency: Histogram,
+    /// Sticky: latched the first time any cover was served partial, and
+    /// reported via `STATS degraded=1` (mirrors the backend's sticky
+    /// degraded flag) so one probe spots a router that has been limping.
+    served_partial: AtomicBool,
 }
 
-impl Topology {
+impl Fleet {
     fn all(&self) -> impl Iterator<Item = &Replica> {
         self.shards.iter().flatten()
     }
@@ -156,80 +163,9 @@ impl Topology {
     }
 }
 
-struct Shared {
-    config: RouterConfig,
-    topology: Topology,
-    queue: BoundedQueue<TcpStream>,
-    metrics: Metrics,
-    connections: ConnectionPolicy,
-    shutdown: AtomicBool,
-    drain_token: CancelToken,
-    in_flight: AtomicUsize,
-    counts: RouterMetrics,
-    /// Sticky: latched the first time any cover was served partial, and
-    /// reported via `STATS degraded=1` (mirrors the backend's sticky
-    /// degraded flag) so one probe spots a router that has been limping.
-    served_partial: AtomicBool,
-}
-
-/// The routed path's metrics, looked up once so a request takes no
-/// metrics lock and formats no name.
-struct RouterMetrics {
-    /// Covers served with a `partial=1` marker.
-    partial: Counter,
-    /// Attempts given up at their hedge deadline for the next candidate.
-    hedges: Counter,
-    /// Sub-requests sent to the next candidate after a failed attempt.
-    failovers: Counter,
-    /// Whole cover fan-outs, scatter to merge.
-    fanout_latency: Histogram,
-}
-
-impl RouterMetrics {
-    fn new(metrics: &Metrics) -> Self {
-        Self {
-            partial: metrics.counter("router/partial"),
-            hedges: metrics.counter("router/hedges"),
-            failovers: metrics.counter("router/failovers"),
-            fanout_latency: metrics.histogram("router/fanout_latency"),
-        }
-    }
-}
-
-impl Shared {
-    fn draining(&self) -> bool {
-        // The process-global signal flag is OR'd in (same contract as the
-        // backend) so the CLI's SIGTERM wiring drains the router too.
-        self.shutdown.load(Ordering::Relaxed) || oct_serve::signal::shutdown_requested()
-    }
-
-    fn request_drain(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-    }
-
-    fn request_budget(&self) -> Budget {
-        let deadline = self.config.deadline_ms.map(Duration::from_millis);
-        Budget::with_deadline_and_token(deadline, self.drain_token.clone())
-    }
-}
-
 /// A bound, not-yet-running router. [`Router::run`] blocks until drain.
 pub struct Router {
-    listener: TcpListener,
-    shared: Arc<Shared>,
-}
-
-/// Triggers graceful drain from another thread (signal wiring, tests).
-#[derive(Clone)]
-pub struct DrainHandle {
-    shared: Arc<Shared>,
-}
-
-impl DrainHandle {
-    /// Begins graceful drain, as if `SHUTDOWN` had arrived.
-    pub fn drain(&self) {
-        self.shared.request_drain();
-    }
+    daemon: Daemon<Fleet>,
 }
 
 impl Router {
@@ -252,203 +188,116 @@ impl Router {
                 format!("shard {empty} has no replicas"),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let topology = Topology {
+        let settings = Settings {
+            addr: config.addr.clone(),
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            deadline_ms: config.deadline_ms,
+            drain_grace: config.drain_grace,
+            idle_timeout: config.idle_timeout,
+            max_requests: config.max_requests,
+            metrics: config.metrics.clone(),
+            metrics_out: config.metrics_out.clone(),
+        };
+        let metrics = &config.metrics;
+        let fleet = Fleet {
             map: ShardMap::new(config.shards.len()),
-            shards: config
-                .shards
-                .iter()
+            shards: (config.shards.iter())
                 .map(|replicas| {
-                    replicas
-                        .iter()
-                        .map(|addr| {
-                            Replica::new(addr.clone(), config.health.clone(), &config.metrics)
-                        })
+                    (replicas.iter())
+                        .map(|addr| Replica::new(addr.clone(), config.health.clone(), metrics))
                         .collect()
                 })
                 .collect(),
-        };
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            metrics: config.metrics.clone(),
-            connections: ConnectionPolicy::new(
-                &config.metrics,
-                "router",
-                config.idle_timeout,
-                config.max_requests,
-            ),
-            topology,
-            shutdown: AtomicBool::new(false),
-            drain_token: CancelToken::new(),
-            in_flight: AtomicUsize::new(0),
-            counts: RouterMetrics::new(&config.metrics),
+            partial: metrics.counter("router/partial"),
+            hedges: metrics.counter("router/hedges"),
+            failovers: metrics.counter("router/failovers"),
+            fanout_latency: metrics.histogram("router/fanout_latency"),
             served_partial: AtomicBool::new(false),
             config,
-        });
-        Ok(Self { listener, shared })
+        };
+        Ok(Self {
+            daemon: Daemon::bind(settings, fleet)?,
+        })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.daemon.local_addr()
     }
 
     /// A handle that can trigger graceful drain from another thread.
     pub fn drain_handle(&self) -> DrainHandle {
-        DrainHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        self.daemon.drain_handle()
     }
 
-    /// Runs accept → scatter-gather → drain to completion, closes every
-    /// pooled backend connection, and returns the final metrics report
-    /// (written to `metrics_out` if configured).
+    /// Runs accept → scatter-gather → drain to completion next to the
+    /// health prober, closes every pooled backend connection, and returns
+    /// the final metrics report (written to `metrics_out` if configured).
     pub fn run(self) -> io::Result<PipelineReport> {
-        let Self { listener, shared } = self;
-        let workers: Vec<_> = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("oct-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let fleet = Arc::clone(self.daemon.service());
         let prober = {
-            let shared = Arc::clone(&shared);
+            let (fleet, drain) = (Arc::clone(&fleet), self.drain_handle());
             thread::Builder::new()
                 .name("oct-router-prober".to_owned())
-                .spawn(move || probe_loop(&shared))
+                .spawn(move || probe_loop(&fleet, &drain))
                 .expect("spawn prober")
         };
-
-        while !shared.draining() {
-            match listener.accept() {
-                Ok((conn, _peer)) => {
-                    shared.metrics.incr("router/accepted");
-                    let _ = conn.set_nodelay(true);
-                    admit(&shared, conn);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(ACCEPT_INTERVAL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            shared
-                .metrics
-                .gauge("router/queue_depth", shared.queue.len() as f64);
-        }
-
-        shared.queue.close();
-        let grace_end = Instant::now() + shared.config.drain_grace;
-        while (shared.in_flight.load(Ordering::Relaxed) > 0 || !shared.queue.is_empty())
-            && Instant::now() < grace_end
-        {
-            thread::sleep(Duration::from_millis(5));
-        }
-        shared.drain_token.cancel();
-        for w in workers {
-            let _ = w.join();
-        }
+        // Every way out of `run` drains first, so the prober stops.
+        let report = self.daemon.run();
         let _ = prober.join();
-        // A live `DrainHandle` keeps the replicas alive; their idle pooled
-        // connections must not keep holding backend workers.
-        for replica in shared.topology.all() {
+        // Close the idle pooled backend connections now, not whenever the
+        // last handle to the fleet drops: each one holds a backend worker.
+        for replica in fleet.all() {
             replica.empty_pool();
         }
-
-        let report = shared.metrics.report();
-        if let Some(path) = &shared.config.metrics_out {
-            std::fs::write(path, report.to_json())?;
-        }
-        Ok(report)
+        report
     }
 }
 
 /// The active health-probe loop: every `probe_interval`, one `STATS`
 /// probe per replica (the machine itself limits Down replicas to a
 /// single prober per cooldown).
-fn probe_loop(shared: &Shared) {
-    while !shared.draining() {
-        for replica in shared.topology.all() {
-            replica.probe(shared.config.probe_timeout);
+fn probe_loop(fleet: &Fleet, drain: &DrainHandle) {
+    while !drain.is_draining() {
+        for replica in fleet.all() {
+            replica.probe(fleet.config.probe_timeout);
         }
-        thread::sleep(shared.config.probe_interval);
+        thread::sleep(fleet.config.probe_interval);
     }
 }
 
-fn admit(shared: &Shared, conn: TcpStream) {
-    match shared.queue.try_push(conn) {
-        Push::Ok => {}
-        Push::Full(conn, depth) => {
-            shared.metrics.incr("router/shed");
-            reject(conn, Response::Overloaded { queue_depth: depth });
-        }
-        Push::Closed(conn) => reject(
-            conn,
-            Response::Error {
-                code: ErrorCode::Unavailable,
-                message: "draining".to_owned(),
+impl Service for Fleet {
+    const NAME: &'static str = "router";
+
+    fn handle(&self, request: Request, budget: Budget) -> Response {
+        let budget = &budget;
+        match request {
+            // Router PING answers locally: it is the *router's* liveness,
+            // and the epoch is the fleet floor the probe loop has observed.
+            Request::Ping => Response::Pong {
+                epoch: self.fleet_epoch(),
             },
-        ),
-    }
-}
-
-/// Serves each popped connection through the backend's own loop
-/// (`oct_serve::server::serve_connection`): same framing, 1 MiB line cap,
-/// pipelined replies, idle budget, request cap, drain close, and an idle
-/// answered connection giving way to one waiting in the queue.
-fn worker_loop(shared: &Shared) {
-    loop {
-        match shared.queue.pop_timeout(POP_INTERVAL) {
-            Some(conn) => {
-                shared.in_flight.fetch_add(1, Ordering::Relaxed);
-                let _ = serve_connection(
-                    conn,
-                    &shared.connections,
-                    || shared.draining(),
-                    || !shared.queue.is_empty(),
-                    |request| handle_request(shared, request),
-                );
-                shared.in_flight.fetch_sub(1, Ordering::Relaxed);
-            }
-            None if shared.queue.is_closed() => return,
-            None => {}
-        }
-    }
-}
-
-fn handle_request(shared: &Shared, request: Request) -> Response {
-    match request {
-        // Router PING answers locally: it is the *router's* liveness, and
-        // the epoch is the fleet floor the probe loop has observed.
-        Request::Ping => Response::Pong {
-            epoch: shared.topology.fleet_epoch(),
-        },
-        Request::Categorize { items, .. } => fanout_cover(shared, &items, true),
-        Request::Score { items, .. } => fanout_cover(shared, &items, false),
-        Request::Navigate { cat } => navigate(shared, cat),
-        Request::NavigateTopK { k, items, ef } => navigate_topk(shared, k, items, ef),
-        Request::Stats => fanout_stats(shared),
-        Request::Swap { path } => broadcast_swap(shared, &path),
-        Request::Shutdown => {
-            shared.request_drain();
-            Response::Draining
+            Request::Categorize { items, .. } => fanout_cover(self, &items, true, budget),
+            Request::Score { items, .. } => fanout_cover(self, &items, false, budget),
+            Request::Navigate { cat } => navigate(self, cat, budget),
+            Request::NavigateTopK { k, items, ef } => navigate_topk(self, k, items, ef, budget),
+            Request::Stats => fanout_stats(self, budget),
+            Request::Swap { path } => broadcast_swap(self, &path),
+            Request::Shutdown => unreachable!("the daemon lifecycle answers SHUTDOWN"),
         }
     }
 }
 
 /// Scatter a cover query across the owning shards, gather, merge.
-fn fanout_cover(shared: &Shared, items: &[u32], with_label: bool) -> Response {
+fn fanout_cover(fleet: &Fleet, items: &[u32], with_label: bool, budget: &Budget) -> Response {
     let started = Instant::now();
-    let parts = shared.topology.map.partition(items);
+    let parts = fleet.map.partition(items);
     if parts.is_empty() {
         // No items ⇒ no owning shards: the canonical empty cover, same
         // shape a single backend gives an empty query.
         return Response::Cover {
-            epoch: shared.topology.fleet_epoch(),
+            epoch: fleet.fleet_epoch(),
             cat: None,
             similarity: 0.0,
             precision: 1.0,
@@ -474,12 +323,12 @@ fn fanout_cover(shared: &Shared, items: &[u32], with_label: bool) -> Response {
                     shard: Some(shard),
                 }
             };
-            shard_call(shared, shard, key, sub)
+            shard_call(fleet, shard, key, sub)
         })
         .collect();
     let mut subs = Vec::new();
     let mut missing = Vec::new();
-    for (shard, answer) in shards.into_iter().zip(gather(shared, calls)) {
+    for (shard, answer) in shards.into_iter().zip(gather(fleet, calls, budget)) {
         match answer
             .ok()
             .and_then(|resp| SubCover::from_response(shard, &resp))
@@ -490,39 +339,42 @@ fn fanout_cover(shared: &Shared, items: &[u32], with_label: bool) -> Response {
     }
     let merged = merge_covers(&subs, missing);
     if merged.is_partial() {
-        shared.counts.partial.incr();
-        shared.served_partial.store(true, Ordering::Relaxed);
+        fleet.partial.incr();
+        fleet.served_partial.store(true, Ordering::Relaxed);
     }
-    shared.counts.fanout_latency.observe(started.elapsed());
+    fleet.fanout_latency.observe(started.elapsed());
     merged
 }
 
 /// `NAVIGATE` needs no scatter — every replica serves the full tree — so
 /// it goes to the whole-fleet rendezvous choice for the category key.
-fn navigate(shared: &Shared, cat: u32) -> Response {
-    whole_fleet(
-        shared,
-        u64::from(cat) ^ 0x5851_F42D_4C95_7F2D,
-        Request::Navigate { cat },
-    )
+fn navigate(fleet: &Fleet, cat: u32, budget: &Budget) -> Response {
+    let key = u64::from(cat) ^ 0x5851_F42D_4C95_7F2D;
+    whole_fleet(fleet, key, Request::Navigate { cat }, budget)
 }
 
 /// Top-k `NAVIGATE` is whole-tree like the browse form: any replica can
 /// answer for the full fleet (the ANN index is seed-deterministic, so all
 /// replicas rank identically). Rendezvous on the query key spreads distinct
 /// queries across the fleet while keeping each query's home stable.
-fn navigate_topk(shared: &Shared, k: usize, items: Vec<u32>, ef: Option<usize>) -> Response {
+fn navigate_topk(
+    fleet: &Fleet,
+    k: usize,
+    items: Vec<u32>,
+    ef: Option<usize>,
+    budget: &Budget,
+) -> Response {
     let key = request_key(&items) ^ (k as u64).wrapping_mul(0x5851_F42D_4C95_7F2D);
-    whole_fleet(shared, key, Request::NavigateTopK { k, items, ef })
+    whole_fleet(fleet, key, Request::NavigateTopK { k, items, ef }, budget)
 }
 
 /// One request any replica of the fleet can answer, failing over across
 /// the whole fleet in rendezvous order for `key`.
-fn whole_fleet(shared: &Shared, key: u64, request: Request) -> Response {
-    let replicas: Vec<&Replica> = shared.topology.all().collect();
+fn whole_fleet(fleet: &Fleet, key: u64, request: Request, budget: &Budget) -> Response {
+    let replicas: Vec<&Replica> = fleet.all().collect();
     let order = rendezvous_order(replicas.len(), key);
     let call = Call::new(order.into_iter().map(|i| replicas[i]), request);
-    match gather(shared, vec![call]).swap_remove(0) {
+    match gather(fleet, vec![call], budget).swap_remove(0) {
         Ok(resp) => resp,
         Err(message) => Response::Error {
             code: ErrorCode::Unavailable,
@@ -535,17 +387,17 @@ fn whole_fleet(shared: &Shared, key: u64, request: Request) -> Response {
 /// answer reports the minimum epoch (consistency floor) and a degraded
 /// flag that ORs backend degradation, unreachable shards, and the
 /// router's own sticky partial latch.
-fn fanout_stats(shared: &Shared) -> Response {
-    let calls = (0..shared.topology.shards.len() as u32)
+fn fanout_stats(fleet: &Fleet, budget: &Budget) -> Response {
+    let calls = (0..fleet.shards.len() as u32)
         .map(|shard| {
             let key = 0x9E37_79B9 ^ u64::from(shard);
-            shard_call(shared, shard, key, Request::Stats)
+            shard_call(fleet, shard, key, Request::Stats)
         })
         .collect();
     let mut merged: Option<(u64, usize, usize, u32)> = None;
     let mut any_degraded = false;
     let mut unreachable = 0usize;
-    for answer in gather(shared, calls) {
+    for answer in gather(fleet, calls, budget) {
         match answer {
             Ok(Response::Stats {
                 epoch,
@@ -571,7 +423,7 @@ fn fanout_stats(shared: &Shared) -> Response {
             items,
             degraded: any_degraded
                 || unreachable > 0
-                || shared.served_partial.load(Ordering::Relaxed),
+                || fleet.served_partial.load(Ordering::Relaxed),
         },
         None => Response::Error {
             code: ErrorCode::Unavailable,
@@ -586,13 +438,12 @@ fn fanout_stats(shared: &Shared) -> Response {
 /// typed error listing the failures, and the epoch-preference in
 /// candidate ordering keeps routing consistent until the stragglers are
 /// re-swapped (probes keep observing their epochs).
-fn broadcast_swap(shared: &Shared, path: &str) -> Response {
-    let timeout = shared.config.attempt_timeout * SWAP_TIMEOUT_FACTOR;
+fn broadcast_swap(fleet: &Fleet, path: &str) -> Response {
+    let timeout = fleet.config.attempt_timeout * SWAP_TIMEOUT_FACTOR;
     let request = Request::Swap {
         path: path.to_owned(),
     };
-    let started: Vec<(&Replica, Result<Attempt<'_>, String>)> = shared
-        .topology
+    let started: Vec<(&Replica, Result<Attempt<'_>, String>)> = fleet
         .all()
         .map(|replica| (replica, replica.start(&request, timeout)))
         .collect();
@@ -624,25 +475,24 @@ fn broadcast_swap(shared: &Shared, path: &str) -> Response {
 
 /// One shard's sub-request over that shard's replicas in rendezvous order
 /// for `key`.
-fn shard_call(shared: &Shared, shard: u32, key: u64, request: Request) -> Call<'_> {
-    let replicas = &shared.topology.shards[shard as usize];
+fn shard_call(fleet: &Fleet, shard: u32, key: u64, request: Request) -> Call<'_> {
+    let replicas = &fleet.shards[shard as usize];
     let order = rendezvous_order(replicas.len(), key);
     Call::new(order.into_iter().map(|i| &replicas[i]), request)
 }
 
 /// Writes every call's sub-request, then reads the answers in call order,
 /// each failing over on the worker's own thread (see [`Call::finish`]).
-fn gather<'a>(shared: &'a Shared, mut calls: Vec<Call<'a>>) -> Vec<CallResult> {
-    let budget = shared.request_budget();
+fn gather<'a>(fleet: &'a Fleet, mut calls: Vec<Call<'a>>, budget: &Budget) -> Vec<CallResult> {
     // The request deadline as an instant, so every read shares it.
     let by = budget.remaining().map(|left| Instant::now() + left);
-    let timeout = shared.config.attempt_timeout;
+    let timeout = fleet.config.attempt_timeout;
     for call in &mut calls {
         call.start_next(timeout);
     }
     calls
         .into_iter()
-        .map(|call| call.finish(shared, &budget, by))
+        .map(|call| call.finish(fleet, budget, by))
         .collect()
 }
 
@@ -718,8 +568,8 @@ impl<'a> Call<'a> {
     /// deadline counts `router/hedges` and is no health failure. The
     /// request deadline `by` bounds every read, and no new candidate is
     /// tried once `budget` has expired.
-    fn finish(mut self, shared: &Shared, budget: &Budget, by: Option<Instant>) -> CallResult {
-        let timeout = shared.config.attempt_timeout;
+    fn finish(mut self, fleet: &Fleet, budget: &Budget, by: Option<Instant>) -> CallResult {
+        let timeout = fleet.config.attempt_timeout;
         while let Some(attempt) = self.attempt.take() {
             let replica = attempt.replica();
             let hedge = self.candidates[self.next..]
@@ -734,7 +584,7 @@ impl<'a> Call<'a> {
                     true
                 }
                 Err(Miss::Abandoned) if hedge.is_some() => {
-                    shared.counts.hedges.incr();
+                    fleet.hedges.incr();
                     self.error = format!("{}: no answer by the hedge deadline", replica.addr);
                     false
                 }
@@ -749,7 +599,7 @@ impl<'a> Call<'a> {
                 return Err(format!("budget expired; last error: {}", self.error));
             }
             if self.start_next(timeout) && failed {
-                shared.counts.failovers.incr();
+                fleet.failovers.incr();
             }
         }
         Err(self.error)

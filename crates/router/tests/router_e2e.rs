@@ -104,12 +104,17 @@ fn bind_router(fleet: &[Vec<Backend>], tweak: impl FnOnce(&mut RouterConfig)) ->
     Router::bind(config).expect("bind router")
 }
 
-fn spawn_router(router: Router) -> (SocketAddr, oct_router::DrainHandle, JoinHandle<()>) {
+/// Runs `router` on its own thread; joining it yields the flushed report.
+fn spawn_router(
+    router: Router,
+) -> (
+    SocketAddr,
+    oct_router::DrainHandle,
+    JoinHandle<PipelineReport>,
+) {
     let addr = router.local_addr().expect("router addr");
     let drain = router.drain_handle();
-    let join = thread::spawn(move || {
-        let _ = router.run();
-    });
+    let join = thread::spawn(move || router.run().expect("router drains cleanly"));
     (addr, drain, join)
 }
 
@@ -556,6 +561,7 @@ fn router_shed_connection_closes_cleanly_after_an_unread_request() {
     let (fleet, router) = start_fleet_with(&[1], |config| {
         config.workers = 1;
         config.queue_capacity = 1;
+        config.metrics = Metrics::enabled();
     });
     let (addr, drain, join) = spawn_router(router);
     let held1 = RawClient::connect(addr);
@@ -581,7 +587,13 @@ fn router_shed_connection_closes_cleanly_after_an_unread_request() {
     drop(held1);
     drop(held2);
     drain.drain();
-    join.join().expect("router exits");
+    let report = join.join().expect("router exits");
+    assert!(report.counter("router/shed").unwrap_or(0) >= 10, "{report}");
+    assert!(
+        report.counter("router/accepted").unwrap_or(0) >= 12,
+        "{report}"
+    );
+    assert!(report.gauge("router/queue_depth").is_some(), "{report}");
     kill_fleet(fleet);
 }
 

@@ -20,7 +20,7 @@
 //!   is answered with `ERR internal` and the connection keeps serving.
 //!   Failover to another replica lives in `oct-router`, where failures
 //!   are transient.
-//! * **Graceful drain** ([`server`]) — SIGTERM/SIGINT/`SHUTDOWN` stop
+//! * **Graceful drain** ([`daemon`]) — SIGTERM/SIGINT/`SHUTDOWN` stop
 //!   admission, let in-flight work finish (cancelling stragglers through a
 //!   shared [`CancelToken`](oct_resilience::CancelToken) after a grace
 //!   period), then flush metrics as a
@@ -49,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod daemon;
 pub mod loadgen;
 pub mod protocol;
 pub mod queue;
@@ -57,16 +58,18 @@ pub mod signal;
 pub mod swap;
 
 pub use client::Client;
+pub use daemon::DrainHandle;
 pub use loadgen::{Arrival, KeyDist, LoadGenConfig, LoadGenOutcome};
 pub use protocol::{ErrorCode, Request, Response};
 pub use queue::{BoundedQueue, Push};
-pub use server::{DrainHandle, ServeConfig, Server};
+pub use server::{ServeConfig, Server};
 pub use swap::{ServingTree, TreeHandle};
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::client::{one_shot, Client};
+    pub use crate::daemon::DrainHandle;
     pub use crate::protocol::{ErrorCode, Request, Response};
-    pub use crate::server::{DrainHandle, ServeConfig, Server};
+    pub use crate::server::{ServeConfig, Server};
     pub use crate::swap::{ServingTree, TreeHandle};
 }
